@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,6 +20,7 @@ from .embeddings import (
     KeywordRef,
     fallback_embed,
     load_embeddings,
+    read_tsv,
     save_embeddings,
 )
 from .errors import AdexpandError, ParseError
@@ -70,18 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_keyword_list(path: str) -> list[tuple[str, str]]:
-    """TSV lines ``market<TAB>keyword``; '#' comments ignored."""
-    rows: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected market<TAB>keyword")
-            rows.append((fields[0], fields[1].strip()))
-    return rows
+    """TSV lines ``market<TAB>keyword`` (see read_tsv)."""
+    return [
+        (market, keyword.strip())
+        for _, (market, keyword) in read_tsv(path, ("market", "keyword"))
+    ]
 
 
 def _parse_market_paths(values: list[str], flag: str) -> dict[str, str]:
@@ -100,27 +95,13 @@ def _percent_to_fraction(pct: float) -> float:
     return pct / 100.0
 
 
-# Flags that a --config file may default; explicit flags always win.
-_CONFIG_PARAMS = (
-    "dim",
-    "clusters",
-    "seed",
-    "quantile_pct",
-    "min_cluster_size",
-    "k_neighbors",
-    "trees",
-    "learning_rate",
-    "adjustment_trees",
-    "adjustment_depth",
-    "precision_target",
-)
-
-
 def _apply_config(args) -> None:
+    """Fill each flag left unset with the same-named PipelineConfig field;
+    explicit flags always win."""
     config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for name in _CONFIG_PARAMS:
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, getattr(config, name))
+    for f in dataclasses.fields(PipelineConfig):
+        if hasattr(args, f.name) and getattr(args, f.name) is None:
+            setattr(args, f.name, getattr(config, f.name))
 
 
 def _cmd_embed(args) -> int:
@@ -368,17 +349,9 @@ def _cmd_match(args) -> int:
             for record in records:
                 out.write(json.dumps(match_record_to_doc(record), sort_keys=True) + "\n")
         else:
-            with open(args.queries, "r", encoding="utf-8") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.rstrip("\n")
-                    if not line.strip() or line.lstrip().startswith("#"):
-                        continue
-                    fields = line.split("\t")
-                    if len(fields) != 2:
-                        raise ParseError(f"{args.queries}:{lineno}: expected market<TAB>query")
-                    market, query = fields
-                    for record in match_query(query, market, bundle.snapshot):
-                        out.write(json.dumps(match_record_to_doc(record), sort_keys=True) + "\n")
+            for _, (market, query) in read_tsv(args.queries, ("market", "query")):
+                for record in match_query(query, market, bundle.snapshot):
+                    out.write(json.dumps(match_record_to_doc(record), sort_keys=True) + "\n")
     finally:
         if args.out:
             out.close()

@@ -75,9 +75,10 @@ def _assign_all(matrix: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, 
     cluster index.
     """
     directions = _normalized_rows(centroids)
+    X = matrix.astype(np.float64)
     dists = np.empty((centroids.shape[0], matrix.shape[0]), dtype=np.float64)
     for j in range(centroids.shape[0]):
-        dists[j] = 1.0 - matrix.astype(np.float64) @ directions[j]
+        dists[j] = 1.0 - X @ directions[j]
     labels = np.argmin(dists, axis=0)
     return labels, dists[labels, np.arange(matrix.shape[0])]
 
@@ -260,7 +261,8 @@ def elbow_sweep(
     else:
         fold_members = _fold_indices(n, folds)
         for f in range(folds):
-            keep = [i for i in range(n) if i not in set(fold_members[f])]
+            held_out = set(fold_members[f])
+            keep = [i for i in range(n) if i not in held_out]
             held_in_sets.append(_subset(embedding_set, keep))
     rows: list[tuple[int, float]] = []
     for m in k_list:
@@ -296,7 +298,8 @@ def kfold_stability(
     compactness: list[float] = []
     for f in range(folds):
         held_out = fold_members[f]
-        keep = [i for i in range(n) if i not in set(held_out)]
+        held_out_set = set(held_out)
+        keep = [i for i in range(n) if i not in held_out_set]
         model = kmeans(_subset(embedding_set, keep), cluster_count, seed)
         labels, dists = _assign_all(matrix, model.centroids)
         labelings.append(labels)

@@ -1,13 +1,19 @@
 """Pipeline configuration file: JSON with "paths" and "parameters" sections.
 
 Validation is fail-fast: unknown keys are rejected and every parameter is
-bounds-checked at load so a bad config never reaches the pipeline.
+bounds-checked at load so a bad config never reaches the pipeline. The
+PipelineConfig fields are the one table of parameter names and defaults;
+the CLI fills each unset flag from the same-named field.
+
+The "paths" section and the "markets" parameter are validated but not read
+by the CLI, which takes file paths and the market from its flags. They stay
+accepted so that existing config files keep loading.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ParseError
 
@@ -21,21 +27,6 @@ _PATH_KEYS = {
     "holdout",
     "queries",
     "output_dir",
-}
-
-_PARAMETER_DEFAULTS = {
-    "dim": 256,
-    "clusters": 8,
-    "seed": 7,
-    "quantile_pct": 99.9999,
-    "min_cluster_size": 10,
-    "k_neighbors": 100,
-    "trees": 100,
-    "learning_rate": 0.1,
-    "adjustment_trees": 2,
-    "adjustment_depth": 5,
-    "precision_target": 0.8,
-    "markets": [],
 }
 
 
@@ -102,11 +93,10 @@ def load_config(path: str) -> PipelineConfig:
     if unknown_paths:
         raise ParseError(f"{path}: unknown path keys {sorted(unknown_paths)}")
     parameters = doc.get("parameters", {})
-    unknown_params = set(parameters) - set(_PARAMETER_DEFAULTS)
+    known_params = {f.name for f in fields(PipelineConfig)} - {"paths"}
+    unknown_params = set(parameters) - known_params
     if unknown_params:
         raise ParseError(f"{path}: unknown parameter keys {sorted(unknown_params)}")
-    merged = dict(_PARAMETER_DEFAULTS)
-    merged.update(parameters)
-    config = PipelineConfig(paths={k: str(v) for k, v in paths.items()}, **merged)
+    config = PipelineConfig(paths={k: str(v) for k, v in paths.items()}, **parameters)
     config.validate()
     return config

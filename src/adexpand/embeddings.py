@@ -8,6 +8,7 @@ strings close together, deterministically, with no model file.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,51 +164,74 @@ class EmbeddingSet:
         return self.refs[self._by_id[keyword_id]]
 
 
-def load_embeddings(path: str, market: str) -> EmbeddingSet:
-    """Load one market's vectors from a TSV file.
+def read_tsv(path: str, layout: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each record of a TSV input file.
 
-    Format: ``market<TAB>keyword<TAB>v1 v2 ... vD`` per line, '#' comment
-    lines ignored, dimension inferred from the first record. All rows are
-    validated; only the requested market's rows enter the set.
+    This is the one rule every TSV input follows: the trailing newline is
+    stripped, blank lines and lines starting with '#' (after leading
+    whitespace) are skipped, and each remaining line must split on TAB into
+    exactly ``len(layout)`` fields, else ParseError names ``path:lineno``.
+    Field values are returned as read; callers own per-field handling.
     """
-    pairs: list[tuple[str, np.ndarray]] = []
-    dim: int | None = None
-    seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            row_market, keyword, values = fields
-            keyword = keyword.strip()
-            if not keyword:
-                raise ParseError(f"{path}:{lineno}: empty keyword")
-            key = (row_market, keyword)
-            if key in seen:
-                raise DuplicateKeywordError(f"{path}:{lineno}: duplicate keyword {keyword!r}")
-            seen.add(key)
-            try:
-                vec = np.array([float(x) for x in values.split()], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}:{lineno}: non-finite vector entry")
-            if float(np.linalg.norm(vec)) <= 1e-12:
-                raise ParseError(f"{path}:{lineno}: zero vector")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: dim {vec.size}, expected {dim}"
-                )
-            if row_market == market:
-                pairs.append((keyword, vec))
-    if not pairs:
-        raise EmptySetError(f"{path}: no rows for market {market!r}")
-    return EmbeddingSet.from_pairs(market, pairs)
+            if len(fields) != len(layout):
+                raise ParseError(f"{path}:{lineno}: expected {'<TAB>'.join(layout)}")
+            yield lineno, fields
+
+
+def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str, EmbeddingSet]:
+    """Load several markets' vectors from one pass over a TSV file.
+
+    Format: ``market<TAB>keyword<TAB>v1 v2 ... vD`` per line (see read_tsv),
+    dimension inferred from the first record and shared by every market. All
+    rows are validated; only the requested markets' rows are kept. ``markets``
+    defaults to every market in the file, in first-seen order; a requested
+    market with no rows raises EmptySetError.
+    """
+    by_market: dict[str, list[tuple[str, np.ndarray]]] = {}
+    dim: int | None = None
+    seen: set[tuple[str, str]] = set()
+    for lineno, (row_market, keyword, values) in read_tsv(path, ("market", "keyword", "vector")):
+        keyword = keyword.strip()
+        if not keyword:
+            raise ParseError(f"{path}:{lineno}: empty keyword")
+        key = (row_market, keyword)
+        if key in seen:
+            raise DuplicateKeywordError(f"{path}:{lineno}: duplicate keyword {keyword!r}")
+        seen.add(key)
+        try:
+            vec = np.array([float(x) for x in values.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ParseError(f"{path}:{lineno}: non-finite vector entry")
+        if float(np.linalg.norm(vec)) <= 1e-12:
+            raise ParseError(f"{path}:{lineno}: zero vector")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: dim {vec.size}, expected {dim}"
+            )
+        if markets is None or row_market in markets:
+            by_market.setdefault(row_market, []).append((keyword, vec))
+    sets: dict[str, EmbeddingSet] = {}
+    for market in by_market if markets is None else markets:
+        pairs = by_market.get(market)
+        if not pairs:
+            raise EmptySetError(f"{path}: no rows for market {market!r}")
+        sets[market] = EmbeddingSet.from_pairs(market, pairs)
+    return sets
+
+
+def load_embeddings(path: str, market: str) -> EmbeddingSet:
+    """Load one market's vectors from a TSV file (see load_embedding_sets)."""
+    return load_embedding_sets(path, [market])[market]
 
 
 def save_embeddings(embedding_set: EmbeddingSet, path: str, append: bool = False) -> None:
@@ -218,17 +242,3 @@ def save_embeddings(embedding_set: EmbeddingSet, path: str, append: bool = False
             row = embedding_set.vector(ref)
             values = " ".join(f"{float(x):.9g}" for x in row)
             fh.write(f"{embedding_set.market}\t{ref.text}\t{values}\n")
-
-
-def markets_in_file(path: str) -> list[str]:
-    """Distinct markets appearing in a TSV file, in first-seen order."""
-    seen: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            market = line.split("\t", 1)[0]
-            if market not in seen:
-                seen.append(market)
-    return seen

@@ -53,7 +53,8 @@ class FeatureExtractor:
         origin_variant_similarity: float,
     ) -> np.ndarray:
         q_tokens = set(tokenize(query))
-        t_tokens = set(tokenize(title))
+        title_tokens = tokenize(title)
+        t_tokens = set(title_tokens)
         k_tokens = set(tokenize(matched_keyword))
         union = q_tokens | t_tokens
         jaccard = len(q_tokens & t_tokens) / len(union) if union else 0.0
@@ -67,7 +68,7 @@ class FeatureExtractor:
                 embed_sim,
                 origin_variant_similarity,
                 math.log1p(max(price, 0.0)),
-                float(len(tokenize(title))),
+                float(len(title_tokens)),
                 kw_ratio,
             ],
             dtype=np.float64,

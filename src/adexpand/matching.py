@@ -1,11 +1,12 @@
 """Runtime query matching over an immutable snapshot.
 
-A snapshot bundles campaigns, expanded keywords, the relevance model and
-per-market score thresholds. Queries match an expanded keyword when the
-keyword's token set is contained in the query's token set; candidate items
-are scored and kept when the score clears the market threshold. Serving
-reads a single snapshot reference, so a refresh is one atomic swap and no
-request ever sees a mixture of two snapshot versions.
+A snapshot holds a token index over campaign keywords and their expansions,
+the relevance model and per-market score thresholds. Queries match an
+expanded keyword when the keyword's token set is contained in the query's
+token set; candidate items are scored and kept when the score clears the
+market threshold. Serving reads a single snapshot reference, so a refresh
+is one atomic swap and no request ever sees a mixture of two snapshot
+versions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from typing import Generic, Protocol, TypeVar
 
 from .errors import (
     DanglingReferenceError,
@@ -162,8 +164,6 @@ class Snapshot:
     """Immutable serving bundle; built once, swapped atomically."""
 
     version: int
-    campaigns: list[Campaign]
-    expansions: dict[tuple[str, str], ExpansionRecord]
     model: StackedModel
     market_thresholds: dict[str, float]
     extractor: FeatureExtractor
@@ -205,7 +205,6 @@ def build_snapshot(
             raise UnknownMarketError(f"no relevance threshold for market {market!r}")
 
     entries_by_market: dict[str, list[_IndexEntry]] = {m: [] for m in markets}
-    expansion_map: dict[tuple[str, str], ExpansionRecord] = {}
     for market in sorted(markets):
         for keyword in sorted(groups_by_keyword[market]):
             groups = tuple(groups_by_keyword[market][keyword])
@@ -228,7 +227,6 @@ def build_snapshot(
             raise DanglingReferenceError(
                 f"expansion origin {record.origin.text!r} ({market}) is not in any campaign"
             )
-        expansion_map[(market, record.origin.text)] = record
         for variant in record.accepted_variants():
             tokens = frozenset(tokenize(variant.keyword.text))
             if not tokens or variant.keyword.text == record.origin.text:
@@ -257,8 +255,6 @@ def build_snapshot(
 
     return Snapshot(
         version=version,
-        campaigns=campaigns,
-        expansions=expansion_map,
         model=model,
         market_thresholds=dict(market_thresholds),
         extractor=extractor,
@@ -327,17 +323,29 @@ def _better(candidate: MatchRecord, incumbent: MatchRecord) -> bool:
     )
 
 
-class SnapshotHolder:
-    """Atomic reference to the current snapshot; readers never block."""
+class Versioned(Protocol):
+    @property
+    def version(self) -> int: ...
 
-    def __init__(self, snapshot: Snapshot | None = None) -> None:
+
+V = TypeVar("V", bound=Versioned)
+
+
+class SnapshotHolder(Generic[V]):
+    """Atomic reference to the current snapshot; readers never block.
+
+    It reads only ``version`` of what it holds: the service holds a
+    RuntimeBundle, and a bare Snapshot works the same.
+    """
+
+    def __init__(self, snapshot: V | None = None) -> None:
         self._lock = threading.Lock()
         self._snapshot = snapshot
 
-    def current(self) -> Snapshot | None:
+    def current(self) -> V | None:
         return self._snapshot
 
-    def swap(self, new_snapshot: Snapshot) -> int | None:
+    def swap(self, new_snapshot: V) -> int | None:
         """Install a strictly newer snapshot; returns the previous version."""
         with self._lock:
             old = self._snapshot
@@ -348,6 +356,3 @@ class SnapshotHolder:
             self._snapshot = new_snapshot
             return old.version if old is not None else None
 
-
-def swap_snapshot(holder: SnapshotHolder, new_snapshot: Snapshot) -> int | None:
-    return holder.swap(new_snapshot)

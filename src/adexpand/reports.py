@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, read_tsv
 from .errors import (
     DanglingReferenceError,
     DegenerateInputError,
@@ -42,25 +42,18 @@ class LabeledPair:
 
 
 def load_label_set(path: str) -> list[LabeledPair]:
-    """TSV rows ``origin<TAB>variant<TAB>0|1``; pairs must be unique."""
+    """TSV rows ``origin<TAB>variant<TAB>0|1`` (see read_tsv); pairs must be
+    unique."""
     pairs: list[LabeledPair] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            origin, variant, label = fields
-            if label not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: label must be 0 or 1")
-            key = (origin, variant)
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate pair {key}")
-            seen.add(key)
-            pairs.append(LabeledPair(origin=origin, variant=variant, label=int(label)))
+    for lineno, (origin, variant, label) in read_tsv(path, ("origin", "variant", "label")):
+        if label not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1")
+        key = (origin, variant)
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate pair {key}")
+        seen.add(key)
+        pairs.append(LabeledPair(origin=origin, variant=variant, label=int(label)))
     return pairs
 
 

@@ -18,6 +18,11 @@ from .matching import MatchRecord, SnapshotHolder, match_query, match_record_to_
 from .snapshot_store import RuntimeBundle, load_runtime
 
 
+# Largest request body read; a request carries one keyword or query, so
+# anything near this size is not a real request.
+MAX_BODY_BYTES = 1 << 20
+
+
 class NoSnapshotError(AdexpandError):
     """Serving was attempted before any snapshot was loaded."""
 
@@ -27,7 +32,7 @@ class MatchService:
 
     def __init__(self, snapshot_dir: str | None = None, load_now: bool = True) -> None:
         self.snapshot_dir = snapshot_dir
-        self._holder = SnapshotHolder()
+        self._holder: SnapshotHolder[RuntimeBundle] = SnapshotHolder()
         self._refresh_lock = threading.Lock()
         if snapshot_dir is not None and load_now:
             self.refresh()
@@ -93,12 +98,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict | None:
+        """The body as a JSON object, or None once a 400 has been sent.
+
+        The length is checked before any byte is read: a negative one would
+        make rfile.read wait for EOF and hold this thread.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self._send(400, {"error": f"Content-Length must be in [0, {MAX_BODY_BYTES}]"})
             return None
-        return doc if isinstance(doc, dict) else None
+        try:
+            doc = json.loads(self.rfile.read(length).decode("utf-8"))
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict):
+            self._send(400, {"error": "malformed JSON body"})
+            return None
+        return doc
 
     def do_GET(self) -> None:  # noqa: N802
         if self.path != "/healthz":
@@ -127,7 +146,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         doc = self._read_json()
         if doc is None:
-            self._send(400, {"error": "malformed JSON body"})
             return
         market = doc.get("market")
         if not isinstance(market, str):

@@ -2,7 +2,8 @@
 meta.json, loadable into the full serving state in one call.
 
 A bundle carries everything both halves of serving need: the matching
-snapshot (campaigns, expansions, model, market thresholds) and the per-market
+snapshot (token index over campaigns and expansions, model, market
+thresholds) and the per-market
 expansion context (embeddings, flat index, clustering, cutoff table) used to
 expand keywords that arrive after the offline run.
 """
@@ -15,7 +16,7 @@ import shutil
 from dataclasses import dataclass
 
 from .clustering import Clustering, load_clustering
-from .embeddings import EmbeddingSet, load_embeddings, markets_in_file
+from .embeddings import EmbeddingSet, load_embedding_sets
 from .errors import ParseError
 from .expansion import load_expansions
 from .features import FeatureExtractor
@@ -138,11 +139,11 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
         stacked = model
     thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
 
-    embeddings_file = os.path.join(snapshot_dir, EMBEDDINGS_FILE)
+    embedding_sets = load_embedding_sets(
+        os.path.join(snapshot_dir, EMBEDDINGS_FILE), meta.get("markets") or None
+    )
     contexts: dict[str, ExpansionContext] = {}
-    markets = meta.get("markets") or markets_in_file(embeddings_file)
-    for market in markets:
-        embedding_set = load_embeddings(embeddings_file, market)
+    for market, embedding_set in embedding_sets.items():
         clustering = load_clustering(os.path.join(snapshot_dir, f"clustering_{market}.json"))
         table = load_threshold_table(os.path.join(snapshot_dir, f"thresholds_{market}.jsonl"))
         contexts[market] = ExpansionContext(

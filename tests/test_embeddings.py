@@ -1,18 +1,22 @@
-"""Embedding arithmetic, the hashed fallback embedder, and TSV round-trips."""
+"""Embedding arithmetic, the hashed fallback embedder, TSV round-trips, and
+the one TSV line rule every TSV input shares."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from adexpand.cli import _read_keyword_list, build_parser
 from adexpand.embeddings import (
     EmbeddingSet,
     cosine_distance,
     cosine_similarity,
     fallback_embed,
     fnv1a_64,
+    load_embedding_sets,
     load_embeddings,
-    markets_in_file,
     normalize,
     save_embeddings,
 )
@@ -24,6 +28,7 @@ from adexpand.errors import (
     ParseError,
     ZeroVectorError,
 )
+from adexpand.reports import load_label_set
 
 
 class TestNormalize:
@@ -218,4 +223,54 @@ class TestTsvRoundTrip:
         uk = load_embeddings(str(path), "UK")
         assert [r.text for r in us.refs] == ["alpha"]
         assert [r.text for r in uk.refs] == ["bravo"]
-        assert markets_in_file(str(path)) == ["US", "UK"]
+        assert list(load_embedding_sets(str(path))) == ["US", "UK"]
+
+
+def _read_queries(path, request):
+    snapshot = os.path.join(request.getfixturevalue("chain_dir"), "snapshot")
+    out = path + ".out"
+    args = build_parser().parse_args(
+        ["match", "--snapshot", snapshot, "--queries", path, "--out", out]
+    )
+    args.func(args)
+    with open(out, encoding="utf-8") as fh:
+        return [json.loads(line)["query"] for line in fh]
+
+
+# Every TSV input goes through read_tsv: (reader, one good record, what the
+# reader makes of it). Each reader keeps its own per-field handling.
+TSV_INPUTS = {
+    "embeddings": (
+        lambda path, _: [r.text for r in load_embeddings(path, "US").refs],
+        "US\talpha \t1 0",
+        ["alpha"],
+    ),
+    "keyword_list": (
+        lambda path, _: _read_keyword_list(path),
+        "US\t iphone 13 case ",
+        [("US", "iphone 13 case")],
+    ),
+    "queries": (_read_queries, "US\tapple iphone 13 case red", ["apple iphone 13 case red"]),
+    "labels": (
+        lambda path, _: [(p.origin, p.variant, p.label) for p in load_label_set(path)],
+        "running shoes\tmens running shoes\t1",
+        [("running shoes", "mens running shoes", 1)],
+    ),
+}
+
+
+class TestReadTsv:
+    @pytest.mark.parametrize("name", sorted(TSV_INPUTS))
+    def test_comment_and_blank_lines_are_skipped(self, name, tmp_path, request):
+        reader, line, expected = TSV_INPUTS[name]
+        path = tmp_path / "in.tsv"
+        path.write_text(f"# comment\n\n   \n  # indented comment\n{line}\n", encoding="utf-8")
+        assert sorted(set(reader(str(path), request))) == expected
+
+    @pytest.mark.parametrize("name", sorted(TSV_INPUTS))
+    def test_wrong_field_count_names_path_and_line(self, name, tmp_path, request):
+        reader, line, _ = TSV_INPUTS[name]
+        path = tmp_path / "in.tsv"
+        path.write_text(f"# comment\n\n{line}\n{line}\textra\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{path}:4: expected "):
+            reader(str(path), request)

@@ -17,7 +17,6 @@ from adexpand.matching import (
     broad_match,
     build_snapshot,
     match_query,
-    swap_snapshot,
 )
 from adexpand.relevance import GbdtModel, as_stacked
 
@@ -206,17 +205,17 @@ class TestMatchQuery:
 class TestSnapshotHolder:
     def test_swap_returns_previous_version(self):
         holder = SnapshotHolder(make_snapshot(version=1))
-        assert swap_snapshot(holder, make_snapshot(version=2)) == 1
+        assert holder.swap(make_snapshot(version=2)) == 1
 
     def test_same_version_rejected(self):
         holder = SnapshotHolder(make_snapshot(version=2))
         with pytest.raises(VersionRegressionError):
-            swap_snapshot(holder, make_snapshot(version=2))
+            holder.swap(make_snapshot(version=2))
 
     def test_lower_version_rejected(self):
         holder = SnapshotHolder(make_snapshot(version=3))
         with pytest.raises(VersionRegressionError):
-            swap_snapshot(holder, make_snapshot(version=1))
+            holder.swap(make_snapshot(version=1))
 
     def test_concurrent_readers_never_see_mixed_versions(self):
         # base_score = 100 * version tags every record, so a batch mixing two

@@ -3,13 +3,14 @@
 import json
 import os
 import shutil
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from adexpand.service import MatchService, make_server
+from adexpand.service import MAX_BODY_BYTES, MatchService, make_server
 
 
 def _post(port, path, payload=None, raw=None):
@@ -106,6 +107,23 @@ class TestEndpoints:
         assert status == 400
         status, _ = _post(httpd.server_address[1], "/match", {"market": "US"})
         assert status == 400
+
+    @pytest.mark.parametrize("length", [-1, MAX_BODY_BYTES + 1])
+    def test_bad_content_length_is_400_before_reading(self, server, length):
+        # no body follows and the socket stays open, so a server that reads
+        # before checking the length waits here until the timeout
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /match HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert response.split(b" ", 2)[1] == b"400"
+        assert _get(port, "/healthz")[0] == 200
 
     def test_expand_known_keyword(self, server):
         httpd, _, _ = server
