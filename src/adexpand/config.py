@@ -1,8 +1,8 @@
 """Pipeline configuration file: JSON with "paths" and "parameters" sections.
 
 Validation is fail-fast: unknown keys are rejected and every parameter is
-bounds-checked at load so a bad config never reaches the pipeline. The
-PipelineConfig fields are the one table of parameter names and defaults;
+type- and bounds-checked at load so a bad config never reaches the pipeline.
+The PipelineConfig fields are the one table of parameter names and defaults;
 the CLI fills each unset flag from the same-named field.
 
 The "paths" section and the "markets" parameter are validated but not read
@@ -79,24 +79,49 @@ class PipelineConfig:
             raise ParseError("markets must be a list of strings")
 
 
+def _check_type(path: str, name: str, value, default) -> None:
+    """A parameter must have its default's JSON type; an int stands for a float."""
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        expected = "a number" if isinstance(default, float) else type(default).__name__
+        raise ParseError(f"{path}: parameter {name!r} must be {expected}, got {value!r}")
+
+
+def _section(path: str, doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{path}: section {name!r} must be an object")
+    return section
+
+
 def load_config(path: str) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a config must be a JSON object")
     unknown_sections = set(doc) - {"paths", "parameters"}
     if unknown_sections:
         raise ParseError(f"{path}: unknown sections {sorted(unknown_sections)}")
-    paths = doc.get("paths", {})
+    paths = _section(path, doc, "paths")
     unknown_paths = set(paths) - _PATH_KEYS
     if unknown_paths:
         raise ParseError(f"{path}: unknown path keys {sorted(unknown_paths)}")
-    parameters = doc.get("parameters", {})
+    parameters = _section(path, doc, "parameters")
     known_params = {f.name for f in fields(PipelineConfig)} - {"paths"}
     unknown_params = set(parameters) - known_params
     if unknown_params:
         raise ParseError(f"{path}: unknown parameter keys {sorted(unknown_params)}")
+    defaults = PipelineConfig()
+    for name, value in parameters.items():
+        _check_type(path, name, value, getattr(defaults, name))
     config = PipelineConfig(paths={k: str(v) for k, v in paths.items()}, **parameters)
     config.validate()
     return config

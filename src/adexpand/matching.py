@@ -16,6 +16,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Generic, Protocol, TypeVar
 
+import numpy as np
+
 from .errors import (
     DanglingReferenceError,
     ParseError,
@@ -281,7 +283,8 @@ def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord
             if broad_match(query_tokens, set(entry.tokens)):
                 candidates.append(entry)
 
-    best: dict[int, MatchRecord] = {}
+    pairs: list[tuple[_IndexEntry, Item]] = []
+    rows: list[np.ndarray] = []
     scored: set[tuple[int, str, str]] = set()
     for entry in candidates:
         for group in entry.ad_groups:
@@ -290,27 +293,37 @@ def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord
                 if score_key in scored:
                     continue
                 scored.add(score_key)
-                features = snapshot.extractor.extract(
-                    query, item.title, item.price, entry.matched_text, entry.similarity
+                pairs.append((entry, item))
+                rows.append(
+                    snapshot.extractor.extract(
+                        query, item.title, item.price, entry.matched_text, entry.similarity
+                    )
                 )
-                base, adjustment = snapshot.model.predict_one(features)
-                score = base + adjustment
-                if score < threshold:
-                    continue
-                record = MatchRecord(
-                    query=query,
-                    market=market,
-                    item_id=item.id,
-                    matched_keyword=entry.matched_text,
-                    origin_keyword=entry.origin_text,
-                    score=score,
-                    score_base=base,
-                    score_adjustment=adjustment,
-                    threshold=threshold,
-                )
-                cur = best.get(item.id)
-                if cur is None or _better(record, cur):
-                    best[item.id] = record
+    if not pairs:
+        return []
+    features = np.stack(rows)
+    base_scores = snapshot.model.predict_base(features).tolist()
+    adjustments = snapshot.model.predict_adjustment(features).tolist()
+
+    best: dict[int, MatchRecord] = {}
+    for (entry, item), base, adjustment in zip(pairs, base_scores, adjustments):
+        score = base + adjustment
+        if score < threshold:
+            continue
+        record = MatchRecord(
+            query=query,
+            market=market,
+            item_id=item.id,
+            matched_keyword=entry.matched_text,
+            origin_keyword=entry.origin_text,
+            score=score,
+            score_base=base,
+            score_adjustment=adjustment,
+            threshold=threshold,
+        )
+        cur = best.get(item.id)
+        if cur is None or _better(record, cur):
+            best[item.id] = record
     return sorted(best.values(), key=lambda r: (-r.score, r.item_id))
 
 

@@ -19,42 +19,16 @@ import numpy as np
 from .errors import (
     ConstraintViolationError,
     EmptyDatasetError,
+    ParseError,
     SchemaMismatchError,
 )
+from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, cached_pack
 
 MAX_ADJUSTMENT_TREES = 2
 MAX_ADJUSTMENT_DEPTH = 5
 RELEVANT_GRADE = 3
 
 _GAIN_EPS = 1e-12
-
-
-@dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature == -1)."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    value: float
-
-
-@dataclass
-class RegressionTree:
-    nodes: list[TreeNode]
-    max_depth: int
-
-    def predict_one(self, x: np.ndarray) -> float:
-        i = 0
-        node = self.nodes[0]
-        while node.feature >= 0:
-            i = node.left if x[node.feature] <= node.threshold else node.right
-            node = self.nodes[i]
-        return node.value
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in X], dtype=np.float64)
 
 
 def _leaf(nodes: list[TreeNode], value: float) -> int:
@@ -151,12 +125,12 @@ class GbdtModel:
     trees: list[RegressionTree] = field(default_factory=list)
     feature_names: list[str] | None = None
     train_rmse: list[float] = field(default_factory=list)
+    _packed: PackedTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check(X)
         out = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
+        accumulate(cached_pack(self, self.trees, self.n_features), X, self.learning_rate, out)
         return out
 
     def _check(self, X: np.ndarray) -> np.ndarray:
@@ -218,6 +192,7 @@ class StackedModel:
     base: GbdtModel
     adjustment: list[RegressionTree] = field(default_factory=list)
     adjustment_rate: float = 1.0
+    _packed: PackedTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict_base(self, X: np.ndarray) -> np.ndarray:
         return self.base.predict(X)
@@ -225,15 +200,19 @@ class StackedModel:
     def predict_adjustment(self, X: np.ndarray) -> np.ndarray:
         X = self.base._check(X)
         out = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.adjustment:
-            out += self.adjustment_rate * tree.predict(X)
+        packed = cached_pack(self, self.adjustment, self.base.n_features)
+        accumulate(packed, X, self.adjustment_rate, out)
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_base(X) + self.predict_adjustment(X)
 
     def predict_one(self, x: np.ndarray) -> tuple[float, float]:
-        """(base component, adjustment component) for a single row."""
+        """(base component, adjustment component) for a single row.
+
+        Serving scores whole batches through predict_base and
+        predict_adjustment; this one-row form is kept as a traced entry point.
+        """
         base = float(self.predict_base(x)[0])
         adj = float(self.predict_adjustment(x)[0])
         return base, adj
@@ -424,7 +403,8 @@ def gbdt_to_doc(model: GbdtModel) -> dict:
 
 
 def gbdt_from_doc(doc: dict) -> GbdtModel:
-    return GbdtModel(
+    """The model a doc describes; its trees are validated and packed here."""
+    model = GbdtModel(
         base_score=float(doc["base_score"]),
         learning_rate=float(doc["learning_rate"]),
         n_features=int(doc["n_features"]),
@@ -432,6 +412,8 @@ def gbdt_from_doc(doc: dict) -> GbdtModel:
         train_rmse=[float(x) for x in doc.get("train_rmse", [])],
         trees=[_tree_from_doc(t) for t in doc["trees"]],
     )
+    cached_pack(model, model.trees, model.n_features)
+    return model
 
 
 def stacked_to_doc(model: StackedModel) -> dict:
@@ -444,11 +426,13 @@ def stacked_to_doc(model: StackedModel) -> dict:
 
 
 def stacked_from_doc(doc: dict) -> StackedModel:
-    return StackedModel(
+    model = StackedModel(
         base=gbdt_from_doc(doc["base"]),
         adjustment_rate=float(doc["adjustment_rate"]),
         adjustment=[_tree_from_doc(t) for t in doc["adjustment"]],
     )
+    cached_pack(model, model.adjustment, model.base.n_features)
+    return model
 
 
 def serialize_model(model: GbdtModel | StackedModel) -> bytes:
@@ -464,7 +448,10 @@ def save_model(model: GbdtModel | StackedModel, path: str) -> None:
 
 def load_model(path: str) -> GbdtModel | StackedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") == "stacked":
-        return stacked_from_doc(doc)
-    return gbdt_from_doc(doc)
+        try:
+            doc = json.load(fh)
+            if doc.get("kind") == "stacked":
+                return stacked_from_doc(doc)
+            return gbdt_from_doc(doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed model: {exc!r}") from exc

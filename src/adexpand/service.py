@@ -8,7 +8,9 @@ mutation and is serialized behind a writer lock.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .embeddings import KeywordRef, fallback_embed
@@ -120,6 +122,20 @@ class _Handler(BaseHTTPRequestHandler):
         return doc
 
     def do_GET(self) -> None:  # noqa: N802
+        self._answer(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._answer(self._post)
+
+    def _answer(self, handle) -> None:
+        """Run a handler; an error it does not map itself answers 500."""
+        try:
+            handle()
+        except Exception as exc:  # noqa: BLE001 - the connection must get an answer
+            traceback.print_exc(file=sys.stderr)
+            self._send(500, {"error": f"internal error: {type(exc).__name__}: {exc}"})
+
+    def _get(self) -> None:
         if self.path != "/healthz":
             self._send(404, {"error": "not found"})
             return
@@ -129,7 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(200, {"status": "ok", "snapshot_version": bundle.version})
 
-    def do_POST(self) -> None:  # noqa: N802
+    def _post(self) -> None:
         if self.path == "/refresh":
             try:
                 old, new = self.service.refresh()

@@ -118,16 +118,32 @@ def write_snapshot_dir(
     load_runtime(out_dir)
 
 
+def _meta_int(meta_path: str, meta: dict, key: str, default: int | None = None) -> int:
+    """meta[key] as an int; ParseError when it is missing (with no default)
+    or is not a JSON integer."""
+    if key not in meta and default is None:
+        raise ParseError(f"{meta_path}: missing {key!r}")
+    value = meta.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{meta_path}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_runtime(snapshot_dir: str) -> RuntimeBundle:
     """Load and validate a snapshot directory into serving state."""
     meta_path = os.path.join(snapshot_dir, META_FILE)
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")
     with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    version = int(meta["version"])
-    dim = int(meta["dim"])
-    k_neighbors = int(meta.get("k_neighbors", 100))
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path}: expected a JSON object")
+    version = _meta_int(meta_path, meta, "version")
+    dim = _meta_int(meta_path, meta, "dim")
+    k_neighbors = _meta_int(meta_path, meta, "k_neighbors", 100)
     filters_enabled = bool(meta.get("filters_enabled", True))
 
     campaigns: list[Campaign] = load_campaigns(os.path.join(snapshot_dir, CAMPAIGNS_FILE))

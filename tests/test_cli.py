@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from adexpand.cli import cli_dispatch
 
 from conftest import CHAIN_OUTPUTS, FIXTURES_DIR, run_chain, single_thread_env
@@ -52,6 +54,23 @@ class TestExitCodes:
             "--out", str(tmp_path / "emb.tsv"),
         ]) == 2
         assert "no_such_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"parameters": {"dim": "abc"}}',
+        '{"parameters": ["dim"]}',
+        '{"parameters": {"trees": true}}',
+        '{"paths": ["keywords"]}',
+        '["parameters"]',
+    ])
+    def test_mistyped_config_is_data_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert cli_dispatch([
+            "embed", "--config", str(config),
+            "--keywords", os.path.join(FIXTURES_DIR, "keywords.tsv"),
+            "--out", str(tmp_path / "emb.tsv"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfigDefaults:

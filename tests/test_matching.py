@@ -18,7 +18,7 @@ from adexpand.matching import (
     build_snapshot,
     match_query,
 )
-from adexpand.relevance import GbdtModel, as_stacked
+from adexpand.relevance import GbdtModel, StackedModel, as_stacked, fit_tree
 
 from conftest import golden_campaigns, price_step_model
 
@@ -200,6 +200,47 @@ class TestMatchQuery:
         snapshot = make_snapshot()
         q = "solar led garden lights outdoor"
         assert match_query(q, "US", snapshot) == match_query(q, "US", snapshot)
+
+    def test_one_batch_per_query(self, monkeypatch):
+        snapshot = make_snapshot()
+        calls = []
+        for name in ("predict_base", "predict_adjustment", "predict_one"):
+            real = getattr(StackedModel, name)
+
+            def counted(self, X, _real=real, _name=name):
+                calls.append((_name, np.asarray(X).shape))
+                return _real(self, X)
+
+            monkeypatch.setattr(StackedModel, name, counted)
+        records = match_query("led garden lights outdoor lighting solar", "US", snapshot)
+        assert records
+        assert [name for name, _ in calls] == ["predict_base", "predict_adjustment"]
+        assert calls[0][1] == calls[1][1]
+        assert calls[0][1][0] >= len(records)
+        calls.clear()
+        assert match_query("quantum flux capacitor", "US", snapshot) == []
+        assert calls == []
+
+    def test_batch_scores_equal_one_row_scores(self):
+        # Without expansions every match is an origin keyword (similarity 1.0),
+        # so each record's features can be rebuilt and scored one row at a time.
+        base = price_step_model().base
+        X = np.random.default_rng(3).normal(size=(40, base.n_features))
+        adjustment = [fit_tree(X, X[:, 4] - X[:, 0], max_depth=3)]
+        model = StackedModel(base=base, adjustment=adjustment, adjustment_rate=0.7)
+        snapshot = make_snapshot(model=model, expansions=[])
+        items = {it.id: it for c in golden_campaigns() for g in c.ad_groups for it in g.items}
+        query = "solar led garden lights outdoor string iphone 13 case"
+        records = match_query(query, "US", snapshot)
+        assert len(records) > 2
+        for record in records:
+            item = items[record.item_id]
+            features = snapshot.extractor.extract(
+                query, item.title, item.price, record.matched_keyword, 1.0
+            )
+            base_score, adjustment_score = model.predict_one(features)
+            assert (record.score_base, record.score_adjustment) == (base_score, adjustment_score)
+            assert record.score == base_score + adjustment_score
 
 
 class TestSnapshotHolder:

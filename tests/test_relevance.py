@@ -1,11 +1,19 @@
 """Tree fitting, boosting, residual stacking, evaluation, threshold tuning."""
 
+import math
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adexpand.errors import (
     ConstraintViolationError,
     EmptyDatasetError,
+    ParseError,
     SchemaMismatchError,
 )
 from adexpand.relevance import (
@@ -15,6 +23,8 @@ from adexpand.relevance import (
     TreeNode,
     as_stacked,
     fit_tree,
+    gbdt_from_doc,
+    gbdt_to_doc,
     load_dataset,
     load_model,
     rmse,
@@ -22,6 +32,8 @@ from adexpand.relevance import (
     save_dataset,
     save_model,
     serialize_model,
+    stacked_from_doc,
+    stacked_to_doc,
     train_adjustment,
     train_base,
     tune_market_threshold,
@@ -94,7 +106,7 @@ class TestFitTree:
         below = x[x <= 0.5].max()
         above = x[x > 0.5].min()
         assert below < tree.nodes[0].threshold < above
-        leaves = {tree.predict_one(np.array([0.0])), tree.predict_one(np.array([1.0]))}
+        leaves = set(tree.predict(np.array([[0.0], [1.0]])).tolist())
         assert leaves == {1.0, 3.0}
 
     def test_min_leaf_equal_to_n_gives_single_leaf(self):
@@ -237,6 +249,200 @@ class TestPredict:
         b, a = stacked.predict_one(x)
         assert b == pytest.approx(1.0 + 0.5 * 5.0, abs=1e-12)
         assert a == pytest.approx(2.0 * 5.0, abs=1e-12)
+
+    def test_value_on_threshold_goes_left(self):
+        tree = self._fixture_tree()
+        X = np.array([[1.5], [np.nextafter(1.5, 2.0)], [-np.inf], [np.inf]])
+        np.testing.assert_array_equal(tree.predict(X), [2.0, 5.0, 2.0, 5.0])
+
+
+def reference_leaf(tree, x):
+    """Plain per-row walk from the root."""
+    i = 0
+    while tree.nodes[i].feature >= 0:
+        node = tree.nodes[i]
+        i = node.left if x[node.feature] <= node.threshold else node.right
+    return tree.nodes[i].value
+
+
+def reference_sum(start, rate, trees, X):
+    out = []
+    for x in X:
+        total = start
+        for tree in trees:
+            total += rate * reference_leaf(tree, x)
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
+N_FEATURES = 3
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def random_trees(draw, max_depth=4):
+    """A tree in pre-order; thresholds come from GRID so rows can sit on one."""
+    nodes = []
+
+    def build(depth):
+        pos = len(nodes)
+        nodes.append(None)
+        if depth < max_depth and draw(st.booleans()):
+            feature = draw(st.integers(0, N_FEATURES - 1))
+            threshold = draw(st.sampled_from(GRID))
+            left = build(depth + 1)
+            right = build(depth + 1)
+            nodes[pos] = TreeNode(feature, threshold, left, right, draw(finite))
+        else:
+            nodes[pos] = TreeNode(-1, 0.0, -1, -1, draw(finite))
+        return pos
+
+    build(0)
+    return RegressionTree(nodes=nodes, max_depth=max_depth)
+
+
+row_values = st.one_of(
+    st.sampled_from(GRID + [math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+)
+rows = st.lists(
+    st.lists(row_values, min_size=N_FEATURES, max_size=N_FEATURES), max_size=8
+).map(lambda r: np.array(r, dtype=np.float64).reshape(-1, N_FEATURES))
+
+
+class TestBatchedWalk:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        base_trees=st.lists(random_trees(), max_size=6),
+        adjustment=st.lists(random_trees(max_depth=2), max_size=2),
+        base_score=finite,
+        learning_rate=st.floats(0.01, 2.0),
+        adjustment_rate=st.floats(0.01, 2.0),
+        X=rows,
+    )
+    def test_equals_per_row_reference(
+        self, base_trees, adjustment, base_score, learning_rate, adjustment_rate, X
+    ):
+        base = GbdtModel(base_score, learning_rate, N_FEATURES, trees=base_trees)
+        model = StackedModel(base=base, adjustment=adjustment, adjustment_rate=adjustment_rate)
+        want_base = reference_sum(base_score, learning_rate, base_trees, X)
+        want_adjustment = reference_sum(0.0, adjustment_rate, adjustment, X)
+        # the whole batch, every row alone, and the empty batch
+        for batch in [slice(None)] + [slice(i, i + 1) for i in range(len(X))] + [slice(0, 0)]:
+            np.testing.assert_array_equal(base.predict(X[batch]), want_base[batch])
+            np.testing.assert_array_equal(model.predict_base(X[batch]), want_base[batch])
+            np.testing.assert_array_equal(
+                model.predict_adjustment(X[batch]), want_adjustment[batch]
+            )
+        for tree in base_trees:
+            np.testing.assert_array_equal(
+                tree.predict(X), [reference_leaf(tree, x) for x in X]
+            )
+        for i, x in enumerate(X):
+            assert model.predict_one(x) == (want_base[i], want_adjustment[i])
+
+    def test_pack_follows_appended_and_replaced_trees(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 2))
+        trees = [fit_tree(X, rng.normal(size=50), max_depth=3) for _ in range(3)]
+        base = GbdtModel(base_score=0.5, learning_rate=0.3, n_features=2, trees=[trees[0]])
+        model = StackedModel(base=base, adjustment=[trees[1]], adjustment_rate=0.9)
+        model.predict(X)
+        for changed in (
+            lambda: model.adjustment.append(trees[2]),
+            lambda: model.adjustment.__setitem__(0, trees[0]),
+            lambda: base.trees.append(trees[1]),
+        ):
+            changed()
+            np.testing.assert_array_equal(
+                model.predict_adjustment(X), reference_sum(0.0, 0.9, model.adjustment, X)
+            )
+            np.testing.assert_array_equal(
+                model.predict_base(X), reference_sum(0.5, 0.3, base.trees, X)
+            )
+
+    def test_threads_racing_to_pack_all_score_correctly(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 2))
+        trees = [fit_tree(X, rng.normal(size=30), max_depth=3) for _ in range(8)]
+        base = GbdtModel(base_score=0.5, learning_rate=0.3, n_features=2, trees=trees)
+        want = reference_sum(0.5, 0.3, trees, X)
+        errors = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                if not np.array_equal(base.predict(X), want):
+                    errors.append("wrong scores")
+
+        def invalidator():
+            while not stop.is_set():
+                base._packed = None
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=invalidator))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+
+def _one_split_doc(**node0):
+    tree = RegressionTree(
+        nodes=[
+            TreeNode(feature=0, threshold=0.5, left=1, right=2, value=0.0),
+            TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=1.0),
+            TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=2.0),
+        ],
+        max_depth=1,
+    )
+    doc = gbdt_to_doc(GbdtModel(base_score=0.0, learning_rate=1.0, n_features=2, trees=[tree]))
+    names = ["feature", "threshold", "left", "right", "value"]
+    for name, value in node0.items():
+        doc["trees"][0]["nodes"][0][names.index(name)] = value
+    return doc
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("node0, message", [
+        ({"left": 0}, "children"),
+        ({"right": 3}, "children"),
+        ({"left": -1}, "children"),
+        ({"feature": 2}, "feature 2"),
+        ({"value": math.inf}, "not finite"),
+        ({"value": math.nan}, "not finite"),
+    ])
+    def test_bad_node_is_parse_error(self, node0, message):
+        with pytest.raises(ParseError, match=message):
+            gbdt_from_doc(_one_split_doc(**node0))
+
+    def test_bad_adjustment_tree_is_parse_error(self):
+        good = gbdt_from_doc(_one_split_doc())
+        doc = stacked_to_doc(StackedModel(base=good, adjustment=list(good.trees)))
+        doc["adjustment"][0]["nodes"][0][0] = 2  # feature 2 of a 2-feature model
+        with pytest.raises(ParseError, match="feature 2"):
+            stacked_from_doc(doc)
+
+    def test_valid_doc_loads_and_scores(self):
+        model = gbdt_from_doc(_one_split_doc())
+        np.testing.assert_array_equal(model.predict(np.array([[0.5, 9.0], [0.6, 9.0]])), [1.0, 2.0])
+
+    @pytest.mark.parametrize("text", ['{"kind": "gbdt"}', "[1]", '{"trees": 3}'])
+    def test_malformed_model_file_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed model"):
+            load_model(str(path))
 
 
 class TestRmseByLabel:

@@ -163,6 +163,21 @@ class TestRefresh:
         status, doc = _get(httpd.server_address[1], "/healthz")
         assert doc["snapshot_version"] == 2
 
+    @pytest.mark.parametrize("meta", [{"dim": 8}, {"version": "2", "dim": 8}])
+    def test_refresh_with_bad_meta_is_500_and_keeps_serving(self, server, meta):
+        httpd, _, snapshot_dir = server
+        port = httpd.server_address[1]
+        with open(os.path.join(snapshot_dir, "meta.json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        status, doc = _post(port, "/refresh")
+        assert status == 500
+        assert "meta.json" in doc["error"]
+        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        status, doc = _post(port, "/match",
+                            {"query": "solar led garden lights outdoor", "market": "US"})
+        assert status == 200
+        assert doc["snapshot_version"] == 1
+
     def test_refresh_same_version_is_conflict(self, server):
         httpd, _, _ = server
         status, _ = _post(httpd.server_address[1], "/refresh")
@@ -210,3 +225,19 @@ class TestRefresh:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestUnexpectedErrors:
+    def test_handler_error_is_500_and_server_lives(self, server, monkeypatch, capsys):
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+
+        def broken_match(self, query, market):
+            raise RuntimeError("scoring blew up")
+
+        monkeypatch.setattr(MatchService, "match", broken_match)
+        status, doc = _post(port, "/match", {"query": "garden lights", "market": "US"})
+        assert status == 500
+        assert "RuntimeError" in doc["error"]
+        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        assert "RuntimeError: scoring blew up" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import shutil
 
 import pytest
 
-from adexpand.errors import EmptySetError
+from adexpand.cli import cli_dispatch
+from adexpand.errors import EmptySetError, ParseError
 from adexpand.snapshot_store import EMBEDDINGS_FILE, META_FILE, load_runtime
 
 
@@ -57,3 +58,36 @@ class TestLoadRuntime:
         _edit_meta(snapshot_copy, markets=["UK", "US", "DE"])
         with pytest.raises(EmptySetError, match="DE"):
             load_runtime(snapshot_copy)
+
+
+BAD_META = [
+    pytest.param({"version": None}, id="no-version"),
+    pytest.param({"version": "1"}, id="string-version"),
+    pytest.param({"version": 1.5}, id="float-version"),
+    pytest.param({"dim": None}, id="no-dim"),
+    pytest.param({"dim": True}, id="bool-dim"),
+    pytest.param({"k_neighbors": "100"}, id="string-k"),
+]
+
+
+class TestBadMeta:
+    @pytest.mark.parametrize("changes", BAD_META)
+    def test_load_raises_parse_error(self, snapshot_copy, changes):
+        _edit_meta(snapshot_copy, **changes)
+        with pytest.raises(ParseError, match="meta.json"):
+            load_runtime(snapshot_copy)
+
+    def test_non_object_meta(self, snapshot_copy):
+        with open(os.path.join(snapshot_copy, META_FILE), "w", encoding="utf-8") as fh:
+            fh.write("[1, 2]")
+        with pytest.raises(ParseError, match="meta.json"):
+            load_runtime(snapshot_copy)
+
+    @pytest.mark.parametrize("changes", BAD_META[:2])
+    def test_match_exits_2(self, snapshot_copy, changes, capsys):
+        _edit_meta(snapshot_copy, **changes)
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert "meta.json" in capsys.readouterr().err
