@@ -20,10 +20,12 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import (
+    MALFORMED,
     EmptySetError,
     TooManyClustersError,
     UnassignedKeywordError,
     ZeroVectorError,
+    malformed,
 )
 from .rng import SplitMix64
 
@@ -274,6 +276,25 @@ def elbow_sweep(
     return rows
 
 
+def _pairs_within(counts: np.ndarray) -> int:
+    """Point pairs that share a group, given each group's size."""
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def _co_assignment_agreement(a: np.ndarray, b: np.ndarray) -> float:
+    """Fraction of point pairs whose co-assignment (same cluster or not)
+    agrees between two labelings: the Rand index.
+
+    Counted from the contingency table (Hubert & Arabie, 1985) in exact
+    integers, so it has the bits of the mean over all n*(n-1)/2 pairs.
+    """
+    pairs = len(a) * (len(a) - 1) // 2
+    same_a = _pairs_within(np.bincount(a))
+    same_b = _pairs_within(np.bincount(b))
+    same_both = _pairs_within(np.bincount(a * (int(b.max()) + 1) + b))
+    return (pairs - same_a - same_b + 2 * same_both) / pairs
+
+
 def kfold_stability(
     embedding_set: EmbeddingSet,
     cluster_count: int,
@@ -305,13 +326,11 @@ def kfold_stability(
         labelings.append(labels)
         compactness.append(float(np.mean(dists[held_out])) if held_out else 0.0)
 
-    triu = np.triu_indices(n, k=1)
-    agreements = []
-    for f in range(folds):
-        same_f = (labelings[f][:, None] == labelings[f][None, :])[triu]
-        for g in range(f + 1, folds):
-            same_g = (labelings[g][:, None] == labelings[g][None, :])[triu]
-            agreements.append(float(np.mean(same_f == same_g)))
+    agreements = [
+        _co_assignment_agreement(labelings[f], labelings[g])
+        for f in range(folds)
+        for g in range(f + 1, folds)
+    ]
     return StabilityReport(
         folds=folds,
         assignment_consistency=float(np.mean(agreements)),
@@ -338,10 +357,13 @@ def save_clustering(clustering: Clustering, path: str) -> None:
 
 def load_clustering(path: str) -> Clustering:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return Clustering(
-        market=doc["market"],
-        cluster_count=int(doc["M"]),
-        centroids=np.array(doc["centroids"], dtype=np.float64),
-        assignments={int(k): int(v) for k, v in doc["assignments"].items()},
-    )
+        try:
+            doc = json.load(fh)
+            return Clustering(
+                market=doc["market"],
+                cluster_count=int(doc["M"]),
+                centroids=np.array(doc["centroids"], dtype=np.float64),
+                assignments={int(k): int(v) for k, v in doc["assignments"].items()},
+            )
+        except MALFORMED as exc:
+            raise malformed(path, "clustering", exc) from exc

@@ -25,6 +25,18 @@ class ParseError(AdexpandError):
     """A data file is malformed; message carries the line number."""
 
 
+# What reading a parsed document raises on a missing key, a wrong type or
+# a value that does not convert; each loader turns these into ParseError.
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def malformed(where: str, what: str, exc: Exception) -> ParseError:
+    """The ParseError for one of MALFORMED, naming the file and the key."""
+    if isinstance(exc, KeyError):
+        return ParseError(f"{where}: malformed {what}: missing key {exc.args[0]!r}")
+    return ParseError(f"{where}: malformed {what}: {type(exc).__name__}: {exc}")
+
+
 class DuplicateKeywordError(AdexpandError):
     """The same (market, keyword) pair appears twice."""
 

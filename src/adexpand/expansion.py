@@ -20,11 +20,11 @@ import numpy as np
 
 from .clustering import Clustering, assign_cluster
 from .embeddings import EmbeddingSet, KeywordRef
+from .errors import MALFORMED, malformed
 from .flat_index import DEFAULT_K, FlatIndex, knn_search
 from .thresholds import ThresholdTable
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_APOSTROPHES = str.maketrans("", "", "'’ʼ")
 # Number with an optional single decimal point and an optional trailing
 # alphabetic unit, not glued to a preceding letter or digit
 # ("4.4mm", "65w", "13"; but not the "65" of "model65").
@@ -73,7 +73,10 @@ DEFAULT_LEXICON = GenderLexicon()
 def tokenize(text: str) -> list[str]:
     """Lowercase, drop apostrophes, split on anything that is not a letter
     or digit ("Men's Shoes" -> ["mens", "shoes"])."""
-    return _TOKEN_RE.findall(text.lower().translate(_APOSTROPHES))
+    # three replace calls beat one str.translate several times over
+    return _TOKEN_RE.findall(
+        text.lower().replace("'", "").replace("’", "").replace("ʼ", "")
+    )
 
 
 def gender_class(text: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> GenderClass:
@@ -89,8 +92,10 @@ def gender_class(text: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> GenderC
 
 def gender_consistent(a: str, b: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> bool:
     """True unless the two texts carry opposite gender classes."""
-    ga = gender_class(a, lexicon)
-    gb = gender_class(b, lexicon)
+    return _genders_agree(gender_class(a, lexicon), gender_class(b, lexicon))
+
+
+def _genders_agree(ga: GenderClass, gb: GenderClass) -> bool:
     return ga == gb or GenderClass.NEUTRAL in (ga, gb)
 
 
@@ -113,20 +118,18 @@ def numeric_consistent(original: str, candidate: str) -> bool:
     A candidate with no numbers, or with numbers in units the original does
     not mention, is accepted.
     """
-    a = numeric_tokens(original)
-    b = numeric_tokens(candidate)
-    if not a or not b:
-        return True
-    units_a: dict[str, set[float]] = {}
-    for value, unit in a:
-        units_a.setdefault(unit, set()).add(value)
-    units_b: dict[str, set[float]] = {}
-    for value, unit in b:
-        units_b.setdefault(unit, set()).add(value)
-    for unit in units_a.keys() & units_b.keys():
-        if units_a[unit] != units_b[unit]:
-            return False
-    return True
+    return _units_agree(_values_by_unit(original), _values_by_unit(candidate))
+
+
+def _values_by_unit(text: str) -> dict[str, set[float]]:
+    units: dict[str, set[float]] = {}
+    for value, unit in numeric_tokens(text):
+        units.setdefault(unit, set()).add(value)
+    return units
+
+
+def _units_agree(a: dict[str, set[float]], b: dict[str, set[float]]) -> bool:
+    return all(a[unit] == b[unit] for unit in a.keys() & b.keys())
 
 
 @dataclass
@@ -168,6 +171,9 @@ def expand_keyword(
     tau = table.tau_for(cluster)
     exclude = origin.id if origin.market == index.market else None
     neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)
+    # the origin's side of both filters, derived once for all neighbors
+    origin_gender = gender_class(origin.text, lexicon)
+    origin_units = _values_by_unit(origin.text)
     variants: list[Variant] = []
     for nb in neighbors:
         if nb.distance > tau:
@@ -175,9 +181,9 @@ def expand_keyword(
         ref = index.ref_by_id(nb.id)
         reason: FilterReason | None = None
         if filters_enabled:
-            if not gender_consistent(origin.text, ref.text, lexicon):
+            if not _genders_agree(origin_gender, gender_class(ref.text, lexicon)):
                 reason = FilterReason.GENDER
-            elif not numeric_consistent(origin.text, ref.text):
+            elif not _units_agree(origin_units, _values_by_unit(ref.text)):
                 reason = FilterReason.NUMERIC
         variants.append(
             Variant(
@@ -275,9 +281,12 @@ def save_expansions(records: list[ExpansionRecord], path: str) -> None:
 def load_expansions(path: str) -> list[ExpansionRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                records.append(record_from_doc(json.loads(line)))
+                try:
+                    records.append(record_from_doc(json.loads(line)))
+                except MALFORMED as exc:
+                    raise malformed(f"{path}:{lineno}", "expansion record", exc) from exc
     return records
 
 

@@ -24,6 +24,15 @@ def _embed_cached(text: str, dim: int) -> np.ndarray:
     vector.setflags(write=False)
     return vector
 
+
+@lru_cache(maxsize=65536)
+def _tokens_cached(text: str) -> tuple[frozenset[str], int]:
+    # the same texts recur for every pair of a query; returns the token set
+    # and the token count (repeats included), both read-only
+    tokens = tokenize(text)
+    return frozenset(tokens), len(tokens)
+
+
 FEATURE_NAMES = [
     "query_title_jaccard",
     "query_title_embed_sim",
@@ -52,10 +61,9 @@ class FeatureExtractor:
         matched_keyword: str,
         origin_variant_similarity: float,
     ) -> np.ndarray:
-        q_tokens = set(tokenize(query))
-        title_tokens = tokenize(title)
-        t_tokens = set(title_tokens)
-        k_tokens = set(tokenize(matched_keyword))
+        q_tokens, _ = _tokens_cached(query)
+        t_tokens, title_token_count = _tokens_cached(title)
+        k_tokens, _ = _tokens_cached(matched_keyword)
         union = q_tokens | t_tokens
         jaccard = len(q_tokens & t_tokens) / len(union) if union else 0.0
         embed_sim = cosine_similarity(
@@ -68,7 +76,7 @@ class FeatureExtractor:
                 embed_sim,
                 origin_variant_similarity,
                 math.log1p(max(price, 0.0)),
-                float(len(title_tokens)),
+                float(title_token_count),
                 kw_ratio,
             ],
             dtype=np.float64,

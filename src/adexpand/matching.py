@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Generic, Protocol, TypeVar
+from typing import AbstractSet, Generic, Protocol, TypeVar
 
 import numpy as np
 
 from .errors import (
+    MALFORMED,
     DanglingReferenceError,
     ParseError,
     UnknownMarketError,
     VersionRegressionError,
+    malformed,
 )
 from .expansion import ExpansionRecord, tokenize
 from .features import FeatureExtractor
@@ -53,7 +56,13 @@ class Campaign:
 def load_campaigns(path: str) -> list[Campaign]:
     """Parse the campaign JSON file and enforce id/market invariants."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _campaigns_from_doc(json.load(fh))
+        except MALFORMED as exc:
+            raise malformed(path, "campaigns", exc) from exc
+
+
+def _campaigns_from_doc(doc: dict) -> list[Campaign]:
     campaigns: list[Campaign] = []
     seen_campaigns: set[str] = set()
     items_by_market: dict[tuple[str, int], tuple[str, float]] = {}
@@ -116,7 +125,7 @@ def save_campaigns(campaigns: list[Campaign], path: str) -> None:
         fh.write("\n")
 
 
-def broad_match(query_tokens: set[str], keyword_tokens: set[str]) -> bool:
+def broad_match(query_tokens: AbstractSet[str], keyword_tokens: AbstractSet[str]) -> bool:
     """Containment rule: the keyword's token set is a subset of the query's."""
     return keyword_tokens <= query_tokens
 
@@ -206,11 +215,21 @@ def build_snapshot(
         if market not in market_thresholds:
             raise UnknownMarketError(f"no relevance threshold for market {market!r}")
 
+    # Each distinct text is tokenised once, and every entry with that text
+    # holds the same frozenset.
+    token_sets: dict[str, frozenset[str]] = {}
+
+    def tokens_of(text: str) -> frozenset[str]:
+        tokens = token_sets.get(text)
+        if tokens is None:
+            tokens = token_sets[text] = frozenset(tokenize(text))
+        return tokens
+
     entries_by_market: dict[str, list[_IndexEntry]] = {m: [] for m in markets}
     for market in sorted(markets):
         for keyword in sorted(groups_by_keyword[market]):
             groups = tuple(groups_by_keyword[market][keyword])
-            tokens = frozenset(tokenize(keyword))
+            tokens = tokens_of(keyword)
             if not tokens:
                 continue
             entries_by_market[market].append(
@@ -229,8 +248,9 @@ def build_snapshot(
             raise DanglingReferenceError(
                 f"expansion origin {record.origin.text!r} ({market}) is not in any campaign"
             )
+        groups = tuple(origin_groups)
         for variant in record.accepted_variants():
-            tokens = frozenset(tokenize(variant.keyword.text))
+            tokens = tokens_of(variant.keyword.text)
             if not tokens or variant.keyword.text == record.origin.text:
                 continue
             entries_by_market[market].append(
@@ -239,20 +259,24 @@ def build_snapshot(
                     matched_text=variant.keyword.text,
                     origin_text=record.origin.text,
                     similarity=variant.similarity,
-                    ad_groups=tuple(origin_groups),
+                    ad_groups=groups,
                 )
             )
 
     token_index: dict[str, dict[str, list[_IndexEntry]]] = {}
     for market, entries in entries_by_market.items():
-        df: dict[str, int] = {}
-        for entry in entries:
-            for token in entry.tokens:
-                df[token] = df.get(token, 0) + 1
+        # document frequency counts every entry, shared token sets included
+        entries_per_set = Counter(entry.tokens for entry in entries)
+        df: Counter[str] = Counter()
+        for tokens, count in entries_per_set.items():
+            for token in tokens:
+                df[token] += count
+        rarest = {
+            tokens: min(tokens, key=lambda t: (df[t], t)) for tokens in entries_per_set
+        }
         buckets: dict[str, list[_IndexEntry]] = {}
         for entry in entries:
-            rarest = min(entry.tokens, key=lambda t: (df[t], t))
-            buckets.setdefault(rarest, []).append(entry)
+            buckets.setdefault(rarest[entry.tokens], []).append(entry)
         token_index[market] = buckets
 
     return Snapshot(
@@ -280,7 +304,7 @@ def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord
     candidates: list[_IndexEntry] = []
     for token in sorted(query_tokens):
         for entry in snapshot.entries_for(market, token):
-            if broad_match(query_tokens, set(entry.tokens)):
+            if broad_match(query_tokens, entry.tokens):
                 candidates.append(entry)
 
     pairs: list[tuple[_IndexEntry, Item]] = []

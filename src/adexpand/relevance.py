@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    MALFORMED,
     ConstraintViolationError,
     EmptyDatasetError,
-    ParseError,
     SchemaMismatchError,
+    malformed,
 )
 from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, cached_pack
 
@@ -453,5 +454,5 @@ def load_model(path: str) -> GbdtModel | StackedModel:
             if doc.get("kind") == "stacked":
                 return stacked_from_doc(doc)
             return gbdt_from_doc(doc)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed model: {exc!r}") from exc
+        except MALFORMED as exc:
+            raise malformed(path, "model", exc) from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .clustering import Clustering, load_clustering
 from .embeddings import EmbeddingSet, load_embedding_sets
-from .errors import ParseError
+from .errors import MALFORMED, ParseError, malformed
 from .expansion import load_expansions
 from .features import FeatureExtractor
 from .flat_index import FlatIndex, build_index
@@ -59,11 +59,14 @@ class RuntimeBundle:
 def load_market_thresholds(path: str) -> dict[str, float]:
     """JSON map market -> threshold; null disables filtering (-inf)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out: dict[str, float] = {}
-    for market, value in doc.items():
-        out[market] = float("-inf") if value is None else float(value)
-    return out
+        try:
+            doc = json.load(fh)
+            return {
+                market: float("-inf") if value is None else float(value)
+                for market, value in doc.items()
+            }
+        except MALFORMED as exc:
+            raise malformed(path, "market thresholds", exc) from exc
 
 
 def save_market_thresholds(thresholds: dict[str, float], path: str) -> None:

@@ -16,10 +16,13 @@ import numpy as np
 from .clustering import Clustering, _normalized_rows
 from .embeddings import EmbeddingSet
 from .errors import (
+    MALFORMED,
     DegenerateInputError,
     EmptyInputError,
     InvalidQuantileError,
+    ParseError,
     UnassignedKeywordError,
+    malformed,
 )
 
 DEFAULT_MIN_CLUSTER_SIZE = 10
@@ -169,22 +172,27 @@ def save_threshold_table(table: ThresholdTable, path: str) -> None:
 def load_threshold_table(path: str) -> ThresholdTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
-    header = json.loads(lines[0])
-    rows: dict[int, ThresholdRow] = {}
-    market = ""
-    for line in lines[1:]:
-        doc = json.loads(line)
-        market = doc["market"]
-        rows[int(doc["cluster_id"])] = ThresholdRow(
-            size=int(doc["size"]),
-            tau_distance=float(doc["tau_distance"]),
-            tau_similarity=float(doc["tau_similarity"]),
-            fallback=bool(doc["fallback"]),
+    if not lines:
+        raise ParseError(f"{path}: empty, expected a header line")
+    try:
+        header = json.loads(lines[0])
+        rows: dict[int, ThresholdRow] = {}
+        market = ""
+        for line in lines[1:]:
+            doc = json.loads(line)
+            market = doc["market"]
+            rows[int(doc["cluster_id"])] = ThresholdRow(
+                size=int(doc["size"]),
+                tau_distance=float(doc["tau_distance"]),
+                tau_similarity=float(doc["tau_similarity"]),
+                fallback=bool(doc["fallback"]),
+            )
+        return ThresholdTable(
+            market=market,
+            p=float(header["p"]),
+            min_cluster_size=int(header["min_cluster_size"]),
+            fallback_tau=float(header["fallback_tau"]),
+            rows=rows,
         )
-    return ThresholdTable(
-        market=market,
-        p=float(header["p"]),
-        min_cluster_size=int(header["min_cluster_size"]),
-        fallback_tau=float(header["fallback_tau"]),
-        rows=rows,
-    )
+    except MALFORMED as exc:
+        raise malformed(path, "threshold table", exc) from exc

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adexpand import clustering as clustering_mod
 from adexpand.clustering import (
     Clustering,
     assign_cluster,
@@ -197,6 +200,14 @@ class TestElbowSweep:
         assert [m for m, _ in rows] == [1, 2, 3]
 
 
+def _pairwise_agreement(a, b):
+    """The n x n co-assignment comparison over every pair i < j."""
+    triu = np.triu_indices(len(a), k=1)
+    same_a = (a[:, None] == a[None, :])[triu]
+    same_b = (b[:, None] == b[None, :])[triu]
+    return float(np.mean(same_a == same_b))
+
+
 class TestKfoldStability:
     def test_duplicated_corpus_fully_consistent(self):
         rng = np.random.default_rng(12)
@@ -217,6 +228,23 @@ class TestKfoldStability:
         report = kfold_stability(emb, 2, folds=5, seed=6)
         assert report.assignment_consistency >= 0.95
         assert report.mean_compactness < 0.05
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pair_count_equals_pairwise_mean(self, data):
+        n = data.draw(st.integers(2, 80), label="n")
+        labels = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+        a = np.array(data.draw(labels, label="a"), dtype=np.int64)
+        b = np.array(data.draw(labels, label="b"), dtype=np.int64)
+        got = clustering_mod._co_assignment_agreement(a, b)
+        assert got == _pairwise_agreement(a, b)  # same bits, not approx
+        assert got == clustering_mod._co_assignment_agreement(b, a)
+
+    def test_report_equals_pairwise_reference(self, monkeypatch):
+        emb = random_unit_set(np.random.default_rng(16), 90, 8)
+        report = kfold_stability(emb, 4, folds=4, seed=3)
+        monkeypatch.setattr(clustering_mod, "_co_assignment_agreement", _pairwise_agreement)
+        assert kfold_stability(emb, 4, folds=4, seed=3) == report
 
     def test_single_fold_rejected(self):
         rng = np.random.default_rng(14)

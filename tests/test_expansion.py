@@ -1,7 +1,11 @@
 """Tokenization, consistency filters, and threshold-gated expansion."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adexpand.clustering import Clustering, kmeans
 from adexpand.embeddings import EmbeddingSet, normalize
@@ -38,6 +42,17 @@ class TestTokenize:
 
     def test_curly_apostrophe(self):
         assert tokenize("men’s shoes") == ["mens", "shoes"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from(list("'’ʼ Men'S Ünïcödé ÉßİΣσ ÆçĞ 65W 4.4mm _-.")),
+        st.characters(),
+    )))
+    def test_equals_translate_form(self, text):
+        reference = re.findall(
+            r"[^\W_]+", text.lower().translate(str.maketrans("", "", "'’ʼ")), re.UNICODE
+        )
+        assert tokenize(text) == reference
 
 
 class TestGender:
@@ -241,6 +256,44 @@ class TestExpandKeyword:
                 for origin, variants in previous.items():
                     assert variants <= accepted[origin]
             previous = accepted
+
+
+_FILTER_WORDS = ["mens", "men's", "women’s", "ladies", "boys", "girl", "herren", "damen",
+                 "13", "12", "65w", "45w", "4.4mm", "4.5mm", "iphone", "case", "shoes", "usb"]
+
+
+class TestFilterReasons:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(_FILTER_WORDS), min_size=1, max_size=4).map(" ".join),
+            min_size=2, max_size=12, unique=True,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        custom_lexicon=st.booleans(),
+        filters_enabled=st.booleans(),
+    )
+    def test_reasons_equal_per_neighbor_rules(self, texts, seed, custom_lexicon, filters_enabled):
+        rng = np.random.default_rng(seed)
+        emb = EmbeddingSet.from_pairs("US", [(t, rng.normal(size=8)) for t in texts])
+        clustering, table = _one_cluster_table(emb, tau=2.0)
+        index = build_index(emb)
+        lexicon = (GenderLexicon(masculine=frozenset({"herren", "boys"}),
+                                 feminine=frozenset({"damen", "girl"}))
+                   if custom_lexicon else GenderLexicon())
+        for ref in emb.refs:
+            record = expand_keyword(ref, emb.vector(ref), index, clustering, table,
+                                    filters_enabled=filters_enabled, lexicon=lexicon)
+            assert len(record.variants) == len(emb) - 1
+            for v in record.variants:
+                expected = None
+                if not filters_enabled:
+                    pass
+                elif not gender_consistent(ref.text, v.keyword.text, lexicon):
+                    expected = FilterReason.GENDER
+                elif not numeric_consistent(ref.text, v.keyword.text):
+                    expected = FilterReason.NUMERIC
+                assert v.filtered_reason is expected, (ref.text, v.keyword.text)
 
 
 class TestPersistence:

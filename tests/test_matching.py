@@ -1,9 +1,14 @@
 """Broad-match algebra, snapshot building, query matching, atomic swap."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adexpand import matching
 
 from adexpand.embeddings import KeywordRef
 from adexpand.errors import (
@@ -11,8 +16,13 @@ from adexpand.errors import (
     UnknownMarketError,
     VersionRegressionError,
 )
-from adexpand.expansion import ExpansionRecord, Variant, tokenize
+from adexpand.expansion import ExpansionRecord, FilterReason, Variant, tokenize
+from adexpand.features import FeatureExtractor
 from adexpand.matching import (
+    AdGroup,
+    Campaign,
+    Item,
+    MatchRecord,
     SnapshotHolder,
     broad_match,
     build_snapshot,
@@ -134,6 +144,222 @@ class TestBuildSnapshot:
             got_a = [(r.item_id, r.matched_keyword, r.score) for r in match_query(query, market, a)]
             got_b = [(r.item_id, r.matched_keyword, r.score) for r in match_query(query, market, b)]
             assert got_a == got_b
+
+
+def shared_expansions():
+    """Variant texts accepted by several origins, and one that is also a
+    campaign keyword, as expansion output files them."""
+    return golden_expansions() + [
+        _expansion("US", "garden lighting", 2, [
+            _variant("US", "outdoor led lights", 1, 0.01),
+            _variant("US", "led garden lights", 0, 0.03),
+        ]),
+        _expansion("US", "outdoor led lights", 1, [
+            _variant("US", "garden lighting", 2, 0.02),
+        ]),
+        _expansion("UK", "solar garden light", 11, [
+            _variant("UK", "garden lighting", 12, 0.04),
+        ]),
+    ]
+
+
+def _all_entries(snapshot):
+    return [
+        (market, entry)
+        for market, buckets in snapshot._token_index.items()
+        for bucket in buckets.values()
+        for entry in bucket
+    ]
+
+
+class TestSharedTokenSets:
+    def test_tokenize_once_per_distinct_text(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(matching, "tokenize", counted)
+        expansions = shared_expansions()
+        make_snapshot(expansions=expansions)
+        texts = {kw for c in golden_campaigns() for g in c.ad_groups for kw in g.keywords}
+        texts |= {v.keyword.text for r in expansions for v in r.accepted_variants()}
+        assert Counter(calls) == Counter(texts)
+
+    def test_entries_with_one_text_share_one_token_set(self):
+        snapshot = make_snapshot(expansions=shared_expansions())
+        by_text = {}
+        for _, entry in _all_entries(snapshot):
+            by_text.setdefault(entry.matched_text, []).append(entry.tokens)
+        shared = [sets for sets in by_text.values() if len(sets) > 1]
+        assert len(shared) >= 3
+        for sets in shared:
+            assert all(tokens is sets[0] for tokens in sets)
+
+    def test_entry_filed_under_rarest_token_by_entry_count(self):
+        # "solar" is in 6 entries but 2 distinct texts, "lamp" in 3 of each:
+        # counted per entry, "lamp" is the rarer token of "solar lamp".
+        origins = ["led garden lights", "garden lighting", "outdoor led lights",
+                   "iphone 13 case", "running shoes"]
+        expansions = shared_expansions() + [
+            _expansion("US", origin, i, [_variant("US", "solar panel", 50, 0.05)])
+            for i, origin in enumerate(origins)
+        ] + [
+            _expansion("US", "mens running shoes", 7, [
+                _variant("US", "solar lamp", 51, 0.05),
+                _variant("US", "lamp post", 52, 0.05),
+                _variant("US", "desk lamp", 53, 0.05),
+            ]),
+        ]
+        snapshot = make_snapshot(expansions=expansions)
+        assert [e.matched_text for e in snapshot.entries_for("US", "lamp")].count("solar lamp") == 1
+        for market in ("US", "UK"):
+            placed = [(token, entry)
+                      for token, bucket in snapshot._token_index[market].items()
+                      for entry in bucket]
+            df = Counter(t for _, entry in placed for t in entry.tokens)
+            for token, entry in placed:
+                assert token == min(entry.tokens, key=lambda t: (df[t], t))
+
+    def test_broad_match_hits_equal_candidate_entries(self, monkeypatch):
+        # perfbench's tracer counts candidates per query as the broad_match
+        # calls inside match_query that succeed; that must stay the number of
+        # index entries whose keyword the query contains.
+        snapshot = make_snapshot(expansions=shared_expansions())
+        calls, hits = [], []
+        real = matching.broad_match
+
+        def counted(query_tokens, keyword_tokens):
+            matched = real(query_tokens, keyword_tokens)
+            calls.append(keyword_tokens)
+            if matched:
+                hits.append(keyword_tokens)
+            return matched
+
+        monkeypatch.setattr(matching, "broad_match", counted)
+        for query, market in [
+            ("solar led garden lights outdoor lighting", "US"),
+            ("outdoor led lights", "US"),
+            ("garden lighting solar light", "UK"),
+            ("ladies womens winter jumpers sweaters", "UK"),
+            ("nothing matches this", "US"),
+        ]:
+            calls.clear()
+            hits.clear()
+            match_query(query, market, snapshot)
+            q = tokens(query)
+            entries = [e for m, e in _all_entries(snapshot) if m == market]
+            assert len(hits) == sum(e.tokens <= q for e in entries)
+            scanned = sum(len(snapshot.entries_for(market, t)) for t in q)
+            assert len(calls) == scanned
+
+
+_WORDS = ["led", "garden", "lights", "iphone", "13", "men's", "mens"]
+_TEXT = st.lists(st.sampled_from(_WORDS), min_size=0, max_size=3).map(" ".join)
+
+
+@st.composite
+def _matching_inputs(draw):
+    item_ids = iter(range(1, 10_000))
+    campaigns = []
+    for market in ("US", "UK"):
+        for c in range(draw(st.integers(0, 4))):
+            groups = tuple(
+                AdGroup(
+                    keywords=tuple(draw(st.lists(_TEXT, min_size=0, max_size=3))),
+                    items=tuple(
+                        Item(id=next(item_ids), title=draw(_TEXT) or "plain",
+                             price=draw(st.sampled_from([5.0, 49.0, 51.0, 120.0])),
+                             market=market)
+                        for _ in range(draw(st.integers(0, 3)))
+                    ),
+                )
+                for _ in range(draw(st.integers(1, 2)))
+            )
+            campaigns.append(Campaign(id=f"{market}-{c}", market=market, ad_groups=groups))
+    expansions = []
+    for campaign in campaigns:
+        for group in campaign.ad_groups:
+            for keyword in group.keywords:
+                if draw(st.booleans()):
+                    variants = [
+                        Variant(
+                            keyword=KeywordRef(market=campaign.market, text=draw(_TEXT), id=i),
+                            distance=draw(st.sampled_from([0.0, 0.01, 0.1, 0.25])),
+                            similarity=0.0,
+                            filtered_reason=draw(st.sampled_from([None, FilterReason.GENDER])),
+                        )
+                        for i in range(draw(st.integers(0, 3)))
+                    ]
+                    for v in variants:
+                        v.similarity = 1.0 - v.distance
+                    expansions.append(_expansion(campaign.market, keyword, 0, variants))
+    threshold = draw(st.sampled_from([float("-inf"), 2.5, 3.0]))
+    queries = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(_WORDS), min_size=2, max_size=8).map(" ".join),
+                  st.sampled_from(["US", "UK"])),
+        min_size=1, max_size=6,
+    ))
+    return campaigns, expansions, threshold, queries
+
+
+def _brute_force_match(query, market, campaigns, expansions, model, threshold):
+    """Score every (keyword, item) pair whose keyword the query contains."""
+    groups_by_keyword = {}
+    for c in campaigns:
+        if c.market == market:
+            for g in c.ad_groups:
+                for kw in g.keywords:
+                    groups_by_keyword.setdefault(kw, []).append(g)
+    entries = [(kw, kw, 1.0, groups) for kw, groups in groups_by_keyword.items()]
+    for r in expansions:
+        if r.origin.market == market:
+            for v in r.accepted_variants():
+                if v.keyword.text != r.origin.text:
+                    entries.append((v.keyword.text, r.origin.text, v.similarity,
+                                    groups_by_keyword[r.origin.text]))
+    q = set(tokenize(query))
+    extractor = FeatureExtractor()
+    found = []
+    for matched, origin, similarity, groups in entries:
+        kw_tokens = set(tokenize(matched))
+        if not kw_tokens or not kw_tokens <= q:
+            continue
+        for g in groups:
+            for item in g.items:
+                x = extractor.extract(query, item.title, item.price, matched, similarity)
+                base, adjustment = model.predict_one(x)
+                score = base + adjustment
+                if score >= threshold:
+                    found.append(MatchRecord(query, market, item.id, matched, origin,
+                                             score, base, adjustment, threshold))
+    best = {}
+    for r in sorted(found, key=lambda r: (-r.score, r.matched_keyword, r.origin_keyword)):
+        best.setdefault(r.item_id, r)
+    return sorted(best.values(), key=lambda r: (-r.score, r.item_id))
+
+
+def _keyword_sensitive_model():
+    """Price step plus an adjustment on the keyword-dependent features, so
+    which keyword reaches an item changes its score."""
+    base = price_step_model().base
+    X = np.random.default_rng(5).uniform(0.0, 1.0, size=(60, base.n_features))
+    adjustment = [fit_tree(X, X[:, 0] + X[:, 2] - X[:, 5], max_depth=3)]
+    return StackedModel(base=base, adjustment=adjustment, adjustment_rate=0.5)
+
+
+class TestMatchQueryEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(_matching_inputs())
+    def test_equals_brute_force_scan(self, inputs):
+        campaigns, expansions, threshold, queries = inputs
+        model = _keyword_sensitive_model()
+        snapshot = build_snapshot(campaigns, expansions, model,
+                                  {"US": threshold, "UK": threshold}, version=1)
+        for query, market in queries:
+            expected = _brute_force_match(query, market, campaigns, expansions, model, threshold)
+            assert match_query(query, market, snapshot) == expected
 
 
 class TestMatchQuery:

@@ -178,6 +178,26 @@ class TestRefresh:
         assert status == 200
         assert doc["snapshot_version"] == 1
 
+    def test_refresh_with_bad_campaigns_is_500_and_keeps_serving(self, server):
+        httpd, _, snapshot_dir = server
+        port = httpd.server_address[1]
+        _bump_snapshot(snapshot_dir, 2, -100.0)
+        path = os.path.join(snapshot_dir, "campaigns.json")
+        with open(path, encoding="utf-8") as fh:
+            campaigns = json.load(fh)
+        del campaigns["campaigns"][0]["ad_groups"][0]["items"][0]["price"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(campaigns, fh)
+        status, doc = _post(port, "/refresh")
+        assert status == 500
+        assert "campaigns.json" in doc["error"] and "'price'" in doc["error"]
+        assert not doc["error"].startswith("internal error")
+        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        status, doc = _post(port, "/match",
+                            {"query": "solar led garden lights outdoor", "market": "US"})
+        assert status == 200
+        assert doc["snapshot_version"] == 1
+
     def test_refresh_same_version_is_conflict(self, server):
         httpd, _, _ = server
         status, _ = _post(httpd.server_address[1], "/refresh")

@@ -8,8 +8,17 @@ import shutil
 import pytest
 
 from adexpand.cli import cli_dispatch
+from adexpand.clustering import load_clustering
 from adexpand.errors import EmptySetError, ParseError
-from adexpand.snapshot_store import EMBEDDINGS_FILE, META_FILE, load_runtime
+from adexpand.expansion import load_expansions
+from adexpand.matching import load_campaigns
+from adexpand.snapshot_store import (
+    EMBEDDINGS_FILE,
+    META_FILE,
+    load_market_thresholds,
+    load_runtime,
+)
+from adexpand.thresholds import load_threshold_table
 
 
 @pytest.fixture
@@ -91,3 +100,94 @@ class TestBadMeta:
             "--query", "solar garden lights", "--market", "US",
         ]) == 2
         assert "meta.json" in capsys.readouterr().err
+
+
+def _drop_price(doc):
+    del doc["campaigns"][0]["ad_groups"][0]["items"][0]["price"]
+
+
+def _drop_key(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _edit_json(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _edit_jsonl(path, lineno, edit):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    doc = json.loads(lines[lineno - 1])
+    edit(doc)
+    lines[lineno - 1] = json.dumps(doc) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+def _overwrite(text):
+    def write(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return write
+
+
+# (file, loader, how the file is broken, what the error must name)
+BAD_FILES = [
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, _drop_price), "'price'", id="campaigns-no-price"),
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, lambda d: d["campaigns"].append([1])), "TypeError",
+                 id="campaigns-list-campaign"),
+    pytest.param("campaigns.json", load_campaigns, _overwrite("{"), "JSONDecodeError",
+                 id="campaigns-bad-json"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 lambda p: _edit_jsonl(p, 2, _drop_key("tau_used")), "expansions.jsonl:2",
+                 id="expansions-no-tau"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d["variants"][0].update(
+                     filtered_reason="COLOUR")), "COLOUR", id="expansions-bad-reason"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, _drop_key("M")), "'M'", id="clustering-no-M"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 1, _drop_key("p")), "'p'", id="thresholds-no-p"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, _drop_key("tau_distance")), "'tau_distance'",
+                 id="thresholds-row-no-tau"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table, _overwrite("\n"), "empty",
+                 id="thresholds-empty"),
+    pytest.param("market_thresholds.json", load_market_thresholds, _overwrite("[2.5]"),
+                 "AttributeError", id="market-thresholds-list"),
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"US": "high"}'), "ValueError", id="market-thresholds-string"),
+]
+
+
+class TestBadArtifactFiles:
+    """A missing key, a wrong type or an empty file is a ParseError naming
+    the file, never a bare KeyError or IndexError."""
+
+    @pytest.mark.parametrize("name, loader, damage, named", BAD_FILES)
+    def test_loader_raises_parse_error(self, snapshot_copy, name, loader, damage, named):
+        path = os.path.join(snapshot_copy, name)
+        damage(path)
+        with pytest.raises(ParseError, match=name) as info:
+            loader(path)
+        assert named in str(info.value)
+        with pytest.raises(ParseError, match=name):
+            load_runtime(snapshot_copy)
+
+    @pytest.mark.parametrize("name, loader, damage, named", BAD_FILES)
+    def test_match_exits_2(self, snapshot_copy, name, loader, damage, named, capsys):
+        damage(os.path.join(snapshot_copy, name))
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert name in err and named in err
