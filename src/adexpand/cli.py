@@ -238,9 +238,7 @@ def _cmd_eval_relevance(args) -> int:
     base = load_model(args.base)
     if not isinstance(base, GbdtModel):
         raise ParseError(f"{args.base}: expected a base model")
-    stacked = load_model(args.stacked)
-    if isinstance(stacked, GbdtModel):
-        stacked = as_stacked(stacked)
+    stacked = as_stacked(load_model(args.stacked))
     X, y, _ = load_dataset(args.holdout)
     report = reports_mod.relevance_report(base, stacked, X, y)
     reports_mod.write_relevance_report(report, args.out_csv, args.out_json)
@@ -255,15 +253,13 @@ def _cmd_eval_relevance(args) -> int:
 
 
 def _cmd_tune_threshold(args) -> int:
-    model = load_model(args.model)
-    if isinstance(model, GbdtModel):
-        model = as_stacked(model)
+    model = as_stacked(load_model(args.model))
     X, y, _ = load_dataset(args.holdout)
     predictions = model.predict(X)
     decision = tune_market_threshold(predictions, y, args.market, args.precision_target)
     try:
         existing = load_market_thresholds(args.out)
-    except (FileNotFoundError, json.JSONDecodeError):
+    except FileNotFoundError:
         existing = {}
     existing[args.market] = decision.threshold
     save_market_thresholds(existing, args.out)

@@ -14,7 +14,7 @@ is reproducible from (set, cluster count, seed) alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class Clustering:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-    def sizes(self) -> list[int]:
-        counts = [0] * self.cluster_count
-        for c in self.assignments.values():
-            counts[c] += 1
-        return counts
 
 
 @dataclass
@@ -197,23 +191,28 @@ def kmeans(
     if np.all(np.bincount(final_labels, minlength=cluster_count) > 0):
         labels = final_labels
 
-    assignments = {embedding_set.refs[i].id: int(labels[i]) for i in range(n)}
     return Clustering(
         market=embedding_set.market,
         cluster_count=cluster_count,
         centroids=centroids,
-        assignments=assignments,
+        assignments=dict(enumerate(labels.tolist())),
         wcss_history=history,
     )
 
 
+def assigned_labels(clustering: Clustering, embedding_set: EmbeddingSet) -> np.ndarray:
+    """Each keyword's assigned cluster, in row (= id) order."""
+    try:
+        return np.array(
+            [clustering.assignments[i] for i in range(len(embedding_set))], dtype=np.int64
+        )
+    except KeyError as exc:
+        raise UnassignedKeywordError(f"keyword id {exc.args[0]} has no assignment") from None
+
+
 def wcss(clustering: Clustering, embedding_set: EmbeddingSet) -> float:
     """Sum of squared Euclidean distances to each point's assigned mean."""
-    labels = np.empty(len(embedding_set), dtype=np.int64)
-    for i, ref in enumerate(embedding_set.refs):
-        if ref.id not in clustering.assignments:
-            raise UnassignedKeywordError(f"keyword id {ref.id} has no assignment")
-        labels[i] = clustering.assignments[ref.id]
+    labels = assigned_labels(clustering, embedding_set)
     return _wcss_of(embedding_set.matrix, clustering.centroids, labels)
 
 
@@ -222,11 +221,11 @@ def _fold_of_rank(rank: int, folds: int) -> int:
 
 
 def _subset(embedding_set: EmbeddingSet, keep: list[int]) -> EmbeddingSet:
-    """View of selected rows; refs keep their original ids."""
+    """The selected rows as a set of their own, renumbered 0..len(keep)-1."""
     return EmbeddingSet(
         market=embedding_set.market,
         dim=embedding_set.dim,
-        refs=[embedding_set.refs[i] for i in keep],
+        refs=[replace(embedding_set.refs[i], id=row) for row, i in enumerate(keep)],
         matrix=embedding_set.matrix[keep],
     )
 

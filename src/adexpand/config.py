@@ -46,10 +46,6 @@ class PipelineConfig:
     precision_target: float = 0.8
     markets: list[str] = field(default_factory=list)
 
-    @property
-    def quantile_fraction(self) -> float:
-        return self.quantile_pct / 100.0
-
     def validate(self) -> None:
         if self.dim < 16:
             raise ParseError("dim must be at least 16")

@@ -72,11 +72,6 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v), -1.0, 1.0))
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cosine_similarity; in [0, 2] for unit vectors."""
-    return 1.0 - cosine_similarity(u, v)
-
-
 def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Deterministic embedding from hashed character n-grams.
 
@@ -106,18 +101,19 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 @dataclass
 class EmbeddingSet:
-    """All keyword vectors for one market, row-aligned with refs by id."""
+    """All keyword vectors for one market; a keyword's id is its row number
+    in both refs and matrix."""
 
     market: str
     dim: int
     refs: list[KeywordRef]
     matrix: np.ndarray
-    _by_text: dict[str, int] = field(repr=False, default_factory=dict)
-    _by_id: dict[int, int] = field(repr=False, default_factory=dict)
+    _by_text: dict[str, KeywordRef] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._by_text = {r.text: i for i, r in enumerate(self.refs)}
-        self._by_id = {r.id: i for i, r in enumerate(self.refs)}
+        if any(r.id != row for row, r in enumerate(self.refs)):
+            raise ValueError("keyword ids must be the row numbers 0..n-1")
+        self._by_text = {r.text: r for r in self.refs}
 
     @classmethod
     def from_pairs(cls, market: str, pairs: list[tuple[str, np.ndarray]]) -> "EmbeddingSet":
@@ -150,18 +146,10 @@ class EmbeddingSet:
         return len(self.refs)
 
     def vector(self, ref: KeywordRef) -> np.ndarray:
-        return self.matrix[self._by_id[ref.id]]
-
-    def vector_by_text(self, text: str) -> np.ndarray | None:
-        i = self._by_text.get(text)
-        return None if i is None else self.matrix[i]
+        return self.matrix[ref.id]
 
     def ref_by_text(self, text: str) -> KeywordRef | None:
-        i = self._by_text.get(text)
-        return None if i is None else self.refs[i]
-
-    def ref_by_id(self, keyword_id: int) -> KeywordRef:
-        return self.refs[self._by_id[keyword_id]]
+        return self._by_text.get(text)
 
 
 def read_tsv(path: str, layout: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -238,7 +226,6 @@ def save_embeddings(embedding_set: EmbeddingSet, path: str, append: bool = False
     """Write a set in the TSV format with 9-significant-digit floats."""
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as fh:
-        for ref in embedding_set.refs:
-            row = embedding_set.vector(ref)
+        for ref, row in zip(embedding_set.refs, embedding_set.matrix):
             values = " ".join(f"{float(x):.9g}" for x in row)
             fh.write(f"{embedding_set.market}\t{ref.text}\t{values}\n")

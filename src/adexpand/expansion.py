@@ -49,27 +49,6 @@ class FilterReason(Enum):
     NUMERIC = "NUMERIC"
 
 
-@dataclass(frozen=True)
-class GenderLexicon:
-    """Token sets driving the gender classifier; extensible from a JSON file."""
-
-    masculine: frozenset[str] = MASCULINE_TOKENS
-    feminine: frozenset[str] = FEMININE_TOKENS
-
-    @classmethod
-    def from_file(cls, path: str) -> "GenderLexicon":
-        """Load extra tokens from JSON {"masculine": [...], "feminine": [...]}."""
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(
-            masculine=MASCULINE_TOKENS | frozenset(doc.get("masculine", [])),
-            feminine=FEMININE_TOKENS | frozenset(doc.get("feminine", [])),
-        )
-
-
-DEFAULT_LEXICON = GenderLexicon()
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, drop apostrophes, split on anything that is not a letter
     or digit ("Men's Shoes" -> ["mens", "shoes"])."""
@@ -79,10 +58,10 @@ def tokenize(text: str) -> list[str]:
     )
 
 
-def gender_class(text: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> GenderClass:
+def gender_class(text: str) -> GenderClass:
     tokens = set(tokenize(text))
-    masc = bool(tokens & lexicon.masculine)
-    fem = bool(tokens & lexicon.feminine)
+    masc = bool(tokens & MASCULINE_TOKENS)
+    fem = bool(tokens & FEMININE_TOKENS)
     if masc and not fem:
         return GenderClass.MASCULINE
     if fem and not masc:
@@ -90,9 +69,9 @@ def gender_class(text: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> GenderC
     return GenderClass.NEUTRAL
 
 
-def gender_consistent(a: str, b: str, lexicon: GenderLexicon = DEFAULT_LEXICON) -> bool:
+def gender_consistent(a: str, b: str) -> bool:
     """True unless the two texts carry opposite gender classes."""
-    return _genders_agree(gender_class(a, lexicon), gender_class(b, lexicon))
+    return _genders_agree(gender_class(a), gender_class(b))
 
 
 def _genders_agree(ga: GenderClass, gb: GenderClass) -> bool:
@@ -163,7 +142,6 @@ def expand_keyword(
     table: ThresholdTable,
     k_neighbors: int = DEFAULT_K,
     filters_enabled: bool = True,
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
 ) -> ExpansionRecord:
     """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
     then apply gender and numeric filters (first failing filter wins)."""
@@ -172,16 +150,16 @@ def expand_keyword(
     exclude = origin.id if origin.market == index.market else None
     neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)
     # the origin's side of both filters, derived once for all neighbors
-    origin_gender = gender_class(origin.text, lexicon)
+    origin_gender = gender_class(origin.text)
     origin_units = _values_by_unit(origin.text)
     variants: list[Variant] = []
     for nb in neighbors:
         if nb.distance > tau:
             continue
-        ref = index.ref_by_id(nb.id)
+        ref = index.refs[nb.id]
         reason: FilterReason | None = None
         if filters_enabled:
-            if not _genders_agree(origin_gender, gender_class(ref.text, lexicon)):
+            if not _genders_agree(origin_gender, gender_class(ref.text)):
                 reason = FilterReason.GENDER
             elif not _units_agree(origin_units, _values_by_unit(ref.text)):
                 reason = FilterReason.NUMERIC
@@ -203,24 +181,20 @@ def expand_all(
     table: ThresholdTable,
     k_neighbors: int = DEFAULT_K,
     filters_enabled: bool = True,
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
 ) -> list[ExpansionRecord]:
     """Expand every keyword of a set, in ascending-id order."""
-    records = []
-    for ref in sorted(embedding_set.refs, key=lambda r: r.id):
-        records.append(
-            expand_keyword(
-                ref,
-                embedding_set.vector(ref),
-                index,
-                clustering,
-                table,
-                k_neighbors=k_neighbors,
-                filters_enabled=filters_enabled,
-                lexicon=lexicon,
-            )
+    return [
+        expand_keyword(
+            ref,
+            vector,
+            index,
+            clustering,
+            table,
+            k_neighbors=k_neighbors,
+            filters_enabled=filters_enabled,
         )
-    return records
+        for ref, vector in zip(embedding_set.refs, embedding_set.matrix)
+    ]
 
 
 def _ref_doc(ref: KeywordRef) -> dict:

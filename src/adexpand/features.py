@@ -49,10 +49,6 @@ class FeatureExtractor:
 
     embed_dim: int = 256
 
-    @property
-    def names(self) -> list[str]:
-        return list(FEATURE_NAMES)
-
     def extract(
         self,
         query: str,

@@ -2,7 +2,7 @@
 
 No approximation: every query scans all rows. Distances are cosine distances
 computed as 1 - dot in float32; ties are broken by ascending keyword id,
-which the row order guarantees (rows are stored sorted by id).
+which is the row number, so a stable sort by distance orders them.
 """
 
 from __future__ import annotations
@@ -26,32 +26,26 @@ class Neighbor:
 
 @dataclass
 class FlatIndex:
-    """Immutable row-major matrix of unit vectors plus id bookkeeping."""
+    """Immutable row-major matrix of unit vectors; row i is keyword id i."""
 
     market: str
     dim: int
-    ids: np.ndarray
     refs: list[KeywordRef]
     matrix: np.ndarray
-
-    def ref_by_id(self, keyword_id: int) -> KeywordRef:
-        row = int(np.searchsorted(self.ids, keyword_id))
-        return self.refs[row]
 
     def __len__(self) -> int:
         return len(self.refs)
 
 
 def build_index(embedding_set: EmbeddingSet) -> FlatIndex:
-    """Copy an embedding set into an index, rows sorted by ascending id."""
+    """An index over an embedding set, sharing its refs and matrix."""
     if len(embedding_set) == 0:
         raise EmptySetError("cannot index an empty embedding set")
-    order = sorted(range(len(embedding_set.refs)), key=lambda i: embedding_set.refs[i].id)
-    refs = [embedding_set.refs[i] for i in order]
-    ids = np.array([r.id for r in refs], dtype=np.int64)
-    matrix = np.ascontiguousarray(embedding_set.matrix[order], dtype=np.float32)
     return FlatIndex(
-        market=embedding_set.market, dim=embedding_set.dim, ids=ids, refs=refs, matrix=matrix
+        market=embedding_set.market,
+        dim=embedding_set.dim,
+        refs=embedding_set.refs,
+        matrix=embedding_set.matrix,
     )
 
 
@@ -75,19 +69,17 @@ def knn_search(
     # regardless of BLAS thread count.
     sims = index.matrix @ query.astype(np.float32)
     distances = np.float32(1.0) - sims
-    if exclude_id is not None:
-        row = int(np.searchsorted(index.ids, exclude_id))
-        if row < len(index.ids) and index.ids[row] == exclude_id:
-            distances = distances.copy()
-            distances[row] = np.inf
-    # Stable sort + id-ordered rows = (distance, id) lexicographic order.
-    order = np.argsort(distances, kind="stable")[: min(k, len(index.ids))]
+    # an unseen keyword carries id -1, which must not wrap to the last row
+    if exclude_id is not None and 0 <= exclude_id < len(distances):
+        distances[exclude_id] = np.inf
+    # Stable sort + row = id gives (distance, id) lexicographic order.
+    order = np.argsort(distances, kind="stable")[:k]
     out = []
     for row in order:
         d = float(distances[row])
         if d == np.inf:
             continue
-        out.append(Neighbor(id=int(index.ids[row]), distance=min(max(d, 0.0), 2.0)))
+        out.append(Neighbor(id=int(row), distance=min(max(d, 0.0), 2.0)))
     return out
 
 

@@ -100,31 +100,6 @@ def _campaigns_from_doc(doc: dict) -> list[Campaign]:
     return campaigns
 
 
-def save_campaigns(campaigns: list[Campaign], path: str) -> None:
-    doc = {
-        "campaigns": [
-            {
-                "id": c.id,
-                "market": c.market,
-                "ad_groups": [
-                    {
-                        "keywords": list(g.keywords),
-                        "items": [
-                            {"id": it.id, "title": it.title, "price": it.price}
-                            for it in g.items
-                        ],
-                    }
-                    for g in c.ad_groups
-                ],
-            }
-            for c in campaigns
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def broad_match(query_tokens: AbstractSet[str], keyword_tokens: AbstractSet[str]) -> bool:
     """Containment rule: the keyword's token set is a subset of the query's."""
     return keyword_tokens <= query_tokens

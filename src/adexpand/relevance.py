@@ -219,9 +219,12 @@ class StackedModel:
         return base, adj
 
 
-def as_stacked(base: GbdtModel) -> StackedModel:
-    """Wrap a base model with an empty adjustment (identity stacking)."""
-    return StackedModel(base=base, adjustment=[], adjustment_rate=1.0)
+def as_stacked(model: GbdtModel | StackedModel) -> StackedModel:
+    """A stacked model as is; a base model wrapped with an empty adjustment
+    (identity stacking)."""
+    if isinstance(model, StackedModel):
+        return model
+    return StackedModel(base=model, adjustment=[], adjustment_rate=1.0)
 
 
 def train_adjustment(

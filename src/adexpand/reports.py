@@ -19,7 +19,7 @@ from .errors import (
     NoPositivePairsError,
     ParseError,
 )
-from .expansion import DEFAULT_LEXICON, GenderLexicon, expand_keyword
+from .expansion import expand_keyword
 from .flat_index import build_index, knn_search
 from .relevance import GbdtModel, StackedModel, rmse
 from .thresholds import (
@@ -73,7 +73,6 @@ def tpr_sweep(
     k_neighbors: int = 100,
     min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
     reference_p: float | None = None,
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
 ) -> list[TprRow]:
     """True-positive rate of expansion, before and after consistency filters.
 
@@ -99,7 +98,7 @@ def tpr_sweep(
     for origin in origins:
         ref = refs[origin]
         neighbors = knn_search(index, embedding_set.vector(ref), k=k_neighbors, exclude_id=ref.id)
-        retrieved[origin] = {index.ref_by_id(nb.id).text for nb in neighbors}
+        retrieved[origin] = {index.refs[nb.id].text for nb in neighbors}
 
     positives = [
         pair for pair in labels if pair.label == 1 and pair.variant in retrieved[pair.origin]
@@ -127,7 +126,6 @@ def tpr_sweep(
                 table,
                 k_neighbors=k_neighbors,
                 filters_enabled=True,
-                lexicon=lexicon,
             )
             accepted_raw[origin] = {v.keyword.text for v in record.variants}
             accepted_filtered[origin] = {v.keyword.text for v in record.accepted_variants()}

@@ -22,7 +22,7 @@ from .expansion import load_expansions
 from .features import FeatureExtractor
 from .flat_index import FlatIndex, build_index
 from .matching import Campaign, Snapshot, build_snapshot, load_campaigns
-from .relevance import GbdtModel, StackedModel, as_stacked, load_model
+from .relevance import as_stacked, load_model
 from .thresholds import ThresholdTable, load_threshold_table
 
 META_FILE = "meta.json"
@@ -49,7 +49,6 @@ class RuntimeBundle:
     contexts: dict[str, ExpansionContext]
     k_neighbors: int
     filters_enabled: bool
-    dim: int
 
     @property
     def version(self) -> int:
@@ -121,14 +120,19 @@ def write_snapshot_dir(
     load_runtime(out_dir)
 
 
-def _meta_int(meta_path: str, meta: dict, key: str, default: int | None = None) -> int:
-    """meta[key] as an int; ParseError when it is missing (with no default)
-    or is not a JSON integer."""
+def _meta_value(meta_path: str, meta: dict, key: str, expected: str, default=None):
+    """meta[key]; ParseError when it is missing (with no default) or is not
+    ``expected``: "an integer", "a boolean" or "a list of strings"."""
     if key not in meta and default is None:
         raise ParseError(f"{meta_path}: missing {key!r}")
     value = meta.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{meta_path}: {key!r} must be an integer, got {value!r}")
+    ok = {
+        "an integer": isinstance(value, int) and not isinstance(value, bool),
+        "a boolean": isinstance(value, bool),
+        "a list of strings": isinstance(value, list) and all(isinstance(v, str) for v in value),
+    }[expected]
+    if not ok:
+        raise ParseError(f"{meta_path}: {key!r} must be {expected}, got {value!r}")
     return value
 
 
@@ -144,27 +148,39 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
             raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
-    version = _meta_int(meta_path, meta, "version")
-    dim = _meta_int(meta_path, meta, "dim")
-    k_neighbors = _meta_int(meta_path, meta, "k_neighbors", 100)
-    filters_enabled = bool(meta.get("filters_enabled", True))
+    version = _meta_value(meta_path, meta, "version", "an integer")
+    dim = _meta_value(meta_path, meta, "dim", "an integer")
+    k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer", 100)
+    if k_neighbors < 1:
+        raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
+    filters_enabled = _meta_value(meta_path, meta, "filters_enabled", "a boolean", True)
+    markets = _meta_value(meta_path, meta, "markets", "a list of strings", [])
 
     campaigns: list[Campaign] = load_campaigns(os.path.join(snapshot_dir, CAMPAIGNS_FILE))
     expansions = load_expansions(os.path.join(snapshot_dir, EXPANSIONS_FILE))
     model = load_model(os.path.join(snapshot_dir, MODEL_FILE))
-    if isinstance(model, GbdtModel):
-        stacked: StackedModel = as_stacked(model)
-    else:
-        stacked = model
     thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
 
     embedding_sets = load_embedding_sets(
-        os.path.join(snapshot_dir, EMBEDDINGS_FILE), meta.get("markets") or None
+        os.path.join(snapshot_dir, EMBEDDINGS_FILE), markets or None
     )
     contexts: dict[str, ExpansionContext] = {}
     for market, embedding_set in embedding_sets.items():
-        clustering = load_clustering(os.path.join(snapshot_dir, f"clustering_{market}.json"))
-        table = load_threshold_table(os.path.join(snapshot_dir, f"thresholds_{market}.jsonl"))
+        clustering_path = os.path.join(snapshot_dir, f"clustering_{market}.json")
+        clustering = load_clustering(clustering_path)
+        expected_shape = (clustering.cluster_count, embedding_set.dim)
+        if clustering.centroids.shape != expected_shape:
+            raise ParseError(
+                f"{clustering_path}: centroids must have shape {expected_shape}"
+                f" (clusters, embedding dim), got {clustering.centroids.shape}"
+            )
+        table_path = os.path.join(snapshot_dir, f"thresholds_{market}.jsonl")
+        table = load_threshold_table(table_path)
+        if sorted(table.rows) != list(range(clustering.cluster_count)):
+            raise ParseError(
+                f"{table_path}: expected a row for each cluster 0..{clustering.cluster_count - 1},"
+                f" got {sorted(table.rows)}"
+            )
         contexts[market] = ExpansionContext(
             embedding_set=embedding_set,
             index=build_index(embedding_set),
@@ -175,7 +191,7 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
     snapshot = build_snapshot(
         campaigns=campaigns,
         expansions=expansions,
-        model=stacked,
+        model=as_stacked(model),
         market_thresholds=thresholds,
         version=version,
         extractor=FeatureExtractor(embed_dim=dim),
@@ -185,5 +201,4 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
         contexts=contexts,
         k_neighbors=k_neighbors,
         filters_enabled=filters_enabled,
-        dim=dim,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _normalized_rows
+from .clustering import Clustering, _normalized_rows, assigned_labels
 from .embeddings import EmbeddingSet
 from .errors import (
     MALFORMED,
@@ -21,7 +21,6 @@ from .errors import (
     EmptyInputError,
     InvalidQuantileError,
     ParseError,
-    UnassignedKeywordError,
     malformed,
 )
 
@@ -56,18 +55,13 @@ def intra_cluster_distances(
     clustering: Clustering, embedding_set: EmbeddingSet
 ) -> dict[int, list[float]]:
     """Member-to-centroid cosine distances per cluster, in ascending-id order."""
-    refs = sorted(embedding_set.refs, key=lambda r: r.id)
-    labels = np.empty(len(refs), dtype=np.int64)
-    for i, ref in enumerate(refs):
-        if ref.id not in clustering.assignments:
-            raise UnassignedKeywordError(f"keyword id {ref.id} has no assignment")
-        labels[i] = clustering.assignments[ref.id]
+    labels = assigned_labels(clustering, embedding_set)
     directions = _normalized_rows(clustering.centroids)
-    rows = np.vstack([embedding_set.vector(r) for r in refs]).astype(np.float64)
+    rows = embedding_set.matrix.astype(np.float64)
     dists = 1.0 - np.sum(rows * directions[labels], axis=1)
     out: dict[int, list[float]] = {m: [] for m in range(clustering.cluster_count)}
-    for i in range(len(refs)):
-        out[int(labels[i])].append(float(dists[i]))
+    for label, dist in zip(labels.tolist(), dists.tolist()):
+        out[label].append(dist)
     return out
 
 

@@ -80,7 +80,7 @@ def test_criterion_1_knn_oracle():
 
     # Independent oracle: float64 arithmetic, lexicographic full sort.
     matrix64 = index.matrix.astype(np.float64)
-    ids = index.ids
+    ids = np.array([ref.id for ref in index.refs])
     for q in queries:
         got = knn_search(index, q, k=50)
         distances = 1.0 - matrix64 @ q.astype(np.float64)

@@ -198,6 +198,29 @@ class TestPipelineArtifacts:
         assert doc["folds"] == 2
         assert 0.0 <= doc["assignment_consistency"] <= 1.0
 
+    def test_elbow_output_pinned(self, chain_dir, capsys):
+        # held-in folds are sets of their own, renumbered from 0
+        assert cli_dispatch([
+            "elbow", "--embeddings", os.path.join(chain_dir, "embeddings.tsv"),
+            "--market", "US", "--k-list", "1,2,4", "--seed", "7", "--folds", "2",
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "clusters,mean_wcss\n1,3.19680887596743\n2,1.9899440441201022\n4,0.0\n"
+        )
+
+    @pytest.mark.parametrize("folds, expected", [
+        (2, '{"assignment_consistency": 1.0, "folds": 2, '
+            '"mean_compactness": 0.4878690165945002}\n'),
+        (3, '{"assignment_consistency": 0.5952380952380952, "folds": 3, '
+            '"mean_compactness": 0.6671359135582078}\n'),
+    ])
+    def test_stability_output_pinned(self, chain_dir, capsys, folds, expected):
+        assert cli_dispatch([
+            "stability", "--embeddings", os.path.join(chain_dir, "embeddings.tsv"),
+            "--market", "US", "--clusters", "2", "--folds", str(folds), "--seed", "7",
+        ]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_sweep_and_reports_run(self, chain_dir, tmp_path):
         assert cli_dispatch([
             "sweep-tpr",
@@ -229,6 +252,28 @@ class TestPipelineArtifacts:
         ]) == 0
         doc = json.loads((tmp_path / "rel.json").read_text(encoding="utf-8"))
         assert "per_grade_rmse" in doc and "overall_rmse" in doc
+
+
+class TestTuneThreshold:
+    def _tune(self, chain_dir, out):
+        return cli_dispatch([
+            "tune-threshold", "--model", os.path.join(chain_dir, "stacked_model.json"),
+            "--holdout", os.path.join(FIXTURES_DIR, "relevance_holdout.csv"),
+            "--market", "US", "--precision-target", "0.8", "--out", str(out),
+        ])
+
+    def test_missing_file_is_created(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "market_thresholds.json"
+        assert self._tune(chain_dir, out) == 0
+        assert list(json.loads(out.read_text(encoding="utf-8"))) == ["US"]
+
+    @pytest.mark.parametrize("text", ["", "{", "[1.5]"])
+    def test_corrupt_file_exits_2_unchanged(self, chain_dir, tmp_path, capsys, text):
+        out = tmp_path / "market_thresholds.json"
+        out.write_text(text, encoding="utf-8")
+        assert self._tune(chain_dir, out) == 2
+        assert "market_thresholds.json" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == text
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from adexpand.clustering import (
     save_clustering,
     wcss,
 )
-from adexpand.embeddings import EmbeddingSet, cosine_distance, normalize
+from adexpand.embeddings import EmbeddingSet, cosine_similarity, normalize
 from adexpand.errors import TooManyClustersError, UnassignedKeywordError
 
 
@@ -107,7 +107,8 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         emb = random_unit_set(rng, 60, 8)
         model = kmeans(emb, 12, seed=2)
-        assert all(size > 0 for size in model.sizes())
+        sizes = np.bincount(list(model.assignments.values()), minlength=12)
+        assert all(size > 0 for size in sizes)
 
 
 class TestAssignCluster:
@@ -129,7 +130,7 @@ class TestAssignCluster:
             v = normalize(rng.normal(size=8))
             got_cluster, got_distance = assign_cluster(centroids, v)
             expected = min(
-                (cosine_distance(v, normalize(c)), j) for j, c in enumerate(centroids)
+                (1.0 - cosine_similarity(v, normalize(c)), j) for j, c in enumerate(centroids)
             )
             assert got_cluster == expected[1]
             # oracle normalizes centroids in float32; distances agree to ~1e-7

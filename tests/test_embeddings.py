@@ -11,7 +11,7 @@ import pytest
 from adexpand.cli import _read_keyword_list, build_parser
 from adexpand.embeddings import (
     EmbeddingSet,
-    cosine_distance,
+    KeywordRef,
     cosine_similarity,
     fallback_embed,
     fnv1a_64,
@@ -61,13 +61,11 @@ class TestCosine:
     def test_identical_vectors(self):
         u = normalize([0.3, -0.2, 0.9])
         assert cosine_similarity(u, u) == pytest.approx(1.0, abs=1e-6)
-        assert cosine_distance(u, u) == pytest.approx(0.0, abs=1e-6)
 
     def test_orthogonal(self):
         u = np.array([1.0, 0.0], dtype=np.float32)
         v = np.array([0.0, 1.0], dtype=np.float32)
         assert cosine_similarity(u, v) == 0.0
-        assert cosine_distance(u, v) == 1.0
 
     def test_45_degrees(self):
         u = np.array([1.0, 0.0], dtype=np.float32)
@@ -76,7 +74,7 @@ class TestCosine:
 
     def test_antipodal(self):
         u = np.array([1.0, 0.0], dtype=np.float32)
-        assert cosine_distance(u, -u) == pytest.approx(2.0, abs=1e-6)
+        assert cosine_similarity(u, -u) == pytest.approx(-1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -89,8 +87,6 @@ class TestCosine:
             v = normalize(rng.normal(size=16))
             s = cosine_similarity(u, v)
             assert abs(s) <= 1.0 + 1e-9
-            # distance is defined as 1 - similarity, exactly
-            assert cosine_distance(u, v) == 1.0 - s
 
 
 def _reference_embed(text: str, dim: int) -> list[float]:
@@ -156,6 +152,14 @@ class TestFallbackEmbed:
         assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
 
 
+class TestIdIsRow:
+    @pytest.mark.parametrize("ids", [[1, 0], [1, 2], [0, 0], [0, 2], [-1, 0]])
+    def test_other_ids_rejected(self, ids):
+        refs = [KeywordRef(market="US", text=f"k{i}", id=kid) for i, kid in enumerate(ids)]
+        with pytest.raises(ValueError, match="row numbers"):
+            EmbeddingSet(market="US", dim=2, refs=refs, matrix=np.eye(2, dtype=np.float32))
+
+
 class TestTsvRoundTrip:
     def _random_set(self, rng, market="US", n=100, dim=16):
         pairs = [(f"kw {i} {rng.integers(0, 1e9)}", rng.normal(size=dim)) for i in range(n)]
@@ -170,7 +174,7 @@ class TestTsvRoundTrip:
         assert len(loaded) == len(original)
         for ref in original.refs:
             np.testing.assert_allclose(
-                loaded.vector_by_text(ref.text), original.vector(ref), atol=1e-6
+                loaded.vector(loaded.ref_by_text(ref.text)), original.vector(ref), atol=1e-6
             )
 
     def test_three_rows_dim_four(self, tmp_path):

@@ -12,7 +12,6 @@ from adexpand.embeddings import EmbeddingSet, normalize
 from adexpand.expansion import (
     FilterReason,
     GenderClass,
-    GenderLexicon,
     expand_all,
     expand_keyword,
     gender_class,
@@ -76,13 +75,6 @@ class TestGender:
 
     def test_neutral_consistent_with_anything(self):
         assert gender_consistent("running shoes", "mens running shoes")
-
-    def test_custom_lexicon(self, tmp_path):
-        path = tmp_path / "lexicon.json"
-        path.write_text('{"masculine": ["herren"], "feminine": ["damen"]}', encoding="utf-8")
-        lexicon = GenderLexicon.from_file(str(path))
-        assert gender_class("herren schuhe", lexicon) is GenderClass.MASCULINE
-        assert not gender_consistent("herren schuhe", "damen sandalen", lexicon)
 
 
 class TestNumeric:
@@ -270,26 +262,22 @@ class TestFilterReasons:
             min_size=2, max_size=12, unique=True,
         ),
         seed=st.integers(0, 2**32 - 1),
-        custom_lexicon=st.booleans(),
         filters_enabled=st.booleans(),
     )
-    def test_reasons_equal_per_neighbor_rules(self, texts, seed, custom_lexicon, filters_enabled):
+    def test_reasons_equal_per_neighbor_rules(self, texts, seed, filters_enabled):
         rng = np.random.default_rng(seed)
         emb = EmbeddingSet.from_pairs("US", [(t, rng.normal(size=8)) for t in texts])
         clustering, table = _one_cluster_table(emb, tau=2.0)
         index = build_index(emb)
-        lexicon = (GenderLexicon(masculine=frozenset({"herren", "boys"}),
-                                 feminine=frozenset({"damen", "girl"}))
-                   if custom_lexicon else GenderLexicon())
         for ref in emb.refs:
             record = expand_keyword(ref, emb.vector(ref), index, clustering, table,
-                                    filters_enabled=filters_enabled, lexicon=lexicon)
+                                    filters_enabled=filters_enabled)
             assert len(record.variants) == len(emb) - 1
             for v in record.variants:
                 expected = None
                 if not filters_enabled:
                     pass
-                elif not gender_consistent(ref.text, v.keyword.text, lexicon):
+                elif not gender_consistent(ref.text, v.keyword.text):
                     expected = FilterReason.GENDER
                 elif not numeric_consistent(ref.text, v.keyword.text):
                     expected = FilterReason.NUMERIC

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adexpand.embeddings import EmbeddingSet
 from adexpand.errors import DimensionMismatchError, EmptySetError
@@ -37,7 +39,7 @@ class TestBuildIndex:
         index = build_index(emb)
         assert len(index) == 5000
         assert index.dim == 16
-        assert list(index.ids) == sorted(r.id for r in emb.refs)
+        assert [r.id for r in index.refs] == list(range(5000))
         for i in (0, 17, 4999):
             ref = index.refs[i]
             np.testing.assert_array_equal(index.matrix[i], emb.vector(ref))
@@ -115,6 +117,40 @@ class TestKnnSearch:
         index = build_index(random_set(rng, 10, 8))
         with pytest.raises(DimensionMismatchError):
             knn_search(index, np.ones(9, dtype=np.float32), k=1)
+
+
+# Small integer components make many rows identical or equidistant, so
+# most queries meet ties, including at the k-th place.
+_tie_vectors = st.lists(st.integers(-1, 1), min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def _knn_case(draw):
+    vectors = draw(st.lists(_tie_vectors, min_size=1, max_size=12))
+    n = len(vectors)
+    query = np.array(draw(st.one_of(st.sampled_from(vectors), _tie_vectors)), dtype=np.float64)
+    k = draw(st.integers(1, n + 2))
+    exclude_id = draw(st.sampled_from([None, -1, 0, n - 1, n, draw(st.integers(0, n - 1))]))
+    return vectors, (query / np.linalg.norm(query)).astype(np.float32), k, exclude_id
+
+
+class TestKnnOracleProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(_knn_case())
+    def test_equals_full_sort_oracle(self, case):
+        vectors, query, k, exclude_id = case
+        emb = EmbeddingSet.from_pairs("US", [(f"k{i}", v) for i, v in enumerate(vectors)])
+        index = build_index(emb)
+        # the same float32 distances, then every row but the excluded one
+        # sorted by (distance, id) in plain Python
+        distances = np.float32(1.0) - index.matrix @ query
+        ranked = sorted(
+            (float(d), row) for row, d in enumerate(distances) if row != exclude_id
+        )[:k]
+        got = knn_search(index, query, k=k, exclude_id=exclude_id)
+        assert [(nb.distance, nb.id) for nb in got] == [
+            (min(max(d, 0.0), 2.0), row) for d, row in ranked
+        ]
 
 
 class TestBatchSearch:

@@ -12,6 +12,8 @@ import pytest
 
 from adexpand.service import MAX_BODY_BYTES, MatchService, make_server
 
+from test_snapshot_store import UNSERVABLE
+
 
 def _post(port, path, payload=None, raw=None):
     body = raw if raw is not None else json.dumps(payload or {}).encode("utf-8")
@@ -193,6 +195,25 @@ class TestRefresh:
         assert "campaigns.json" in doc["error"] and "'price'" in doc["error"]
         assert not doc["error"].startswith("internal error")
         assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        status, doc = _post(port, "/match",
+                            {"query": "solar led garden lights outdoor", "market": "US"})
+        assert status == 200
+        assert doc["snapshot_version"] == 1
+
+    @pytest.mark.parametrize("name, damage, named", UNSERVABLE)
+    def test_refresh_to_unservable_snapshot_is_500_and_keeps_serving(
+        self, server, name, damage, named
+    ):
+        httpd, _, snapshot_dir = server
+        port = httpd.server_address[1]
+        _bump_snapshot(snapshot_dir, 2, -100.0)
+        damage(os.path.join(snapshot_dir, name))
+        status, doc = _post(port, "/refresh")
+        assert status == 500
+        assert name in doc["error"] and named in doc["error"]
+        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        status, doc = _post(port, "/expand", {"keyword": "garden lights", "market": "US"})
+        assert status == 200
         status, doc = _post(port, "/match",
                             {"query": "solar led garden lights outdoor", "market": "US"})
         assert status == 200

@@ -76,6 +76,10 @@ BAD_META = [
     pytest.param({"dim": None}, id="no-dim"),
     pytest.param({"dim": True}, id="bool-dim"),
     pytest.param({"k_neighbors": "100"}, id="string-k"),
+    pytest.param({"filters_enabled": "false"}, id="string-filters"),
+    pytest.param({"filters_enabled": 0}, id="int-filters"),
+    pytest.param({"markets": "US"}, id="string-markets"),
+    pytest.param({"markets": ["US", 1]}, id="non-string-market"),
 ]
 
 
@@ -92,7 +96,12 @@ class TestBadMeta:
         with pytest.raises(ParseError, match="meta.json"):
             load_runtime(snapshot_copy)
 
-    @pytest.mark.parametrize("changes", BAD_META[:2])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_filters_enabled_is_read_as_given(self, snapshot_copy, value):
+        _edit_meta(snapshot_copy, filters_enabled=value)
+        assert load_runtime(snapshot_copy).filters_enabled is value
+
+    @pytest.mark.parametrize("changes", BAD_META[:2] + BAD_META[-4:])
     def test_match_exits_2(self, snapshot_copy, changes, capsys):
         _edit_meta(snapshot_copy, **changes)
         assert cli_dispatch([
@@ -191,3 +200,47 @@ class TestBadArtifactFiles:
         ]) == 2
         err = capsys.readouterr().err
         assert name in err and named in err
+
+
+def _header_only(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+
+
+def _halve_centroids(doc):
+    doc["centroids"] = [row[: len(row) // 2] for row in doc["centroids"]]
+    doc["dim"] = len(doc["centroids"][0])
+
+
+# Snapshots whose files each parse, but which could not answer /expand:
+# (file, how it is broken, what the error must name)
+UNSERVABLE = [
+    pytest.param("thresholds_US.jsonl", _header_only, "cluster", id="thresholds-header-only"),
+    pytest.param("clustering_US.json", lambda p: _edit_json(p, _halve_centroids), "shape",
+                 id="centroids-32-of-64"),
+    pytest.param(META_FILE, lambda p: _edit_json(p, lambda d: d.update(k_neighbors=0)),
+                 "k_neighbors", id="k-neighbors-0"),
+]
+
+
+class TestUnservableSnapshot:
+    """load_runtime refuses a snapshot that would answer every /expand with
+    500, naming the file at fault."""
+
+    @pytest.mark.parametrize("name, damage, named", UNSERVABLE)
+    def test_load_raises_parse_error(self, snapshot_copy, name, damage, named):
+        damage(os.path.join(snapshot_copy, name))
+        with pytest.raises(ParseError, match=name) as info:
+            load_runtime(snapshot_copy)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("name, damage, named", UNSERVABLE)
+    def test_match_exits_2(self, snapshot_copy, name, damage, named, capsys):
+        damage(os.path.join(snapshot_copy, name))
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert name in capsys.readouterr().err

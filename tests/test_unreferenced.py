@@ -1,0 +1,86 @@
+"""Every function, class and method in src/adexpand/ has a caller outside its
+own definition in src/, perfbench/ or scripts/: code that only tests run
+belongs in the tests."""
+
+import ast
+import os
+import re
+
+from conftest import SRC_DIR
+
+_ROOT = os.path.dirname(SRC_DIR)
+PACKAGE_DIR = os.path.join(SRC_DIR, "adexpand")
+CALLER_DIRS = [SRC_DIR, os.path.join(_ROOT, "perfbench"), os.path.join(_ROOT, "scripts")]
+
+# name -> why it stays without a caller in the program
+ALLOWED = {
+    "gender_consistent": "the tests' reference rule for the gender filter",
+    "numeric_consistent": "the tests' reference rule for the numeric filter",
+    "batch_search": "acceptance criterion 1: batch results equal sequential ones",
+    "log_message": "BaseHTTPRequestHandler calls it",
+    "error": "argparse calls it; the CLI's override turns usage errors into exit 1",
+}
+# "module:Qual.name", the form perfbench/tracer.py names its targets in
+_TARGET = re.compile(r"^[\w.]+:([\w.]+)$")
+
+
+def _py_files(dirs):
+    for top in dirs:
+        for base, _, names in os.walk(top):
+            yield from (os.path.join(base, n) for n in sorted(names) if n.endswith(".py"))
+
+
+def _references(tree):
+    """(name, line) for each identifier the module looks up."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _TARGET.match(node.value)
+            if match:
+                yield from ((part, node.lineno) for part in match.group(1).split("."))
+
+
+def _called_by_python(name):
+    """Dunder methods, and the do_* handlers http.server dispatches to."""
+    return name.startswith("do_") or (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_definitions():
+    """Each definition in the package with no caller, as "path:line name"."""
+    refs = {}
+    for path in _py_files(CALLER_DIRS):
+        with open(path, encoding="utf-8") as fh:
+            refs[path] = list(_references(ast.parse(fh.read(), path)))
+    found = []
+    for path in _py_files([PACKAGE_DIR]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if _called_by_python(node.name):
+                continue
+            used = any(
+                name == node.name
+                and not (other == path and node.lineno <= line <= node.end_lineno)
+                for other, names in refs.items()
+                for name, line in names
+            )
+            if not used:
+                found.append(f"{os.path.relpath(path, _ROOT)}:{node.lineno} {node.name}")
+    return found
+
+
+def test_every_definition_has_a_caller():
+    found = unreferenced_definitions()
+    assert [f for f in found if f.split()[-1] not in ALLOWED] == []
+
+
+def test_allow_list_is_current():
+    """An allowed name that gains a caller, or is deleted, leaves the list."""
+    assert {f.split()[-1] for f in unreferenced_definitions()} >= set(ALLOWED)
