@@ -23,7 +23,7 @@ from .embeddings import (
     read_tsv,
     save_embeddings,
 )
-from .errors import AdexpandError, ParseError
+from .errors import AdexpandError, ParseError, check_market
 from .expansion import (
     expand_all,
     expand_keyword,
@@ -156,9 +156,15 @@ def _cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _load_clustering_for(args) -> clustering_mod.Clustering:
+    model = clustering_mod.load_clustering(args.clustering)
+    check_market(args.clustering, model.market, args.market)
+    return model
+
+
 def _cmd_thresholds(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = clustering_mod.load_clustering(args.clustering)
+    model = _load_clustering_for(args)
     p = _percent_to_fraction(args.quantile_pct)
     table = build_threshold_table(model, embedding_set, p, args.min_cluster_size)
     save_threshold_table(table, args.out)
@@ -168,8 +174,10 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_expand(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = clustering_mod.load_clustering(args.clustering)
+    model = _load_clustering_for(args)
     table = load_threshold_table(args.thresholds)
+    if table.market:  # a header-only table names no market
+        check_market(args.thresholds, table.market, args.market)
     index = build_index(embedding_set)
     filters_enabled = not args.no_filters
     if args.keyword is not None:
@@ -280,7 +288,7 @@ def _cmd_tune_threshold(args) -> int:
 
 def _cmd_sweep_tpr(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = clustering_mod.load_clustering(args.clustering)
+    model = _load_clustering_for(args)
     labels = reports_mod.load_label_set(args.labels)
     p_list = [_percent_to_fraction(float(v)) for v in args.p_list.split(",") if v.strip()]
     rows = reports_mod.tpr_sweep(
@@ -298,6 +306,8 @@ def _cmd_sweep_tpr(args) -> int:
 
 def _cmd_threshold_report(args) -> int:
     table = load_threshold_table(args.thresholds)
+    if not table.rows:
+        raise ParseError(f"{args.thresholds}: no cluster rows, only a header")
     report = reports_mod.threshold_report(table)
     reports_mod.write_threshold_report_csv(report, args.out)
     print(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,14 @@ class Clustering:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """Unit centroid directions, computed on first use and shared
+        read-only by every later assign_cluster call on this clustering."""
+        directions = _normalized_rows(np.asarray(self.centroids, dtype=np.float64))
+        directions.setflags(write=False)
+        return directions
+
 
 @dataclass
 class StabilityReport:
@@ -63,37 +72,44 @@ def _normalized_rows(centroids: np.ndarray) -> np.ndarray:
     return centroids / norms[:, None]
 
 
-def _assign_all(matrix: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine assignment of every row to its nearest centroid direction.
+def _assign_all(X: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine assignment of every row of the float64 matrix X to its nearest
+    unit centroid direction.
 
     Returns (labels, distances). One matvec per centroid keeps the reduction
     order independent of BLAS threading; argmin resolves ties to the lowest
     cluster index.
     """
-    directions = _normalized_rows(centroids)
-    X = matrix.astype(np.float64)
-    dists = np.empty((centroids.shape[0], matrix.shape[0]), dtype=np.float64)
-    for j in range(centroids.shape[0]):
+    dists = np.empty((directions.shape[0], X.shape[0]), dtype=np.float64)
+    for j in range(directions.shape[0]):
         dists[j] = 1.0 - X @ directions[j]
     labels = np.argmin(dists, axis=0)
-    return labels, dists[labels, np.arange(matrix.shape[0])]
+    return labels, dists[labels, np.arange(X.shape[0])]
 
 
-def assign_cluster(centroids: np.ndarray, v: np.ndarray) -> tuple[int, float]:
-    """Nearest centroid by cosine distance; ties go to the lowest index."""
-    labels, dists = _assign_all(v[None, :], np.asarray(centroids, dtype=np.float64))
+def assign_cluster(
+    centroids: np.ndarray, v: np.ndarray, *, directions: np.ndarray | None = None
+) -> tuple[int, float]:
+    """Nearest centroid by cosine distance; ties go to the lowest index.
+
+    ``directions`` are the centroids' unit directions when the caller holds
+    them already (``Clustering.directions``); otherwise they are derived.
+    """
+    if directions is None:
+        directions = _normalized_rows(np.asarray(centroids, dtype=np.float64))
+    labels, dists = _assign_all(v[None, :].astype(np.float64), directions)
     return int(labels[0]), float(dists[0])
 
 
-def _seed_centroids(matrix: np.ndarray, cluster_count: int, rng: SplitMix64) -> np.ndarray:
-    """k-means++ style seeding driven by the splitmix64 stream.
+def _seed_centroids(X: np.ndarray, cluster_count: int, rng: SplitMix64) -> np.ndarray:
+    """k-means++ style seeding of the float64 matrix X, driven by the
+    splitmix64 stream.
 
     Selection weights are squared Euclidean distances to the nearest chosen
     center; already-chosen rows carry zero weight. When every weight is zero
     (duplicate-heavy corpora), the lowest unchosen row is taken.
     """
-    n = matrix.shape[0]
-    X = matrix.astype(np.float64)
+    n = X.shape[0]
     chosen = [rng.next_index(n)]
     # Squared Euclidean between unit vectors = 2 * cosine distance.
     best = np.sum((X - X[chosen[0]]) ** 2, axis=1)
@@ -110,12 +126,12 @@ def _seed_centroids(matrix: np.ndarray, cluster_count: int, rng: SplitMix64) -> 
 
 
 def _repair_empty_clusters(
-    matrix: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+    X: np.ndarray, centroids: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Reseed each empty cluster to the point farthest from its centroid."""
     counts = np.bincount(labels, minlength=centroids.shape[0])
     for j in np.flatnonzero(counts == 0):
-        _, dists = _assign_all(matrix, centroids[j : j + 1])
+        _, dists = _assign_all(X, _normalized_rows(centroids[j : j + 1]))
         # Farthest point overall; skip points that are their cluster's only member.
         order = np.argsort(-dists, kind="stable")
         for p in order:
@@ -127,17 +143,22 @@ def _repair_empty_clusters(
     return labels
 
 
-def _means(matrix: np.ndarray, labels: np.ndarray, cluster_count: int) -> np.ndarray:
-    sums = np.zeros((cluster_count, matrix.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, matrix.astype(np.float64))
+def _means(columns: np.ndarray, labels: np.ndarray, cluster_count: int) -> np.ndarray:
+    """Per-cluster means of the float64 rows whose columns are the rows of
+    ``columns`` (the transpose, made contiguous once per k-means run). Each
+    column's sums are accumulated in row order, as a scatter-add would."""
+    sums = np.empty((cluster_count, columns.shape[0]), dtype=np.float64)
+    for c, column in enumerate(columns):
+        sums[:, c] = np.bincount(labels, weights=column, minlength=cluster_count)
     counts = np.bincount(labels, minlength=cluster_count).astype(np.float64)
     counts[counts == 0.0] = 1.0
     return sums / counts[:, None]
 
 
-def _wcss_of(matrix: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    diffs = matrix.astype(np.float64) - centroids[labels]
-    return float(np.sum(diffs * diffs))
+def _wcss_of(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    diffs = X - centroids[labels]
+    diffs *= diffs
+    return float(np.sum(diffs))
 
 
 def kmeans(
@@ -165,19 +186,20 @@ def kmeans(
     if tol < 0:
         raise ValueError("tol must be non-negative")
 
-    matrix = embedding_set.matrix
+    X = embedding_set.matrix.astype(np.float64)
+    columns = np.ascontiguousarray(X.T)
     rng = SplitMix64(seed)
-    centroids = _seed_centroids(matrix, cluster_count, rng)
+    centroids = _seed_centroids(X, cluster_count, rng)
 
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iter):
-        new_labels, _ = _assign_all(matrix, centroids)
-        new_labels = _repair_empty_clusters(matrix, centroids, new_labels)
+        new_labels, _ = _assign_all(X, _normalized_rows(centroids))
+        new_labels = _repair_empty_clusters(X, centroids, new_labels)
         unchanged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
-        centroids = _means(matrix, labels, cluster_count)
-        history.append(_wcss_of(matrix, centroids, labels))
+        centroids = _means(columns, labels, cluster_count)
+        history.append(_wcss_of(X, centroids, labels))
         if unchanged:
             break
         if len(history) >= 2:
@@ -187,7 +209,7 @@ def kmeans(
 
     # One more assignment pass so stored labels agree with assign_cluster on
     # the final centroids; kept only if it leaves no cluster empty.
-    final_labels, _ = _assign_all(matrix, centroids)
+    final_labels, _ = _assign_all(X, _normalized_rows(centroids))
     if np.all(np.bincount(final_labels, minlength=cluster_count) > 0):
         labels = final_labels
 
@@ -213,7 +235,7 @@ def assigned_labels(clustering: Clustering, embedding_set: EmbeddingSet) -> np.n
 def wcss(clustering: Clustering, embedding_set: EmbeddingSet) -> float:
     """Sum of squared Euclidean distances to each point's assigned mean."""
     labels = assigned_labels(clustering, embedding_set)
-    return _wcss_of(embedding_set.matrix, clustering.centroids, labels)
+    return _wcss_of(embedding_set.matrix.astype(np.float64), clustering.centroids, labels)
 
 
 def _fold_of_rank(rank: int, folds: int) -> int:
@@ -311,7 +333,7 @@ def kfold_stability(
     if folds < 2:
         raise ValueError("folds must be at least 2")
     n = len(embedding_set)
-    matrix = embedding_set.matrix
+    X = embedding_set.matrix.astype(np.float64)
     fold_members = _fold_indices(n, folds)
 
     labelings: list[np.ndarray] = []
@@ -321,7 +343,7 @@ def kfold_stability(
         held_out_set = set(held_out)
         keep = [i for i in range(n) if i not in held_out_set]
         model = kmeans(_subset(embedding_set, keep), cluster_count, seed)
-        labels, dists = _assign_all(matrix, model.centroids)
+        labels, dists = _assign_all(X, model.directions)
         labelings.append(labels)
         compactness.append(float(np.mean(dists[held_out])) if held_out else 0.0)
 

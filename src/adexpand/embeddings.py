@@ -8,6 +8,7 @@ strings close together, deterministically, with no model file.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ _MASK64 = (1 << 64) - 1
 
 NGRAM_SIZES = (3, 4, 5)
 DEFAULT_DIM = 256
+_MIN_NORM = 1e-12  # a vector whose L2 norm is at or below this is zero
 
 
 @dataclass(frozen=True, order=True)
@@ -60,9 +62,18 @@ def normalize(values) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("vector contains NaN or infinity")
     norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
+    if norm <= _MIN_NORM:
         raise ZeroVectorError("cannot normalize a zero vector")
     return (v / norm).astype(np.float32)
+
+
+def _normalize_rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """normalize() of each of some finite, equal-length vectors whose norms
+    are clear of zero, stacked, bit for bit: the same dot product for each
+    norm, the same division, the same cast."""
+    rows = np.array(vectors, dtype=np.float64)
+    rows /= np.sqrt(np.array([row.dot(row) for row in rows]))[:, None]
+    return rows.astype(np.float32)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -172,6 +183,52 @@ def read_tsv(path: str, layout: tuple[str, ...]) -> Iterator[tuple[int, list[str
             yield lineno, fields
 
 
+_EMBEDDINGS_LAYOUT = ("market", "keyword", "vector")
+
+
+class _PerRecord(Exception):
+    """A record that the bulk parse leaves to the per-record path."""
+
+
+def _parse_all_vectors(path: str) -> tuple[list[tuple[int, str, str]], np.ndarray] | None:
+    """Every record's (lineno, market, keyword) and all vector fields parsed
+    by one ``np.loadtxt`` call, whose rows equal the per-record parse's.
+
+    None when any record might fail a check of the per-record parse or of
+    read_tsv; the caller then parses record by record, so each error is
+    raised as before, naming its ``path:lineno``. ``loadtxt`` rejects what
+    ``float`` accepts beyond plain decimals (``1_000``, non-ASCII digits),
+    which also leaves those files to the per-record path.
+    """
+    records: list[tuple[int, str, str]] = []
+
+    def fields() -> Iterator[str]:
+        # streamed, so that no more than one line's text is held at a time
+        for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT):
+            if not values or values.isspace():  # loadtxt would skip the line
+                raise _PerRecord
+            records.append((lineno, market, keyword))
+            yield values
+
+    lines = fields()
+    try:
+        first = next(lines, None)  # loadtxt warns on a file with no records
+        if first is None:
+            return None
+        matrix = np.loadtxt(
+            itertools.chain([first], lines), dtype=np.float64, comments=None, ndmin=2
+        )
+    except (_PerRecord, ParseError, ValueError):  # ValueError: also undecodable bytes
+        return None
+    if matrix.shape[0] != len(records) or not np.all(np.isfinite(matrix)):
+        return None
+    # These row norms sum in another order than the per-record check's, so
+    # only norms well clear of the limit are taken as passing it.
+    if np.any(np.linalg.norm(matrix, axis=1) <= 10 * _MIN_NORM):
+        return None
+    return records, matrix
+
+
 def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str, EmbeddingSet]:
     """Load several markets' vectors from one pass over a TSV file.
 
@@ -181,10 +238,21 @@ def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str
     defaults to every market in the file, in first-seen order; a requested
     market with no rows raises EmptySetError.
     """
+    # Each row's last item is its parsed vector, or on the per-record path
+    # the raw field, parsed after the keyword checks as errors are ordered.
+    parsed = _parse_all_vectors(path)
+    if parsed is None:
+        rows = (
+            (lineno, market, keyword, values)
+            for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT)
+        )
+    else:
+        records, matrix = parsed
+        rows = ((*record, vec) for record, vec in zip(records, matrix))
     by_market: dict[str, list[tuple[str, np.ndarray]]] = {}
     dim: int | None = None
     seen: set[tuple[str, str]] = set()
-    for lineno, (row_market, keyword, values) in read_tsv(path, ("market", "keyword", "vector")):
+    for lineno, row_market, keyword, vec in rows:
         keyword = keyword.strip()
         if not keyword:
             raise ParseError(f"{path}:{lineno}: empty keyword")
@@ -192,14 +260,15 @@ def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str
         if key in seen:
             raise DuplicateKeywordError(f"{path}:{lineno}: duplicate keyword {keyword!r}")
         seen.add(key)
-        try:
-            vec = np.array([float(x) for x in values.split()], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
-        if not np.all(np.isfinite(vec)):
-            raise ParseError(f"{path}:{lineno}: non-finite vector entry")
-        if float(np.linalg.norm(vec)) <= 1e-12:
-            raise ParseError(f"{path}:{lineno}: zero vector")
+        if parsed is None:
+            try:
+                vec = np.array([float(x) for x in vec.split()], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
+            if not np.all(np.isfinite(vec)):
+                raise ParseError(f"{path}:{lineno}: non-finite vector entry")
+            if float(np.linalg.norm(vec)) <= _MIN_NORM:
+                raise ParseError(f"{path}:{lineno}: zero vector")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -213,7 +282,14 @@ def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str
         pairs = by_market.get(market)
         if not pairs:
             raise EmptySetError(f"{path}: no rows for market {market!r}")
-        sets[market] = EmbeddingSet.from_pairs(market, pairs)
+        # every check of from_pairs has passed above; only its normalisation
+        # is left, done for all rows at once
+        sets[market] = EmbeddingSet(
+            market=market,
+            dim=dim,
+            refs=[KeywordRef(market=market, text=text, id=i) for i, (text, _) in enumerate(pairs)],
+            matrix=_normalize_rows([vec for _, vec in pairs]),
+        )
     return sets
 
 

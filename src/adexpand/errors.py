@@ -37,6 +37,13 @@ def malformed(where: str, what: str, exc: Exception) -> ParseError:
     return ParseError(f"{where}: malformed {what}: {type(exc).__name__}: {exc}")
 
 
+def check_market(where: str, found: str, expected: str) -> None:
+    """ParseError naming the file when a per-market file belongs to another
+    market than the one it is used for."""
+    if found != expected:
+        raise ParseError(f"{where}: holds market {found!r}, used for market {expected!r}")
+
+
 class DuplicateKeywordError(AdexpandError):
     """The same (market, keyword) pair appears twice."""
 

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,7 +61,9 @@ def tokenize(text: str) -> list[str]:
     )
 
 
+@lru_cache(maxsize=65536)
 def gender_class(text: str) -> GenderClass:
+    # memoised: every keyword is some other keyword's neighbour many times
     tokens = set(tokenize(text))
     masc = bool(tokens & MASCULINE_TOKENS)
     fem = bool(tokens & FEMININE_TOKENS)
@@ -100,15 +105,22 @@ def numeric_consistent(original: str, candidate: str) -> bool:
     return _units_agree(_values_by_unit(original), _values_by_unit(candidate))
 
 
-def _values_by_unit(text: str) -> dict[str, set[float]]:
+@lru_cache(maxsize=65536)
+def _values_by_unit(text: str) -> Mapping[str, frozenset[float]]:
+    # memoised like gender_class; callers share the result, so it is a
+    # read-only view over frozensets
     units: dict[str, set[float]] = {}
     for value, unit in numeric_tokens(text):
         units.setdefault(unit, set()).add(value)
-    return units
+    return MappingProxyType({unit: frozenset(values) for unit, values in units.items()})
 
 
-def _units_agree(a: dict[str, set[float]], b: dict[str, set[float]]) -> bool:
-    return all(a[unit] == b[unit] for unit in a.keys() & b.keys())
+def _units_agree(a: Mapping[str, frozenset[float]], b: Mapping[str, frozenset[float]]) -> bool:
+    """True unless some unit on both sides carries different values."""
+    for unit, values in a.items():
+        if b.get(unit, values) != values:
+            return False
+    return True
 
 
 @dataclass
@@ -145,7 +157,7 @@ def expand_keyword(
 ) -> ExpansionRecord:
     """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
     then apply gender and numeric filters (first failing filter wins)."""
-    cluster, _ = assign_cluster(clustering.centroids, vector)
+    cluster, _ = assign_cluster(clustering.centroids, vector, directions=clustering.directions)
     tau = table.tau_for(cluster)
     exclude = origin.id if origin.market == index.market else None
     neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)

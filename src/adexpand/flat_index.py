@@ -3,6 +3,12 @@
 No approximation: every query scans all rows. Distances are cosine distances
 computed as 1 - dot in float32; ties are broken by ascending keyword id,
 which is the row number, so a stable sort by distance orders them.
+
+Only the survivors are sorted. ``np.partition`` finds the k-th smallest
+distance, every row at or below it is kept in id order, and a stable sort of
+those rows keeps the first k. All rows tied with the k-th distance survive
+the cut, so the stable sort still sees each run of ties whole and in id
+order, and the result is the first k of the full (distance, id) order.
 """
 
 from __future__ import annotations
@@ -73,14 +79,19 @@ def knn_search(
     if exclude_id is not None and 0 <= exclude_id < len(distances):
         distances[exclude_id] = np.inf
     # Stable sort + row = id gives (distance, id) lexicographic order.
-    order = np.argsort(distances, kind="stable")[:k]
-    out = []
-    for row in order:
-        d = float(distances[row])
-        if d == np.inf:
-            continue
-        out.append(Neighbor(id=int(row), distance=min(max(d, 0.0), 2.0)))
-    return out
+    if k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        # "not above" rather than "at or below" keeps NaN rows (sorted last)
+        # and keeps every row when the k-th distance is itself NaN
+        survivors = np.flatnonzero(~(distances > kth))
+        order = survivors[np.argsort(distances[survivors], kind="stable")[:k]]
+    else:
+        order = np.argsort(distances, kind="stable")
+    return [
+        Neighbor(id=row, distance=min(max(d, 0.0), 2.0))
+        for row, d in zip(order.tolist(), distances[order].tolist())
+        if d != np.inf
+    ]
 
 
 def batch_search(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .clustering import Clustering, load_clustering
 from .embeddings import EmbeddingSet, load_embedding_sets
-from .errors import MALFORMED, ParseError, malformed
+from .errors import MALFORMED, ParseError, check_market, malformed
 from .expansion import load_expansions
 from .features import FeatureExtractor
 from .flat_index import FlatIndex, build_index
@@ -168,6 +168,7 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
     for market, embedding_set in embedding_sets.items():
         clustering_path = os.path.join(snapshot_dir, f"clustering_{market}.json")
         clustering = load_clustering(clustering_path)
+        check_market(clustering_path, clustering.market, market)
         expected_shape = (clustering.cluster_count, embedding_set.dim)
         if clustering.centroids.shape != expected_shape:
             raise ParseError(
@@ -176,6 +177,8 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
             )
         table_path = os.path.join(snapshot_dir, f"thresholds_{market}.jsonl")
         table = load_threshold_table(table_path)
+        if table.market:  # a header-only table names no market
+            check_market(table_path, table.market, market)
         if sorted(table.rows) != list(range(clustering.cluster_count)):
             raise ParseError(
                 f"{table_path}: expected a row for each cluster 0..{clustering.cluster_count - 1},"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adexpand.embeddings import EmbeddingSet
+from adexpand.embeddings import EmbeddingSet, KeywordRef
 from adexpand.errors import DimensionMismatchError, EmptySetError
-from adexpand.flat_index import batch_search, build_index, knn_search
+from adexpand.flat_index import FlatIndex, batch_search, build_index, knn_search
 
 
 def random_set(rng, n, dim, market="US"):
@@ -134,6 +134,41 @@ def _knn_case(draw):
     return vectors, (query / np.linalg.norm(query)).astype(np.float32), k, exclude_id
 
 
+def _full_sort_knn(index, query, k, exclude_id):
+    """knn_search as it was before partition-then-sort: one stable argsort
+    of every distance."""
+    distances = np.float32(1.0) - index.matrix @ query.astype(np.float32)
+    if exclude_id is not None and 0 <= exclude_id < len(distances):
+        distances[exclude_id] = np.inf
+    order = np.argsort(distances, kind="stable")[:k]
+    out = []
+    for row in order:
+        d = float(distances[row])
+        if d == np.inf:
+            continue
+        out.append((int(row), repr(min(max(d, 0.0), 2.0))))
+    return out
+
+
+@st.composite
+def _partition_case(draw):
+    """Tie-heavy rows, sometimes a NaN row or a NaN query, every k from 1
+    to past n, and exclude_id in range, at -1 and past the end."""
+    vectors = draw(st.lists(_tie_vectors, min_size=1, max_size=40))
+    n = len(vectors)
+    matrix = np.array(vectors, dtype=np.float64)
+    matrix = (matrix / np.linalg.norm(matrix, axis=1)[:, None]).astype(np.float32)
+    if draw(st.booleans()) and n > 1:
+        matrix[draw(st.integers(0, n - 1))] = np.nan
+    query = np.array(draw(st.one_of(st.sampled_from(vectors), _tie_vectors)), dtype=np.float64)
+    query = (query / np.linalg.norm(query)).astype(np.float32)
+    if draw(st.integers(0, 9)) == 0:
+        query[:] = np.nan
+    k = draw(st.integers(1, n + 2))
+    exclude_id = draw(st.sampled_from([None, -1, 0, n - 1, n, n + 5, draw(st.integers(0, n - 1))]))
+    return matrix, query, k, exclude_id
+
+
 class TestKnnOracleProperty:
     @settings(max_examples=400, deadline=None)
     @given(_knn_case())
@@ -151,6 +186,27 @@ class TestKnnOracleProperty:
         assert [(nb.distance, nb.id) for nb in got] == [
             (min(max(d, 0.0), 2.0), row) for d, row in ranked
         ]
+
+    @settings(max_examples=600, deadline=None)
+    @given(_partition_case())
+    def test_equals_full_stable_argsort(self, case):
+        matrix, query, k, exclude_id = case
+        refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
+        index = FlatIndex(market="US", dim=matrix.shape[1], refs=refs, matrix=matrix)
+        got = knn_search(index, query, k=k, exclude_id=exclude_id)
+        assert [(nb.id, repr(nb.distance)) for nb in got] == _full_sort_knn(
+            index, query, k, exclude_id
+        )
+
+    def test_ties_straddling_the_kth_place_keep_id_order(self):
+        # rows 1..5 tie with each other; k = 3 cuts inside the run
+        matrix = np.array([[1, 0], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [-1, 0]],
+                          dtype=np.float32)
+        refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
+        index = FlatIndex(market="US", dim=2, refs=refs, matrix=matrix)
+        query = np.array([0.6, 0.8], dtype=np.float32)
+        got = knn_search(index, query, k=3, exclude_id=2)
+        assert [nb.id for nb in got] == [1, 3, 4]
 
 
 class TestBatchSearch:
