@@ -45,6 +45,7 @@ from .relevance import (
     tune_market_threshold,
 )
 from .snapshot_store import (
+    load_expansion_files,
     load_market_thresholds,
     load_runtime,
     save_market_thresholds,
@@ -174,10 +175,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_expand(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = _load_clustering_for(args)
-    table = load_threshold_table(args.thresholds)
-    if table.market:  # a header-only table names no market
-        check_market(args.thresholds, table.market, args.market)
+    model, table = load_expansion_files(embedding_set, args.clustering, args.thresholds)
     index = build_index(embedding_set)
     filters_enabled = not args.no_filters
     if args.keyword is not None:

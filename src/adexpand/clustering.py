@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     UnassignedKeywordError,
     ZeroVectorError,
     malformed,
+    reading,
 )
 from .rng import SplitMix64
 
@@ -376,8 +378,8 @@ def save_clustering(clustering: Clustering, path: str) -> None:
         fh.write("\n")
 
 
-def load_clustering(path: str) -> Clustering:
-    with open(path, "r", encoding="utf-8") as fh:
+def load_clustering(path: str, fh: TextIO | None = None) -> Clustering:
+    with reading(path, fh) as fh:
         try:
             doc = json.load(fh)
             return Clustering(

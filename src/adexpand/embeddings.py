@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
     ZeroVectorError,
+    reading,
 )
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -163,7 +165,9 @@ class EmbeddingSet:
         return self._by_text.get(text)
 
 
-def read_tsv(path: str, layout: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+def read_tsv(
+    path: str, layout: tuple[str, ...], fh: TextIO | None = None
+) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, fields)`` for each record of a TSV input file.
 
     This is the one rule every TSV input follows: the trailing newline is
@@ -171,8 +175,9 @@ def read_tsv(path: str, layout: tuple[str, ...]) -> Iterator[tuple[int, list[str
     whitespace) are skipped, and each remaining line must split on TAB into
     exactly ``len(layout)`` fields, else ParseError names ``path:lineno``.
     Field values are returned as read; callers own per-field handling.
+    ``fh``, when given, is ``path`` already open, read from where it stands.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, fh) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -190,7 +195,9 @@ class _PerRecord(Exception):
     """A record that the bulk parse leaves to the per-record path."""
 
 
-def _parse_all_vectors(path: str) -> tuple[list[tuple[int, str, str]], np.ndarray] | None:
+def _parse_all_vectors(
+    path: str, fh: TextIO
+) -> tuple[list[tuple[int, str, str]], np.ndarray] | None:
     """Every record's (lineno, market, keyword) and all vector fields parsed
     by one ``np.loadtxt`` call, whose rows equal the per-record parse's.
 
@@ -204,7 +211,7 @@ def _parse_all_vectors(path: str) -> tuple[list[tuple[int, str, str]], np.ndarra
 
     def fields() -> Iterator[str]:
         # streamed, so that no more than one line's text is held at a time
-        for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT):
+        for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT, fh):
             if not values or values.isspace():  # loadtxt would skip the line
                 raise _PerRecord
             records.append((lineno, market, keyword))
@@ -229,22 +236,19 @@ def _parse_all_vectors(path: str) -> tuple[list[tuple[int, str, str]], np.ndarra
     return records, matrix
 
 
-def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str, EmbeddingSet]:
-    """Load several markets' vectors from one pass over a TSV file.
-
-    Format: ``market<TAB>keyword<TAB>v1 v2 ... vD`` per line (see read_tsv),
-    dimension inferred from the first record and shared by every market. All
-    rows are validated; only the requested markets' rows are kept. ``markets``
-    defaults to every market in the file, in first-seen order; a requested
-    market with no rows raises EmptySetError.
-    """
+def _read_rows(
+    path: str, markets: list[str] | None, fh: TextIO
+) -> tuple[dict[str, list[tuple[str, np.ndarray]]], int | None]:
+    """Every row of the embeddings file checked, and the requested markets'
+    (keyword, raw vector) pairs in file order, with the shared dimension."""
     # Each row's last item is its parsed vector, or on the per-record path
     # the raw field, parsed after the keyword checks as errors are ordered.
-    parsed = _parse_all_vectors(path)
+    parsed = _parse_all_vectors(path, fh)
     if parsed is None:
+        fh.seek(0)
         rows = (
             (lineno, market, keyword, values)
-            for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT)
+            for lineno, (market, keyword, values) in read_tsv(path, _EMBEDDINGS_LAYOUT, fh)
         )
     else:
         records, matrix = parsed
@@ -277,6 +281,23 @@ def load_embedding_sets(path: str, markets: list[str] | None = None) -> dict[str
             )
         if markets is None or row_market in markets:
             by_market.setdefault(row_market, []).append((keyword, vec))
+    return by_market, dim
+
+
+def load_embedding_sets(
+    path: str, markets: list[str] | None = None, fh: TextIO | None = None
+) -> dict[str, EmbeddingSet]:
+    """Load several markets' vectors from one pass over a TSV file.
+
+    Format: ``market<TAB>keyword<TAB>v1 v2 ... vD`` per line (see read_tsv),
+    dimension inferred from the first record and shared by every market. All
+    rows are validated; only the requested markets' rows are kept. ``markets``
+    defaults to every market in the file, in first-seen order; a requested
+    market with no rows raises EmptySetError. ``fh``, when given, is
+    ``path`` open at its start; it is rewound if the file is read twice.
+    """
+    with reading(path, fh) as fh:
+        by_market, dim = _read_rows(path, markets, fh)
     sets: dict[str, EmbeddingSet] = {}
     for market in by_market if markets is None else markets:
         pairs = by_market.get(market)

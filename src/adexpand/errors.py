@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the helpers every
+file loader uses to open its input and to name the file in its errors.
 
 Everything raised on bad data or bad parameters derives from AdexpandError
 so the CLI can map it to a single "data error" exit code.
 """
+
+from __future__ import annotations
+
+import contextlib
+from typing import ContextManager, TextIO
 
 
 class AdexpandError(Exception):
@@ -35,6 +41,12 @@ def malformed(where: str, what: str, exc: Exception) -> ParseError:
     if isinstance(exc, KeyError):
         return ParseError(f"{where}: malformed {what}: missing key {exc.args[0]!r}")
     return ParseError(f"{where}: malformed {what}: {type(exc).__name__}: {exc}")
+
+
+def reading(path: str, fh: TextIO | None = None) -> ContextManager[TextIO]:
+    """What a loader reads ``path`` from: ``fh`` when the caller has it open
+    (left open, its owner closes it), else ``path`` opened as UTF-8 text."""
+    return open(path, "r", encoding="utf-8") if fh is None else contextlib.nullcontext(fh)
 
 
 def check_market(where: str, found: str, expected: str) -> None:

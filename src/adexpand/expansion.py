@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
+from typing import TextIO
 
 import numpy as np
 
 from .clustering import Clustering, assign_cluster
 from .embeddings import EmbeddingSet, KeywordRef
-from .errors import MALFORMED, malformed
+from .errors import MALFORMED, malformed, reading
 from .flat_index import DEFAULT_K, FlatIndex, knn_search
 from .thresholds import ThresholdTable
 
@@ -264,9 +265,9 @@ def save_expansions(records: list[ExpansionRecord], path: str) -> None:
             fh.write("\n")
 
 
-def load_expansions(path: str) -> list[ExpansionRecord]:
+def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, fh) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:

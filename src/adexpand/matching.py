@@ -15,7 +15,7 @@ import json
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import AbstractSet, Generic, Protocol, TypeVar
+from typing import AbstractSet, Generic, Iterable, Protocol, TextIO, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     UnknownMarketError,
     VersionRegressionError,
     malformed,
+    reading,
 )
 from .expansion import ExpansionRecord, tokenize
 from .features import FeatureExtractor
@@ -53,9 +54,9 @@ class Campaign:
     ad_groups: tuple[AdGroup, ...]
 
 
-def load_campaigns(path: str) -> list[Campaign]:
+def load_campaigns(path: str, fh: TextIO | None = None) -> list[Campaign]:
     """Parse the campaign JSON file and enforce id/market invariants."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, fh) as fh:
         try:
             return _campaigns_from_doc(json.load(fh))
         except MALFORMED as exc:
@@ -147,17 +148,50 @@ def match_record_to_doc(record: MatchRecord) -> dict:
 
 @dataclass
 class Snapshot:
-    """Immutable serving bundle; built once, swapped atomically."""
+    """Immutable serving bundle; built once, swapped atomically.
+
+    ``_token_index`` (campaign market -> token -> entries) is the match index.
+    It depends only on the campaigns and expansions, so snapshots that differ
+    in model, thresholds or version may share one, read-only (see rescored).
+    """
 
     version: int
     model: StackedModel
     market_thresholds: dict[str, float]
     extractor: FeatureExtractor
-    markets: set[str] = field(default_factory=set)
+    markets: set[str] = field(init=False)
     _token_index: dict[str, dict[str, list[_IndexEntry]]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.markets = set(self._token_index) | set(self.market_thresholds)
 
     def entries_for(self, market: str, token: str) -> list[_IndexEntry]:
         return self._token_index.get(market, {}).get(token, [])
+
+    def rescored(
+        self,
+        model: StackedModel,
+        market_thresholds: dict[str, float],
+        version: int,
+        extractor: FeatureExtractor,
+    ) -> "Snapshot":
+        """A snapshot over this one's match index, shared as is, with another
+        model, thresholds and version; checked as build_snapshot checks them."""
+        _check_thresholds(self._token_index, market_thresholds)
+        return Snapshot(
+            version=version,
+            model=model,
+            market_thresholds=dict(market_thresholds),
+            extractor=extractor,
+            _token_index=self._token_index,
+        )
+
+
+def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
+    """UnknownMarketError unless every campaign market has a threshold."""
+    for market in sorted(campaign_markets):
+        if market not in market_thresholds:
+            raise UnknownMarketError(f"no relevance threshold for market {market!r}")
 
 
 def build_snapshot(
@@ -186,9 +220,7 @@ def build_snapshot(
             for keyword in group.keywords:
                 per_market.setdefault(keyword, []).append(group)
 
-    for market in markets:
-        if market not in market_thresholds:
-            raise UnknownMarketError(f"no relevance threshold for market {market!r}")
+    _check_thresholds(markets, market_thresholds)
 
     # Each distinct text is tokenised once, and every entry with that text
     # holds the same frozenset.
@@ -259,7 +291,6 @@ def build_snapshot(
         model=model,
         market_thresholds=dict(market_thresholds),
         extractor=extractor,
-        markets=markets | set(market_thresholds),
         _token_index=token_index,
     )
 

@@ -46,11 +46,15 @@ class MatchService:
         return bundle
 
     def refresh(self) -> tuple[int | None, int]:
-        """Reload the snapshot directory and swap it in atomically."""
+        """Reload the snapshot directory and swap it in atomically.
+
+        The load shares every part of the live bundle whose files have the
+        same bytes (see snapshot_store); a failed load leaves it serving.
+        """
         if self.snapshot_dir is None:
             raise NoSnapshotError("service has no snapshot directory")
         with self._refresh_lock:
-            bundle = load_runtime(self.snapshot_dir)
+            bundle = load_runtime(self.snapshot_dir, previous=self._holder.current())
             old = self._holder.swap(bundle)
             return old, bundle.version
 

@@ -6,14 +6,31 @@ snapshot (token index over campaigns and expansions, model, market
 thresholds) and the per-market
 expansion context (embeddings, flat index, clustering, cutoff table) used to
 expand keywords that arrive after the offline run.
+
+A reload reuses what did not change. load_runtime takes a streamed sha256 of
+each file a reusable part is built from, and keeps those digests with the
+part:
+
+- the match index: campaigns.json and expansions.jsonl;
+- a market's expansion context: embeddings.tsv, meta.json's ``markets``,
+  clustering_<m>.json and thresholds_<m>.jsonl.
+
+Given the bundle it replaces, it shares each part whose digests match, as is
+and read-only, and builds and checks every other part afresh. The key is the
+file bytes, not size or mtime, so a publish that copies every file anew still
+reuses. meta.json, model.json and market_thresholds.json are read on every
+load, and so is the check that each campaign market has a threshold.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import shutil
 from dataclasses import dataclass
+from typing import NamedTuple, TextIO
 
 from .clustering import Clustering, load_clustering
 from .embeddings import EmbeddingSet, load_embedding_sets
@@ -21,7 +38,7 @@ from .errors import MALFORMED, ParseError, check_market, malformed
 from .expansion import load_expansions
 from .features import FeatureExtractor
 from .flat_index import FlatIndex, build_index
-from .matching import Campaign, Snapshot, build_snapshot, load_campaigns
+from .matching import Snapshot, build_snapshot, load_campaigns
 from .relevance import as_stacked, load_model
 from .thresholds import ThresholdTable, load_threshold_table
 
@@ -41,6 +58,9 @@ class ExpansionContext:
     index: FlatIndex
     clustering: Clustering
     table: ThresholdTable
+    # what it was built from: (embeddings.tsv digest, meta markets), then
+    # the digests of its clustering and threshold files
+    inputs: tuple
 
 
 @dataclass
@@ -49,6 +69,9 @@ class RuntimeBundle:
     contexts: dict[str, ExpansionContext]
     k_neighbors: int
     filters_enabled: bool
+    # the digests of campaigns.json and expansions.jsonl, which the
+    # snapshot's match index was built from
+    index_inputs: tuple[bytes, bytes]
 
     @property
     def version(self) -> int:
@@ -136,8 +159,51 @@ def _meta_value(meta_path: str, meta: dict, key: str, expected: str, default=Non
     return value
 
 
-def load_runtime(snapshot_dir: str) -> RuntimeBundle:
-    """Load and validate a snapshot directory into serving state."""
+def load_expansion_files(
+    embedding_set: EmbeddingSet,
+    clustering_path: str,
+    table_path: str,
+    clustering_fh: TextIO | None = None,
+    table_fh: TextIO | None = None,
+) -> tuple[Clustering, ThresholdTable]:
+    """The clustering and cutoff table that expand ``embedding_set``'s market,
+    each checked against that market and the set: every keyword the set can
+    be asked to expand gets a cluster and a cutoff. ParseError names the file
+    at fault."""
+    market = embedding_set.market
+    clustering = load_clustering(clustering_path, clustering_fh)
+    check_market(clustering_path, clustering.market, market)
+    expected_shape = (clustering.cluster_count, embedding_set.dim)
+    if clustering.centroids.shape != expected_shape:
+        raise ParseError(
+            f"{clustering_path}: centroids must have shape {expected_shape}"
+            f" (clusters, embedding dim), got {clustering.centroids.shape}"
+        )
+    table = load_threshold_table(table_path, table_fh)
+    if table.market:  # a header-only table names no market
+        check_market(table_path, table.market, market)
+    if sorted(table.rows) != list(range(clustering.cluster_count)):
+        raise ParseError(
+            f"{table_path}: expected a row for each cluster 0..{clustering.cluster_count - 1},"
+            f" got {sorted(table.rows)}"
+        )
+    return clustering, table
+
+
+class _Input(NamedTuple):
+    path: str
+    fh: TextIO  # open at its start
+    sha256: bytes
+
+
+def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> RuntimeBundle:
+    """Load and validate a snapshot directory into serving state.
+
+    Each part of ``previous`` whose input digests match is shared, and every
+    other part is built (see the module docstring). A file a part is built
+    from is opened once: digested, rewound and, unless the part is reused,
+    parsed from the same handle.
+    """
     meta_path = os.path.join(snapshot_dir, META_FILE)
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")
@@ -156,52 +222,65 @@ def load_runtime(snapshot_dir: str) -> RuntimeBundle:
     filters_enabled = _meta_value(meta_path, meta, "filters_enabled", "a boolean", True)
     markets = _meta_value(meta_path, meta, "markets", "a list of strings", [])
 
-    campaigns: list[Campaign] = load_campaigns(os.path.join(snapshot_dir, CAMPAIGNS_FILE))
-    expansions = load_expansions(os.path.join(snapshot_dir, EXPANSIONS_FILE))
-    model = load_model(os.path.join(snapshot_dir, MODEL_FILE))
-    thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
+    with contextlib.ExitStack() as files:
 
-    embedding_sets = load_embedding_sets(
-        os.path.join(snapshot_dir, EMBEDDINGS_FILE), markets or None
-    )
-    contexts: dict[str, ExpansionContext] = {}
-    for market, embedding_set in embedding_sets.items():
-        clustering_path = os.path.join(snapshot_dir, f"clustering_{market}.json")
-        clustering = load_clustering(clustering_path)
-        check_market(clustering_path, clustering.market, market)
-        expected_shape = (clustering.cluster_count, embedding_set.dim)
-        if clustering.centroids.shape != expected_shape:
-            raise ParseError(
-                f"{clustering_path}: centroids must have shape {expected_shape}"
-                f" (clusters, embedding dim), got {clustering.centroids.shape}"
-            )
-        table_path = os.path.join(snapshot_dir, f"thresholds_{market}.jsonl")
-        table = load_threshold_table(table_path)
-        if table.market:  # a header-only table names no market
-            check_market(table_path, table.market, market)
-        if sorted(table.rows) != list(range(clustering.cluster_count)):
-            raise ParseError(
-                f"{table_path}: expected a row for each cluster 0..{clustering.cluster_count - 1},"
-                f" got {sorted(table.rows)}"
-            )
-        contexts[market] = ExpansionContext(
-            embedding_set=embedding_set,
-            index=build_index(embedding_set),
-            clustering=clustering,
-            table=table,
-        )
+        def read(name: str) -> _Input:
+            path = os.path.join(snapshot_dir, name)
+            fh = files.enter_context(open(path, "r", encoding="utf-8"))
+            sha256 = hashlib.file_digest(fh.buffer, "sha256").digest()
+            fh.seek(0)
+            return _Input(path, fh, sha256)
 
-    snapshot = build_snapshot(
-        campaigns=campaigns,
-        expansions=expansions,
-        model=as_stacked(model),
-        market_thresholds=thresholds,
-        version=version,
-        extractor=FeatureExtractor(embed_dim=dim),
-    )
+        campaigns_file, expansions_file = read(CAMPAIGNS_FILE), read(EXPANSIONS_FILE)
+        index_inputs = (campaigns_file.sha256, expansions_file.sha256)
+        reuse_index = previous is not None and previous.index_inputs == index_inputs
+        if not reuse_index:
+            campaigns = load_campaigns(campaigns_file.path, campaigns_file.fh)
+            expansions = load_expansions(expansions_file.path, expansions_file.fh)
+        model = as_stacked(load_model(os.path.join(snapshot_dir, MODEL_FILE)))
+        thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
+
+        embeddings_file = read(EMBEDDINGS_FILE)
+        embeddings_inputs = (embeddings_file.sha256, tuple(markets))
+        old = previous.contexts if previous is not None else {}
+        if old and all(c.inputs[0] == embeddings_inputs for c in old.values()):
+            embedding_sets = {market: c.embedding_set for market, c in old.items()}
+        else:
+            embedding_sets = load_embedding_sets(
+                embeddings_file.path, markets or None, embeddings_file.fh
+            )
+        contexts: dict[str, ExpansionContext] = {}
+        for market, embedding_set in embedding_sets.items():
+            clustering_file = read(f"clustering_{market}.json")
+            table_file = read(f"thresholds_{market}.jsonl")
+            inputs = (embeddings_inputs, clustering_file.sha256, table_file.sha256)
+            context = old.get(market)
+            if context is None or context.inputs != inputs:
+                clustering, table = load_expansion_files(
+                    embedding_set,
+                    clustering_file.path,
+                    table_file.path,
+                    clustering_file.fh,
+                    table_file.fh,
+                )
+                context = ExpansionContext(
+                    embedding_set=embedding_set,
+                    index=build_index(embedding_set),
+                    clustering=clustering,
+                    table=table,
+                    inputs=inputs,
+                )
+            contexts[market] = context
+
+    extractor = FeatureExtractor(embed_dim=dim)
+    if reuse_index:
+        snapshot = previous.snapshot.rescored(model, thresholds, version, extractor)
+    else:
+        snapshot = build_snapshot(campaigns, expansions, model, thresholds, version, extractor)
     return RuntimeBundle(
         snapshot=snapshot,
         contexts=contexts,
         k_neighbors=k_neighbors,
         filters_enabled=filters_enabled,
+        index_inputs=index_inputs,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     InvalidQuantileError,
     ParseError,
     malformed,
+    reading,
 )
 
 DEFAULT_MIN_CLUSTER_SIZE = 10
@@ -163,8 +165,8 @@ def save_threshold_table(table: ThresholdTable, path: str) -> None:
             fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
-def load_threshold_table(path: str) -> ThresholdTable:
-    with open(path, "r", encoding="utf-8") as fh:
+def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
+    with reading(path, fh) as fh:
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise ParseError(f"{path}: empty, expected a header line")

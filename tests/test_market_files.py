@@ -1,6 +1,7 @@
 """A per-market file is used only for the market it belongs to, and a
 threshold table with no cluster rows is refused by name."""
 
+import json
 import os
 import shutil
 
@@ -88,3 +89,34 @@ class TestHeaderOnlyThresholdReport:
         err = capsys.readouterr().err
         assert str(table) in err and "no cluster rows" in err
         assert not (tmp_path / "report.csv").exists()
+
+
+class TestExpandChecksItsFiles:
+    """The offline ``expand`` checks its clustering and threshold table as a
+    snapshot load does, naming the file at fault."""
+
+    def _expand(self, chain_dir, clustering, thresholds):
+        return cli_dispatch([
+            "expand", "--embeddings", _chain(chain_dir, "embeddings.tsv"), "--market", "US",
+            "--clustering", clustering, "--thresholds", thresholds,
+            "--k-neighbors", "11", "--keyword", "led garden lights",
+        ])
+
+    def test_header_only_table_exits_2(self, chain_dir, tmp_path, capsys):
+        table = tmp_path / "thresholds_US.jsonl"
+        with open(_chain(chain_dir, "thresholds_US.jsonl"), encoding="utf-8") as fh:
+            table.write_text(fh.readline(), encoding="utf-8")
+        assert self._expand(chain_dir, _chain(chain_dir, "clustering_US.json"), str(table)) == 2
+        err = capsys.readouterr().err
+        assert str(table) in err and "expected a row for each cluster" in err
+
+    def test_centroids_of_another_dim_exit_2(self, chain_dir, tmp_path, capsys):
+        clustering = tmp_path / "clustering_US.json"
+        with open(_chain(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["centroids"] = [row[:32] for row in doc["centroids"]]
+        clustering.write_text(json.dumps(doc), encoding="utf-8")
+        thresholds = _chain(chain_dir, "thresholds_US.jsonl")
+        assert self._expand(chain_dir, str(clustering), thresholds) == 2
+        err = capsys.readouterr().err
+        assert str(clustering) in err and "shape" in err
