@@ -17,34 +17,32 @@ from . import reports as reports_mod
 from .config import PipelineConfig, load_config
 from .embeddings import (
     EmbeddingSet,
-    KeywordRef,
     fallback_embed,
     load_embeddings,
     read_tsv,
     save_embeddings,
 )
-from .errors import AdexpandError, ParseError, check_market
+from .errors import AdexpandError, ParseError
 from .expansion import (
     expand_all,
-    expand_keyword,
+    expand_text,
     format_expansion_table,
     record_to_doc,
     save_expansions,
 )
-from .flat_index import build_index
 from .matching import match_query, match_record_to_doc
 from .relevance import (
     GbdtModel,
     as_stacked,
     load_dataset,
     load_model,
-    rmse_by_label,
     save_model,
     train_adjustment,
     train_base,
     tune_market_threshold,
 )
 from .snapshot_store import (
+    load_clustering_for,
     load_expansion_files,
     load_market_thresholds,
     load_runtime,
@@ -157,15 +155,9 @@ def _cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def _load_clustering_for(args) -> clustering_mod.Clustering:
-    model = clustering_mod.load_clustering(args.clustering)
-    check_market(args.clustering, model.market, args.market)
-    return model
-
-
 def _cmd_thresholds(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = _load_clustering_for(args)
+    model = load_clustering_for(embedding_set, args.clustering)
     p = _percent_to_fraction(args.quantile_pct)
     table = build_threshold_table(model, embedding_set, p, args.min_cluster_size)
     save_threshold_table(table, args.out)
@@ -175,26 +167,13 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_expand(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model, table = load_expansion_files(embedding_set, args.clustering, args.thresholds)
-    index = build_index(embedding_set)
+    context = load_expansion_files(embedding_set, args.clustering, args.thresholds)
     filters_enabled = not args.no_filters
     if args.keyword is not None:
-        ref = embedding_set.ref_by_text(args.keyword)
-        if ref is not None:
-            vector = embedding_set.vector(ref)
-        else:
-            ref = KeywordRef(market=args.market, text=args.keyword, id=-1)
-            vector = fallback_embed(args.keyword, embedding_set.dim)
-        record = expand_keyword(
-            ref, vector, index, model, table,
-            k_neighbors=args.k_neighbors, filters_enabled=filters_enabled,
-        )
+        record = expand_text(context, args.keyword, args.k_neighbors, filters_enabled)
         print(json.dumps(record_to_doc(record), sort_keys=True))
         return EXIT_OK
-    records = expand_all(
-        embedding_set, index, model, table,
-        k_neighbors=args.k_neighbors, filters_enabled=filters_enabled,
-    )
+    records = expand_all(context, args.k_neighbors, filters_enabled)
     save_expansions(records, args.out)
     accepted = sum(len(r.accepted_variants()) for r in records)
     print(f"expanded {len(records)} keywords, {accepted} accepted variants -> {args.out}")
@@ -248,10 +227,10 @@ def _cmd_eval_relevance(args) -> int:
     X, y, _ = load_dataset(args.holdout)
     report = reports_mod.relevance_report(base, stacked, X, y)
     reports_mod.write_relevance_report(report, args.out_csv, args.out_json)
-    per_grade, overall = rmse_by_label(stacked, X, y)
+    per_grade = {str(row.grade): row.rmse_stacked for row in report.rows}
     print(
         json.dumps(
-            {"overall_rmse_stacked": overall, "per_grade_rmse_stacked": {str(k): v for k, v in per_grade.items()}},
+            {"overall_rmse_stacked": report.overall_stacked, "per_grade_rmse_stacked": per_grade},
             sort_keys=True,
         )
     )
@@ -286,7 +265,7 @@ def _cmd_tune_threshold(args) -> int:
 
 def _cmd_sweep_tpr(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = _load_clustering_for(args)
+    model = load_clustering_for(embedding_set, args.clustering)
     labels = reports_mod.load_label_set(args.labels)
     p_list = [_percent_to_fraction(float(v)) for v in args.p_list.split(",") if v.strip()]
     rows = reports_mod.tpr_sweep(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .embeddings import MIN_DIM
 from .errors import ParseError
 
 _PATH_KEYS = {
@@ -47,8 +48,8 @@ class PipelineConfig:
     markets: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.dim < 16:
-            raise ParseError("dim must be at least 16")
+        if self.dim < MIN_DIM:
+            raise ParseError(f"dim must be at least {MIN_DIM}")
         if self.clusters < 1:
             raise ParseError("clusters must be at least 1")
         if self.seed < 0:

@@ -31,6 +31,8 @@ _MASK64 = (1 << 64) - 1
 
 NGRAM_SIZES = (3, 4, 5)
 DEFAULT_DIM = 256
+# the smallest dim fallback_embed accepts
+MIN_DIM = 16
 _MIN_NORM = 1e-12  # a vector whose L2 norm is at or below this is zero
 
 
@@ -95,8 +97,8 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     fixed order and the result is normalized, so identical (text, dim) inputs
     produce bit-identical vectors on every platform.
     """
-    if dim < 16:
-        raise ValueError("dim must be at least 16")
+    if dim < MIN_DIM:
+        raise ValueError(f"dim must be at least {MIN_DIM}")
     trimmed = text.strip().lower()
     if not trimmed:
         raise ZeroVectorError("text produces no n-grams")

@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from .clustering import Clustering, assign_cluster
-from .embeddings import EmbeddingSet, KeywordRef
+from .embeddings import EmbeddingSet, KeywordRef, fallback_embed
 from .errors import MALFORMED, malformed, reading
 from .flat_index import DEFAULT_K, FlatIndex, knn_search
 from .thresholds import ThresholdTable
@@ -187,22 +187,56 @@ def expand_keyword(
     return ExpansionRecord(origin=origin, cluster=cluster, tau_used=tau, variants=variants)
 
 
-def expand_all(
-    embedding_set: EmbeddingSet,
-    index: FlatIndex,
-    clustering: Clustering,
-    table: ThresholdTable,
+@dataclass
+class ExpansionContext:
+    """One market's state for expanding a keyword: its embedding set, the
+    index over it, its clustering and its cutoff table."""
+
+    embedding_set: EmbeddingSet
+    index: FlatIndex
+    clustering: Clustering
+    table: ThresholdTable
+
+
+def expand_text(
+    context: ExpansionContext,
+    text: str,
     k_neighbors: int = DEFAULT_K,
     filters_enabled: bool = True,
+) -> ExpansionRecord:
+    """Expand a keyword given as text. A keyword of the market's set keeps
+    its stored vector and id; any other is embedded with fallback_embed and
+    gets id -1."""
+    embedding_set = context.embedding_set
+    ref = embedding_set.ref_by_text(text)
+    if ref is not None:
+        vector = embedding_set.vector(ref)
+    else:
+        ref = KeywordRef(market=embedding_set.market, text=text, id=-1)
+        vector = fallback_embed(text, embedding_set.dim)
+    return expand_keyword(
+        ref,
+        vector,
+        context.index,
+        context.clustering,
+        context.table,
+        k_neighbors=k_neighbors,
+        filters_enabled=filters_enabled,
+    )
+
+
+def expand_all(
+    context: ExpansionContext, k_neighbors: int = DEFAULT_K, filters_enabled: bool = True
 ) -> list[ExpansionRecord]:
-    """Expand every keyword of a set, in ascending-id order."""
+    """Expand every keyword of the context's set, in ascending-id order."""
+    embedding_set = context.embedding_set
     return [
         expand_keyword(
             ref,
             vector,
-            index,
-            clustering,
-            table,
+            context.index,
+            context.clustering,
+            context.table,
             k_neighbors=k_neighbors,
             filters_enabled=filters_enabled,
         )

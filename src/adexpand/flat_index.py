@@ -78,15 +78,14 @@ def knn_search(
     # an unseen keyword carries id -1, which must not wrap to the last row
     if exclude_id is not None and 0 <= exclude_id < len(distances):
         distances[exclude_id] = np.inf
-    # Stable sort + row = id gives (distance, id) lexicographic order.
-    if k < len(distances):
-        kth = np.partition(distances, k - 1)[k - 1]
-        # "not above" rather than "at or below" keeps NaN rows (sorted last)
-        # and keeps every row when the k-th distance is itself NaN
-        survivors = np.flatnonzero(~(distances > kth))
-        order = survivors[np.argsort(distances[survivors], kind="stable")[:k]]
-    else:
-        order = np.argsort(distances, kind="stable")
+    # Stable sort + row = id gives (distance, id) lexicographic order. With
+    # k >= n the cut is the largest distance and every row survives.
+    cut = min(k, len(distances)) - 1
+    kth = np.partition(distances, cut)[cut]
+    # "not above" rather than "at or below" keeps NaN rows (sorted last)
+    # and keeps every row when the k-th distance is itself NaN
+    survivors = np.flatnonzero(~(distances > kth))
+    order = survivors[np.argsort(distances[survivors], kind="stable")[:k]]
     return [
         Neighbor(id=row, distance=min(max(d, 0.0), 2.0))
         for row, d in zip(order.tolist(), distances[order].tolist())

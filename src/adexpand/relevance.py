@@ -23,7 +23,7 @@ from .errors import (
     SchemaMismatchError,
     malformed,
 )
-from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, cached_pack
+from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
 
 MAX_ADJUSTMENT_TREES = 2
 MAX_ADJUSTMENT_DEPTH = 5
@@ -116,22 +116,27 @@ def fit_tree(
     return RegressionTree(nodes=nodes, max_depth=max_depth)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GbdtModel:
-    """Frozen base ensemble: base_score + learning_rate * sum of trees."""
+    """Frozen base ensemble: base_score + learning_rate * sum of trees. The
+    trees are packed once, when the model is made, which validates them."""
 
     base_score: float
     learning_rate: float
     n_features: int
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: tuple[RegressionTree, ...] = ()
     feature_names: list[str] | None = None
     train_rmse: list[float] = field(default_factory=list)
-    _packed: PackedTrees | None = field(default=None, init=False, repr=False, compare=False)
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "packed", pack_trees(self.trees, self.n_features))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check(X)
         out = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        accumulate(cached_pack(self, self.trees, self.n_features), X, self.learning_rate, out)
+        accumulate(self.packed, X, self.learning_rate, out)
         return out
 
     def _check(self, X: np.ndarray) -> np.ndarray:
@@ -170,30 +175,39 @@ def train_base(
     if tree_count < 1:
         raise ValueError("tree_count must be at least 1")
     del seed
-    model = GbdtModel(
-        base_score=float(y.mean()),
-        learning_rate=learning_rate,
-        n_features=X.shape[1],
-        feature_names=list(feature_names) if feature_names else None,
-    )
-    current = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    base_score = float(y.mean())
+    trees: list[RegressionTree] = []
+    train_rmse: list[float] = []
+    current = np.full(X.shape[0], base_score, dtype=np.float64)
     for _ in range(tree_count):
         residuals = y - current
         tree = fit_tree(X, residuals, max_depth=max_depth, min_leaf=min_leaf)
         current += learning_rate * tree.predict(X)
-        model.trees.append(tree)
-        model.train_rmse.append(float(np.sqrt(np.mean((y - current) ** 2))))
-    return model
+        trees.append(tree)
+        train_rmse.append(float(np.sqrt(np.mean((y - current) ** 2))))
+    return GbdtModel(
+        base_score=base_score,
+        learning_rate=learning_rate,
+        n_features=X.shape[1],
+        trees=trees,
+        feature_names=list(feature_names) if feature_names else None,
+        train_rmse=train_rmse,
+    )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StackedModel:
-    """Frozen base plus at most two shallow residual-adjustment trees."""
+    """Frozen base plus at most two shallow residual-adjustment trees,
+    packed once when the model is made, as GbdtModel's are."""
 
     base: GbdtModel
-    adjustment: list[RegressionTree] = field(default_factory=list)
+    adjustment: tuple[RegressionTree, ...] = ()
     adjustment_rate: float = 1.0
-    _packed: PackedTrees | None = field(default=None, init=False, repr=False, compare=False)
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "adjustment", tuple(self.adjustment))
+        object.__setattr__(self, "packed", pack_trees(self.adjustment, self.base.n_features))
 
     def predict_base(self, X: np.ndarray) -> np.ndarray:
         return self.base.predict(X)
@@ -201,8 +215,7 @@ class StackedModel:
     def predict_adjustment(self, X: np.ndarray) -> np.ndarray:
         X = self.base._check(X)
         out = np.zeros(X.shape[0], dtype=np.float64)
-        packed = cached_pack(self, self.adjustment, self.base.n_features)
-        accumulate(packed, X, self.adjustment_rate, out)
+        accumulate(self.packed, X, self.adjustment_rate, out)
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -224,7 +237,7 @@ def as_stacked(model: GbdtModel | StackedModel) -> StackedModel:
     (identity stacking)."""
     if isinstance(model, StackedModel):
         return model
-    return StackedModel(base=model, adjustment=[], adjustment_rate=1.0)
+    return StackedModel(base=model)
 
 
 def train_adjustment(
@@ -259,12 +272,12 @@ def train_adjustment(
         X = X[:, None]
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train an adjustment on an empty dataset")
-    stacked = StackedModel(base=base, adjustment=[], adjustment_rate=adjustment_rate)
+    trees: list[RegressionTree] = []
     for _ in range(adjustment_trees):
-        residuals = y - stacked.predict(X)
-        tree = fit_tree(X, residuals, max_depth=max_depth, min_leaf=min_leaf)
-        stacked.adjustment.append(tree)
-    return stacked
+        fitted = StackedModel(base=base, adjustment=trees, adjustment_rate=adjustment_rate)
+        residuals = y - fitted.predict(X)
+        trees.append(fit_tree(X, residuals, max_depth=max_depth, min_leaf=min_leaf))
+    return StackedModel(base=base, adjustment=trees, adjustment_rate=adjustment_rate)
 
 
 def rmse(predictions: np.ndarray, y: np.ndarray) -> float:
@@ -272,7 +285,7 @@ def rmse(predictions: np.ndarray, y: np.ndarray) -> float:
 
 
 def rmse_by_label(
-    model: StackedModel, X: np.ndarray, y: np.ndarray
+    model: GbdtModel | StackedModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[dict[int, float], float]:
     """RMSE per integer grade (half-up rounding of the label) plus overall."""
     y = np.asarray(y, dtype=np.float64)
@@ -407,8 +420,7 @@ def gbdt_to_doc(model: GbdtModel) -> dict:
 
 
 def gbdt_from_doc(doc: dict) -> GbdtModel:
-    """The model a doc describes; its trees are validated and packed here."""
-    model = GbdtModel(
+    return GbdtModel(
         base_score=float(doc["base_score"]),
         learning_rate=float(doc["learning_rate"]),
         n_features=int(doc["n_features"]),
@@ -416,8 +428,6 @@ def gbdt_from_doc(doc: dict) -> GbdtModel:
         train_rmse=[float(x) for x in doc.get("train_rmse", [])],
         trees=[_tree_from_doc(t) for t in doc["trees"]],
     )
-    cached_pack(model, model.trees, model.n_features)
-    return model
 
 
 def stacked_to_doc(model: StackedModel) -> dict:
@@ -430,13 +440,11 @@ def stacked_to_doc(model: StackedModel) -> dict:
 
 
 def stacked_from_doc(doc: dict) -> StackedModel:
-    model = StackedModel(
+    return StackedModel(
         base=gbdt_from_doc(doc["base"]),
         adjustment_rate=float(doc["adjustment_rate"]),
         adjustment=[_tree_from_doc(t) for t in doc["adjustment"]],
     )
-    cached_pack(model, model.adjustment, model.base.n_features)
-    return model
 
 
 def serialize_model(model: GbdtModel | StackedModel) -> bytes:

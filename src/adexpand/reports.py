@@ -21,7 +21,7 @@ from .errors import (
 )
 from .expansion import expand_keyword
 from .flat_index import build_index, knn_search
-from .relevance import GbdtModel, StackedModel, rmse
+from .relevance import GbdtModel, StackedModel, rmse_by_label
 from .thresholds import (
     DEFAULT_MIN_CLUSTER_SIZE,
     ThresholdTable,
@@ -72,20 +72,17 @@ def tpr_sweep(
     p_list: list[float],
     k_neighbors: int = 100,
     min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
-    reference_p: float | None = None,
 ) -> list[TprRow]:
     """True-positive rate of expansion, before and after consistency filters.
 
     For each quantile p the expansions are regenerated; the rate counts
     label-positive pairs among accepted variants over label-positive pairs
     among the retrieved nearest-neighbor candidates (fixed across p). The
-    normalized column scales filtered TPR so the reference quantile (the
-    largest in the sweep unless given) reads exactly 100.
+    normalized column scales filtered TPR so the largest quantile of the
+    sweep reads exactly 100.
     """
     if not p_list:
         raise ValueError("p_list must be non-empty")
-    if reference_p is None:
-        reference_p = max(p_list)
     index = build_index(embedding_set)
     origins = sorted({pair.origin for pair in labels})
     refs = {}
@@ -108,9 +105,8 @@ def tpr_sweep(
     denominator = len(positives)
 
     rows: list[TprRow] = []
-    sweep = sorted(set(p_list) | {reference_p})
     results: dict[float, tuple[float, float]] = {}
-    for p in sweep:
+    for p in sorted(set(p_list)):
         table = build_threshold_table(clustering, embedding_set, p, min_cluster_size)
         raw_hits = 0
         filtered_hits = 0
@@ -136,7 +132,7 @@ def tpr_sweep(
                 filtered_hits += 1
         results[p] = (raw_hits / denominator, filtered_hits / denominator)
 
-    reference_filtered = results[reference_p][1]
+    reference_filtered = results[max(p_list)][1]
     for p in sorted(p_list):
         tpr_raw, tpr_filtered = results[p]
         if reference_filtered > 0:
@@ -228,26 +224,27 @@ def relevance_report(
     base: GbdtModel, stacked: StackedModel, X: np.ndarray, y: np.ndarray
 ) -> RelevanceReport:
     """Per-grade RMSE of base and stacked models with relative deltas."""
-    y = np.asarray(y, dtype=np.float64)
-    base_preds = base.predict(X)
-    stacked_preds = stacked.predict(X)
-    grades = np.floor(y + 0.5).astype(int)
-    rows: list[RelevanceDeltaRow] = []
-    for grade in sorted(set(grades.tolist())):
-        mask = grades == grade
-        rb = rmse(base_preds[mask], y[mask])
-        rs = rmse(stacked_preds[mask], y[mask])
-        delta = 100.0 * (rs - rb) / rb if rb > 0 else 0.0
-        rows.append(RelevanceDeltaRow(grade=grade, rmse_base=rb, rmse_stacked=rs, delta_pct=delta))
-    overall_base = rmse(base_preds, y)
-    overall_stacked = rmse(stacked_preds, y)
-    overall_delta = 100.0 * (overall_stacked - overall_base) / overall_base if overall_base > 0 else 0.0
+    base_by_grade, overall_base = rmse_by_label(base, X, y)
+    stacked_by_grade, overall_stacked = rmse_by_label(stacked, X, y)
+    rows = [
+        RelevanceDeltaRow(
+            grade=grade,
+            rmse_base=base_by_grade[grade],
+            rmse_stacked=stacked_by_grade[grade],
+            delta_pct=_delta_pct(base_by_grade[grade], stacked_by_grade[grade]),
+        )
+        for grade in base_by_grade
+    ]
     return RelevanceReport(
         rows=rows,
         overall_base=overall_base,
         overall_stacked=overall_stacked,
-        overall_delta_pct=overall_delta,
+        overall_delta_pct=_delta_pct(overall_base, overall_stacked),
     )
+
+
+def _delta_pct(base: float, stacked: float) -> float:
+    return 100.0 * (stacked - base) / base if base > 0 else 0.0
 
 
 def write_relevance_report(report: RelevanceReport, csv_path: str, json_path: str) -> None:

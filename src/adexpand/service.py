@@ -13,9 +13,8 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .embeddings import KeywordRef, fallback_embed
 from .errors import AdexpandError, UnknownMarketError, VersionRegressionError
-from .expansion import ExpansionRecord, expand_keyword, record_to_doc
+from .expansion import ExpansionRecord, expand_text, record_to_doc
 from .matching import MatchRecord, SnapshotHolder, match_query, match_record_to_doc
 from .snapshot_store import RuntimeBundle, load_runtime
 
@@ -32,11 +31,11 @@ class NoSnapshotError(AdexpandError):
 class MatchService:
     """Snapshot lifecycle plus the expand/match operations the API exposes."""
 
-    def __init__(self, snapshot_dir: str | None = None, load_now: bool = True) -> None:
+    def __init__(self, snapshot_dir: str | None = None) -> None:
         self.snapshot_dir = snapshot_dir
         self._holder: SnapshotHolder[RuntimeBundle] = SnapshotHolder()
         self._refresh_lock = threading.Lock()
-        if snapshot_dir is not None and load_now:
+        if snapshot_dir is not None:
             self.refresh()
 
     def current(self) -> RuntimeBundle:
@@ -66,27 +65,13 @@ class MatchService:
         """Expand a possibly unseen keyword using the current snapshot.
 
         Ingested keywords reuse their stored vector; new ones are embedded on
-        the fly with the fallback embedder.
+        the fly with the fallback embedder (see expand_text).
         """
         bundle = self.current()
         context = bundle.contexts.get(market)
         if context is None:
             raise UnknownMarketError(f"unknown market {market!r}")
-        ref = context.embedding_set.ref_by_text(keyword)
-        if ref is not None:
-            vector = context.embedding_set.vector(ref)
-        else:
-            ref = KeywordRef(market=market, text=keyword, id=-1)
-            vector = fallback_embed(keyword, context.embedding_set.dim)
-        return expand_keyword(
-            ref,
-            vector,
-            context.index,
-            context.clustering,
-            context.table,
-            k_neighbors=bundle.k_neighbors,
-            filters_enabled=bundle.filters_enabled,
-        )
+        return expand_text(context, keyword, bundle.k_neighbors, bundle.filters_enabled)
 
 
 class _Handler(BaseHTTPRequestHandler):

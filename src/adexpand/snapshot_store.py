@@ -8,8 +8,8 @@ expansion context (embeddings, flat index, clustering, cutoff table) used to
 expand keywords that arrive after the offline run.
 
 A reload reuses what did not change. load_runtime takes a streamed sha256 of
-each file a reusable part is built from, and keeps those digests with the
-part:
+each file a reusable part is built from, and keeps those digests on the
+bundle:
 
 - the match index: campaigns.json and expansions.jsonl;
 - a market's expansion context: embeddings.tsv, meta.json's ``markets``,
@@ -27,20 +27,21 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .clustering import Clustering, load_clustering
-from .embeddings import EmbeddingSet, load_embedding_sets
+from .embeddings import MIN_DIM, EmbeddingSet, load_embedding_sets
 from .errors import MALFORMED, ParseError, check_market, malformed
-from .expansion import load_expansions
+from .expansion import ExpansionContext, load_expansions
 from .features import FeatureExtractor
-from .flat_index import FlatIndex, build_index
+from .flat_index import build_index
 from .matching import Snapshot, build_snapshot, load_campaigns
 from .relevance import as_stacked, load_model
-from .thresholds import ThresholdTable, load_threshold_table
+from .thresholds import load_threshold_table
 
 META_FILE = "meta.json"
 EMBEDDINGS_FILE = "embeddings.tsv"
@@ -48,19 +49,6 @@ CAMPAIGNS_FILE = "campaigns.json"
 EXPANSIONS_FILE = "expansions.jsonl"
 MODEL_FILE = "model.json"
 MARKET_THRESHOLDS_FILE = "market_thresholds.json"
-
-
-@dataclass
-class ExpansionContext:
-    """Per-market state for expanding a keyword at serving time."""
-
-    embedding_set: EmbeddingSet
-    index: FlatIndex
-    clustering: Clustering
-    table: ThresholdTable
-    # what it was built from: (embeddings.tsv digest, meta markets), then
-    # the digests of its clustering and threshold files
-    inputs: tuple
 
 
 @dataclass
@@ -72,6 +60,9 @@ class RuntimeBundle:
     # the digests of campaigns.json and expansions.jsonl, which the
     # snapshot's match index was built from
     index_inputs: tuple[bytes, bytes]
+    # per market, what its context was built from: (embeddings.tsv digest,
+    # meta markets), then the digests of its clustering and threshold files
+    context_inputs: dict[str, tuple]
 
     @property
     def version(self) -> int:
@@ -79,10 +70,16 @@ class RuntimeBundle:
 
 
 def load_market_thresholds(path: str) -> dict[str, float]:
-    """JSON map market -> threshold; null disables filtering (-inf)."""
+    """JSON map market -> threshold, each null or a finite number; null
+    disables filtering (-inf)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+            for market, value in doc.items():
+                # type(), not isinstance(): a JSON true is not a threshold
+                finite = type(value) in (int, float) and math.isfinite(value)
+                if value is not None and not finite:
+                    raise ValueError(f"market {market!r}: {value!r} is not null or a finite number")
             return {
                 market: float("-inf") if value is None else float(value)
                 for market, value in doc.items()
@@ -159,35 +156,49 @@ def _meta_value(meta_path: str, meta: dict, key: str, expected: str, default=Non
     return value
 
 
+def load_clustering_for(
+    embedding_set: EmbeddingSet, path: str, fh: TextIO | None = None
+) -> Clustering:
+    """The clustering at ``path``, checked against ``embedding_set``: it
+    belongs to the set's market and has one centroid of the set's dim per
+    cluster. ParseError names the file."""
+    clustering = load_clustering(path, fh)
+    check_market(path, clustering.market, embedding_set.market)
+    expected_shape = (clustering.cluster_count, embedding_set.dim)
+    if clustering.centroids.shape != expected_shape:
+        raise ParseError(
+            f"{path}: centroids must have shape {expected_shape}"
+            f" (clusters, embedding dim), got {clustering.centroids.shape}"
+        )
+    return clustering
+
+
 def load_expansion_files(
     embedding_set: EmbeddingSet,
     clustering_path: str,
     table_path: str,
     clustering_fh: TextIO | None = None,
     table_fh: TextIO | None = None,
-) -> tuple[Clustering, ThresholdTable]:
-    """The clustering and cutoff table that expand ``embedding_set``'s market,
-    each checked against that market and the set: every keyword the set can
-    be asked to expand gets a cluster and a cutoff. ParseError names the file
-    at fault."""
-    market = embedding_set.market
-    clustering = load_clustering(clustering_path, clustering_fh)
-    check_market(clustering_path, clustering.market, market)
-    expected_shape = (clustering.cluster_count, embedding_set.dim)
-    if clustering.centroids.shape != expected_shape:
-        raise ParseError(
-            f"{clustering_path}: centroids must have shape {expected_shape}"
-            f" (clusters, embedding dim), got {clustering.centroids.shape}"
-        )
+) -> ExpansionContext:
+    """The context that expands ``embedding_set``'s market: an index over the
+    set, and a clustering and cutoff table each checked against that market
+    and the set, so that every keyword the set can be asked to expand gets a
+    cluster and a cutoff. ParseError names the file at fault."""
+    clustering = load_clustering_for(embedding_set, clustering_path, clustering_fh)
     table = load_threshold_table(table_path, table_fh)
     if table.market:  # a header-only table names no market
-        check_market(table_path, table.market, market)
+        check_market(table_path, table.market, embedding_set.market)
     if sorted(table.rows) != list(range(clustering.cluster_count)):
         raise ParseError(
             f"{table_path}: expected a row for each cluster 0..{clustering.cluster_count - 1},"
             f" got {sorted(table.rows)}"
         )
-    return clustering, table
+    return ExpansionContext(
+        embedding_set=embedding_set,
+        index=build_index(embedding_set),
+        clustering=clustering,
+        table=table,
+    )
 
 
 class _Input(NamedTuple):
@@ -216,6 +227,8 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         raise ParseError(f"{meta_path}: expected a JSON object")
     version = _meta_value(meta_path, meta, "version", "an integer")
     dim = _meta_value(meta_path, meta, "dim", "an integer")
+    if dim < MIN_DIM:
+        raise ParseError(f"{meta_path}: 'dim' must be at least {MIN_DIM}, got {dim}")
     k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer", 100)
     if k_neighbors < 1:
         raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
@@ -243,34 +256,30 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         embeddings_file = read(EMBEDDINGS_FILE)
         embeddings_inputs = (embeddings_file.sha256, tuple(markets))
         old = previous.contexts if previous is not None else {}
-        if old and all(c.inputs[0] == embeddings_inputs for c in old.values()):
+        old_inputs = previous.context_inputs if previous is not None else {}
+        if old and all(inputs[0] == embeddings_inputs for inputs in old_inputs.values()):
             embedding_sets = {market: c.embedding_set for market, c in old.items()}
         else:
             embedding_sets = load_embedding_sets(
                 embeddings_file.path, markets or None, embeddings_file.fh
             )
         contexts: dict[str, ExpansionContext] = {}
+        context_inputs: dict[str, tuple] = {}
         for market, embedding_set in embedding_sets.items():
             clustering_file = read(f"clustering_{market}.json")
             table_file = read(f"thresholds_{market}.jsonl")
             inputs = (embeddings_inputs, clustering_file.sha256, table_file.sha256)
-            context = old.get(market)
-            if context is None or context.inputs != inputs:
-                clustering, table = load_expansion_files(
+            if market in old and old_inputs[market] == inputs:
+                contexts[market] = old[market]
+            else:
+                contexts[market] = load_expansion_files(
                     embedding_set,
                     clustering_file.path,
                     table_file.path,
                     clustering_file.fh,
                     table_file.fh,
                 )
-                context = ExpansionContext(
-                    embedding_set=embedding_set,
-                    index=build_index(embedding_set),
-                    clustering=clustering,
-                    table=table,
-                    inputs=inputs,
-                )
-            contexts[market] = context
+            context_inputs[market] = inputs
 
     extractor = FeatureExtractor(embed_dim=dim)
     if reuse_index:
@@ -283,4 +292,5 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         k_neighbors=k_neighbors,
         filters_enabled=filters_enabled,
         index_inputs=index_inputs,
+        context_inputs=context_inputs,
     )

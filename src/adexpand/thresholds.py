@@ -14,7 +14,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .clustering import Clustering, _normalized_rows, assigned_labels
+from .clustering import Clustering, assigned_labels
 from .embeddings import EmbeddingSet
 from .errors import (
     MALFORMED,
@@ -58,7 +58,7 @@ def intra_cluster_distances(
 ) -> dict[int, list[float]]:
     """Member-to-centroid cosine distances per cluster, in ascending-id order."""
     labels = assigned_labels(clustering, embedding_set)
-    directions = _normalized_rows(clustering.centroids)
+    directions = clustering.directions
     rows = embedding_set.matrix.astype(np.float64)
     dists = 1.0 - np.sum(rows * directions[labels], axis=1)
     out: dict[int, list[float]] = {m: [] for m in range(clustering.cluster_count)}

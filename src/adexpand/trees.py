@@ -9,6 +9,7 @@ value fails at load instead of while scoring.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class TreeNode:
 @dataclass
 class RegressionTree:
     """Every child index is greater than its parent's (fit_tree writes the
-    nodes in pre-order). A tree is not mutated once built: the model's
-    packed copy of its trees relies on that.
+    nodes in pre-order). A tree is not mutated once built: the pack its
+    model makes of it relies on that.
     """
 
     nodes: list[TreeNode]
@@ -58,7 +59,6 @@ class PackedTrees:
     the same number of times: ``depth``, the deepest leaf over all trees.
     """
 
-    trees: tuple[RegressionTree, ...]
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -67,13 +67,8 @@ class PackedTrees:
     roots: np.ndarray
     depth: int
 
-    def packs(self, trees: list[RegressionTree]) -> bool:
-        return len(trees) == len(self.trees) and all(
-            a is b for a, b in zip(trees, self.trees)
-        )
 
-
-def pack_trees(trees: list[RegressionTree], n_features: int) -> PackedTrees:
+def pack_trees(trees: Sequence[RegressionTree], n_features: int) -> PackedTrees:
     """Validate the trees and pack them; ParseError names the bad node."""
     feature: list[int] = []
     threshold: list[float] = []
@@ -118,7 +113,6 @@ def pack_trees(trees: list[RegressionTree], n_features: int) -> PackedTrees:
             threshold.append(node.threshold)
             value.append(node.value)
     return PackedTrees(
-        trees=tuple(trees),
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int64),
@@ -153,17 +147,3 @@ def accumulate(packed: PackedTrees, X: np.ndarray, rate: float, out: np.ndarray)
         leaves = packed.value[leaf_index(packed, X[start : start + _ROW_BLOCK])]
         terms = np.concatenate([block[None, :], rate * leaves])
         block[:] = np.add.accumulate(terms, axis=0)[-1]
-
-
-def cached_pack(owner, trees: list[RegressionTree], n_features: int) -> PackedTrees:
-    """The owner's pack of ``trees``, rebuilt when the list has changed.
-
-    Serving threads share models. Two threads that find the cache stale both
-    pack, and each uses its own complete pack; the attribute is replaced,
-    never filled in place.
-    """
-    packed = owner._packed
-    if packed is None or not packed.packs(trees):
-        packed = pack_trees(trees, n_features)
-        owner._packed = packed
-    return packed

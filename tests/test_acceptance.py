@@ -21,6 +21,7 @@ from adexpand.clustering import kmeans, save_clustering
 from adexpand.embeddings import EmbeddingSet
 from adexpand.errors import ConstraintViolationError
 from adexpand.expansion import (
+    ExpansionContext,
     FilterReason,
     expand_all,
     gender_consistent,
@@ -189,7 +190,7 @@ def test_criterion_3_quantiles_and_thresholds():
         previous_tau = taus
         accepted = {
             record.origin.text: {v.keyword.text for v in record.accepted_variants()}
-            for record in expand_all(emb, index, clustering, table,
+            for record in expand_all(ExpansionContext(emb, index, clustering, table),
                                      filters_enabled=False)
         }
         if previous_accepted is not None:
@@ -227,8 +228,8 @@ def test_criterion_4_filter_fidelity():
     table = build_threshold_table(clustering, emb, 1.0, min_cluster_size=0)
     # widen the gate so every neighbor is threshold-eligible
     table.rows[0].tau_distance = 2.0
-    records = {r.origin.text: r for r in expand_all(emb, build_index(emb),
-                                                    clustering, table)}
+    context = ExpansionContext(emb, build_index(emb), clustering, table)
+    records = {r.origin.text: r for r in expand_all(context)}
     shoes = {v.keyword.text: v for v in records["men's shoes"].variants}
     assert shoes["women's sandals"].filtered_reason is FilterReason.GENDER
     phone = {v.keyword.text: v for v in records["iphone 13 case"].variants}

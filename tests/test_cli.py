@@ -267,7 +267,7 @@ class TestTuneThreshold:
         assert self._tune(chain_dir, out) == 0
         assert list(json.loads(out.read_text(encoding="utf-8"))) == ["US"]
 
-    @pytest.mark.parametrize("text", ["", "{", "[1.5]"])
+    @pytest.mark.parametrize("text", ["", "{", "[1.5]", '{"UK": NaN}', '{"UK": "0.5"}'])
     def test_corrupt_file_exits_2_unchanged(self, chain_dir, tmp_path, capsys, text):
         out = tmp_path / "market_thresholds.json"
         out.write_text(text, encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adexpand.clustering import Clustering, kmeans
 from adexpand.embeddings import EmbeddingSet, normalize
 from adexpand.expansion import (
+    ExpansionContext,
     FilterReason,
     GenderClass,
     expand_all,
@@ -208,7 +209,7 @@ class TestExpandKeyword:
         emb = _fixture_corpus()
         clustering, table = _one_cluster_table(emb, tau=2.0)
         index = build_index(emb)
-        for record in expand_all(emb, index, clustering, table):
+        for record in expand_all(ExpansionContext(emb, index, clustering, table)):
             for v in record.variants:
                 if v.filtered_reason is FilterReason.GENDER:
                     assert not gender_consistent(record.origin.text, v.keyword.text)
@@ -242,7 +243,8 @@ class TestExpandKeyword:
         for p in (0.95, 0.99, 0.9999, 0.999999):
             table = build_threshold_table(clustering, emb, p, min_cluster_size=0)
             accepted = {}
-            for record in expand_all(emb, index, clustering, table, filters_enabled=False):
+            context = ExpansionContext(emb, index, clustering, table)
+            for record in expand_all(context, filters_enabled=False):
                 accepted[record.origin.text] = {v.keyword.text for v in record.accepted_variants()}
             if previous is not None:
                 for origin, variants in previous.items():
@@ -289,7 +291,7 @@ class TestPersistence:
         emb = _fixture_corpus()
         clustering, table = _one_cluster_table(emb, tau=0.2)
         index = build_index(emb)
-        records = expand_all(emb, index, clustering, table)
+        records = expand_all(ExpansionContext(emb, index, clustering, table))
         path = str(tmp_path / "expansions.jsonl")
         save_expansions(records, path)
         loaded = load_expansions(path)

@@ -120,3 +120,30 @@ class TestExpandChecksItsFiles:
         assert self._expand(chain_dir, str(clustering), thresholds) == 2
         err = capsys.readouterr().err
         assert str(clustering) in err and "shape" in err
+
+
+# Clustering files that parse but do not fit the market's embeddings:
+# (how the file is broken, the shape the error reports)
+BAD_CLUSTERINGS = [
+    pytest.param(lambda d: d.update(M=5), "got (2, 64)", id="M-5-over-2-centroids"),
+    pytest.param(lambda d: d.update(centroids=[row[:32] for row in d["centroids"]]),
+                 "got (2, 32)", id="centroids-32-of-64"),
+]
+
+
+class TestClusteringCheckedAgainstEmbeddings:
+    """Every command that reads a clustering file checks it against the
+    market's embeddings, as a snapshot load does."""
+
+    @pytest.mark.parametrize("command", ["thresholds", "expand", "sweep-tpr"])
+    @pytest.mark.parametrize("edit, shape", BAD_CLUSTERINGS)
+    def test_exits_2_naming_the_file(self, chain_dir, tmp_path, command, edit, shape, capsys):
+        clustering = tmp_path / "clustering_US.json"
+        with open(_chain(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        clustering.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_dispatch(_argv(chain_dir, tmp_path, command, str(clustering))) == 2
+        err = capsys.readouterr().err
+        assert str(clustering) in err and "centroids must have shape" in err and shape in err
+        assert sorted(os.listdir(tmp_path)) == ["clustering_US.json"]

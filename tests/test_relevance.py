@@ -1,9 +1,7 @@
 """Tree fitting, boosting, residual stacking, evaluation, threshold tuning."""
 
+import json
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -342,59 +340,33 @@ class TestBatchedWalk:
         for i, x in enumerate(X):
             assert model.predict_one(x) == (want_base[i], want_adjustment[i])
 
-    def test_pack_follows_appended_and_replaced_trees(self):
+    def test_trees_are_fixed_when_the_model_is_made(self, tmp_path):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(50, 2))
         trees = [fit_tree(X, rng.normal(size=50), max_depth=3) for _ in range(3)]
-        base = GbdtModel(base_score=0.5, learning_rate=0.3, n_features=2, trees=[trees[0]])
+        given_trees = [trees[0]]
+        base = GbdtModel(base_score=0.5, learning_rate=0.3, n_features=2, trees=given_trees)
         model = StackedModel(base=base, adjustment=[trees[1]], adjustment_rate=0.9)
-        model.predict(X)
-        for changed in (
+        given_trees.append(trees[2])  # the model holds its own copy of the list
+        for change in (
             lambda: model.adjustment.append(trees[2]),
             lambda: model.adjustment.__setitem__(0, trees[0]),
             lambda: base.trees.append(trees[1]),
+            lambda: setattr(model, "adjustment", [trees[2]]),
+            lambda: setattr(base, "trees", [trees[1]]),
+            lambda: setattr(base, "packed", model.packed),
         ):
-            changed()
-            np.testing.assert_array_equal(
-                model.predict_adjustment(X), reference_sum(0.0, 0.9, model.adjustment, X)
-            )
-            np.testing.assert_array_equal(
-                model.predict_base(X), reference_sum(0.5, 0.3, base.trees, X)
-            )
-
-    def test_threads_racing_to_pack_all_score_correctly(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(30, 2))
-        trees = [fit_tree(X, rng.normal(size=30), max_depth=3) for _ in range(8)]
-        base = GbdtModel(base_score=0.5, learning_rate=0.3, n_features=2, trees=trees)
-        want = reference_sum(0.5, 0.3, trees, X)
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                if not np.array_equal(base.predict(X), want):
-                    errors.append("wrong scores")
-
-        def invalidator():
-            while not stop.is_set():
-                base._packed = None
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        threads.append(threading.Thread(target=invalidator))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            time.sleep(1.0)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(timeout=10)
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
+            with pytest.raises((AttributeError, TypeError)):
+                change()
+        np.testing.assert_array_equal(
+            model.predict_adjustment(X), reference_sum(0.0, 0.9, [trees[1]], X)
+        )
+        np.testing.assert_array_equal(model.predict_base(X), reference_sum(0.5, 0.3, [trees[0]], X))
+        # a model file with a bad node still fails at load
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_one_split_doc(left=0)), encoding="utf-8")
+        with pytest.raises(ParseError, match="children"):
+            load_model(str(path))
 
 
 def _one_split_doc(**node0):

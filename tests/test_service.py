@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from adexpand.cli import cli_dispatch
 from adexpand.service import MAX_BODY_BYTES, MatchService, make_server
 
 from test_snapshot_store import UNSERVABLE
@@ -282,3 +283,31 @@ class TestUnexpectedErrors:
         assert "RuntimeError" in doc["error"]
         assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
         assert "RuntimeError: scoring blew up" in capsys.readouterr().err
+
+
+class TestOfflineExpandEqualsServed:
+    """``adexpand expand --keyword`` and /expand share one rule for a keyword
+    given as text, so on the same files they print the same record."""
+
+    @pytest.mark.parametrize("keyword, seen", [
+        ("led garden lights", True),  # in the US set: its stored vector and id
+        ("garden light fixtures", False),  # unseen: embedded on the fly, id -1
+    ])
+    def test_stdout_equals_expand_body(self, server, keyword, seen, capsys):
+        httpd, _, snapshot_dir = server
+        status, body = _post(httpd.server_address[1], "/expand",
+                             {"keyword": keyword, "market": "US"})
+        assert status == 200
+        assert (body["origin"]["id"] >= 0) == seen
+        with open(os.path.join(snapshot_dir, "meta.json"), encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert cli_dispatch([
+            "expand",
+            "--embeddings", os.path.join(snapshot_dir, "embeddings.tsv"),
+            "--market", "US",
+            "--clustering", os.path.join(snapshot_dir, "clustering_US.json"),
+            "--thresholds", os.path.join(snapshot_dir, "thresholds_US.jsonl"),
+            "--k-neighbors", str(meta["k_neighbors"]),
+            "--keyword", keyword,
+        ]) == 0
+        assert capsys.readouterr().out == json.dumps(body, sort_keys=True) + "\n"

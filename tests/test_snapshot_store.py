@@ -75,6 +75,9 @@ BAD_META = [
     pytest.param({"version": 1.5}, id="float-version"),
     pytest.param({"dim": None}, id="no-dim"),
     pytest.param({"dim": True}, id="bool-dim"),
+    # fallback_embed, which scores every /match, refuses a dim below 16
+    pytest.param({"dim": 8}, id="dim-8"),
+    pytest.param({"dim": 0}, id="dim-0"),
     pytest.param({"k_neighbors": "100"}, id="string-k"),
     pytest.param({"filters_enabled": "false"}, id="string-filters"),
     pytest.param({"filters_enabled": 0}, id="int-filters"),
@@ -101,7 +104,7 @@ class TestBadMeta:
         _edit_meta(snapshot_copy, filters_enabled=value)
         assert load_runtime(snapshot_copy).filters_enabled is value
 
-    @pytest.mark.parametrize("changes", BAD_META[:2] + BAD_META[-4:])
+    @pytest.mark.parametrize("changes", BAD_META[:2] + BAD_META[5:7] + BAD_META[-4:])
     def test_match_exits_2(self, snapshot_copy, changes, capsys):
         _edit_meta(snapshot_copy, **changes)
         assert cli_dispatch([
@@ -174,6 +177,16 @@ BAD_FILES = [
                  "AttributeError", id="market-thresholds-list"),
     pytest.param("market_thresholds.json", load_market_thresholds,
                  _overwrite('{"US": "high"}'), "ValueError", id="market-thresholds-string"),
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"UK": 2.5, "US": "0.5"}'), "'US'",
+                 id="market-thresholds-numeric-string"),
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"UK": 2.5, "US": NaN}'), "'US'", id="market-thresholds-nan"),
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"UK": -Infinity, "US": 2.5}'), "'UK'",
+                 id="market-thresholds-infinity"),
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"UK": true, "US": 2.5}'), "'UK'", id="market-thresholds-bool"),
 ]
 
 
@@ -222,6 +235,8 @@ UNSERVABLE = [
                  id="centroids-32-of-64"),
     pytest.param(META_FILE, lambda p: _edit_json(p, lambda d: d.update(k_neighbors=0)),
                  "k_neighbors", id="k-neighbors-0"),
+    pytest.param(META_FILE, lambda p: _edit_json(p, lambda d: d.update(dim=8)),
+                 "'dim'", id="dim-8"),
 ]
 
 
