@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -89,17 +89,9 @@ def _assign_all(X: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, dists[labels, np.arange(X.shape[0])]
 
 
-def assign_cluster(
-    centroids: np.ndarray, v: np.ndarray, *, directions: np.ndarray | None = None
-) -> tuple[int, float]:
-    """Nearest centroid by cosine distance; ties go to the lowest index.
-
-    ``directions`` are the centroids' unit directions when the caller holds
-    them already (``Clustering.directions``); otherwise they are derived.
-    """
-    if directions is None:
-        directions = _normalized_rows(np.asarray(centroids, dtype=np.float64))
-    labels, dists = _assign_all(v[None, :].astype(np.float64), directions)
+def assign_cluster(clustering: Clustering, v: np.ndarray) -> tuple[int, float]:
+    """Nearest centroid by cosine distance; ties go to the lowest index."""
+    labels, dists = _assign_all(v[None, :].astype(np.float64), clustering.directions)
     return int(labels[0]), float(dists[0])
 
 
@@ -240,10 +232,6 @@ def wcss(clustering: Clustering, embedding_set: EmbeddingSet) -> float:
     return _wcss_of(embedding_set.matrix.astype(np.float64), clustering.centroids, labels)
 
 
-def _fold_of_rank(rank: int, folds: int) -> int:
-    return rank % folds
-
-
 def _subset(embedding_set: EmbeddingSet, keep: list[int]) -> EmbeddingSet:
     """The selected rows as a set of their own, renumbered 0..len(keep)-1."""
     return EmbeddingSet(
@@ -254,12 +242,15 @@ def _subset(embedding_set: EmbeddingSet, keep: list[int]) -> EmbeddingSet:
     )
 
 
-def _fold_indices(n: int, folds: int) -> list[list[int]]:
-    """Round-robin fold membership over points in id order."""
-    out: list[list[int]] = [[] for _ in range(folds)]
-    for rank in range(n):
-        out[_fold_of_rank(rank, folds)].append(rank)
-    return out
+def _fold_splits(
+    embedding_set: EmbeddingSet, folds: int
+) -> Iterator[tuple[list[int], EmbeddingSet]]:
+    """Per fold of a round-robin split over ids (row i is in fold i % folds):
+    the fold's rows, and every other row as a set of its own (see _subset)."""
+    n = len(embedding_set)
+    for f in range(folds):
+        held_in = [i for i in range(n) if i % folds != f]
+        yield [i for i in range(n) if i % folds == f], _subset(embedding_set, held_in)
 
 
 def elbow_sweep(
@@ -279,16 +270,10 @@ def elbow_sweep(
         raise ValueError("k_list must be ascending")
     if folds < 1:
         raise ValueError("folds must be at least 1")
-    n = len(embedding_set)
-    held_in_sets: list[EmbeddingSet] = []
     if folds == 1:
-        held_in_sets.append(embedding_set)
+        held_in_sets = [embedding_set]
     else:
-        fold_members = _fold_indices(n, folds)
-        for f in range(folds):
-            held_out = set(fold_members[f])
-            keep = [i for i in range(n) if i not in held_out]
-            held_in_sets.append(_subset(embedding_set, keep))
+        held_in_sets = [held_in for _, held_in in _fold_splits(embedding_set, folds)]
     rows: list[tuple[int, float]] = []
     for m in k_list:
         values = []
@@ -334,17 +319,11 @@ def kfold_stability(
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
-    n = len(embedding_set)
     X = embedding_set.matrix.astype(np.float64)
-    fold_members = _fold_indices(n, folds)
-
     labelings: list[np.ndarray] = []
     compactness: list[float] = []
-    for f in range(folds):
-        held_out = fold_members[f]
-        held_out_set = set(held_out)
-        keep = [i for i in range(n) if i not in held_out_set]
-        model = kmeans(_subset(embedding_set, keep), cluster_count, seed)
+    for held_out, held_in in _fold_splits(embedding_set, folds):
+        model = kmeans(held_in, cluster_count, seed)
         labels, dists = _assign_all(X, model.directions)
         labelings.append(labels)
         compactness.append(float(np.mean(dists[held_out])) if held_out else 0.0)

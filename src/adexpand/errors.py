@@ -31,9 +31,10 @@ class ParseError(AdexpandError):
     """A data file is malformed; message carries the line number."""
 
 
-# What reading a parsed document raises on a missing key, a wrong type or
-# a value that does not convert; each loader turns these into ParseError.
-MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+# What reading a parsed document raises on a missing key, a wrong type, a
+# value that does not convert or a failed check of the loader's own; each
+# loader turns these into a ParseError that names the file.
+MALFORMED = (AttributeError, KeyError, ParseError, TypeError, ValueError)
 
 
 def malformed(where: str, what: str, exc: Exception) -> ParseError:

@@ -158,7 +158,7 @@ def expand_keyword(
 ) -> ExpansionRecord:
     """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
     then apply gender and numeric filters (first failing filter wins)."""
-    cluster, _ = assign_cluster(clustering.centroids, vector, directions=clustering.directions)
+    cluster, _ = assign_cluster(clustering, vector)
     tau = table.tau_for(cluster)
     exclude = origin.id if origin.market == index.market else None
     neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)

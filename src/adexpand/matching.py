@@ -12,10 +12,9 @@ versions.
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import AbstractSet, Generic, Iterable, Protocol, TextIO, TypeVar
+from typing import AbstractSet, Iterable, TextIO
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import (
     DanglingReferenceError,
     ParseError,
     UnknownMarketError,
-    VersionRegressionError,
     malformed,
     reading,
 )
@@ -152,7 +150,8 @@ class Snapshot:
 
     ``_token_index`` (campaign market -> token -> entries) is the match index.
     It depends only on the campaigns and expansions, so snapshots that differ
-    in model, thresholds or version may share one, read-only (see rescored).
+    in model, thresholds or version may share one, read-only
+    (``dataclasses.replace``). Every campaign market must have a threshold.
     """
 
     version: int
@@ -163,28 +162,11 @@ class Snapshot:
     _token_index: dict[str, dict[str, list[_IndexEntry]]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        _check_thresholds(self._token_index, self.market_thresholds)
         self.markets = set(self._token_index) | set(self.market_thresholds)
 
     def entries_for(self, market: str, token: str) -> list[_IndexEntry]:
         return self._token_index.get(market, {}).get(token, [])
-
-    def rescored(
-        self,
-        model: StackedModel,
-        market_thresholds: dict[str, float],
-        version: int,
-        extractor: FeatureExtractor,
-    ) -> "Snapshot":
-        """A snapshot over this one's match index, shared as is, with another
-        model, thresholds and version; checked as build_snapshot checks them."""
-        _check_thresholds(self._token_index, market_thresholds)
-        return Snapshot(
-            version=version,
-            model=model,
-            market_thresholds=dict(market_thresholds),
-            extractor=extractor,
-            _token_index=self._token_index,
-        )
 
 
 def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
@@ -219,8 +201,6 @@ def build_snapshot(
         for group in campaign.ad_groups:
             for keyword in group.keywords:
                 per_market.setdefault(keyword, []).append(group)
-
-    _check_thresholds(markets, market_thresholds)
 
     # Each distinct text is tokenised once, and every entry with that text
     # holds the same frozenset.
@@ -364,38 +344,3 @@ def _better(candidate: MatchRecord, incumbent: MatchRecord) -> bool:
         incumbent.matched_keyword,
         incumbent.origin_keyword,
     )
-
-
-class Versioned(Protocol):
-    @property
-    def version(self) -> int: ...
-
-
-V = TypeVar("V", bound=Versioned)
-
-
-class SnapshotHolder(Generic[V]):
-    """Atomic reference to the current snapshot; readers never block.
-
-    It reads only ``version`` of what it holds: the service holds a
-    RuntimeBundle, and a bare Snapshot works the same.
-    """
-
-    def __init__(self, snapshot: V | None = None) -> None:
-        self._lock = threading.Lock()
-        self._snapshot = snapshot
-
-    def current(self) -> V | None:
-        return self._snapshot
-
-    def swap(self, new_snapshot: V) -> int | None:
-        """Install a strictly newer snapshot; returns the previous version."""
-        with self._lock:
-            old = self._snapshot
-            if old is not None and new_snapshot.version <= old.version:
-                raise VersionRegressionError(
-                    f"version {new_snapshot.version} does not exceed {old.version}"
-                )
-            self._snapshot = new_snapshot
-            return old.version if old is not None else None
-

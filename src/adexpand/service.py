@@ -1,8 +1,8 @@
 """HTTP+JSON serving layer over the current snapshot.
 
-Endpoints: POST /expand, POST /match, POST /refresh, GET /healthz. Matching
-reads one atomic snapshot reference per request; /refresh is the only
-mutation and is serialized behind a writer lock.
+Endpoints: POST /expand, POST /match, POST /refresh, GET /healthz. A request
+reads the live snapshot reference once; /refresh is the only writer and
+replaces it under one lock.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import AdexpandError, UnknownMarketError, VersionRegressionError
 from .expansion import ExpansionRecord, expand_text, record_to_doc
-from .matching import MatchRecord, SnapshotHolder, match_query, match_record_to_doc
+from .matching import MatchRecord, match_query, match_record_to_doc
 from .snapshot_store import RuntimeBundle, load_runtime
 
 
@@ -24,38 +24,35 @@ from .snapshot_store import RuntimeBundle, load_runtime
 MAX_BODY_BYTES = 1 << 20
 
 
-class NoSnapshotError(AdexpandError):
-    """Serving was attempted before any snapshot was loaded."""
-
-
 class MatchService:
-    """Snapshot lifecycle plus the expand/match operations the API exposes."""
+    """The live snapshot of one directory, loaded when the service is made,
+    plus the expand/match operations the API exposes."""
 
-    def __init__(self, snapshot_dir: str | None = None) -> None:
+    def __init__(self, snapshot_dir: str) -> None:
         self.snapshot_dir = snapshot_dir
-        self._holder: SnapshotHolder[RuntimeBundle] = SnapshotHolder()
         self._refresh_lock = threading.Lock()
-        if snapshot_dir is not None:
-            self.refresh()
+        self._bundle = load_runtime(snapshot_dir)
 
     def current(self) -> RuntimeBundle:
-        bundle = self._holder.current()
-        if bundle is None:
-            raise NoSnapshotError("no snapshot loaded")
-        return bundle
+        return self._bundle
 
-    def refresh(self) -> tuple[int | None, int]:
-        """Reload the snapshot directory and swap it in atomically.
+    def refresh(self) -> tuple[int, int]:
+        """Reload the snapshot directory and swap it in atomically; returns
+        the old and new versions.
 
         The load shares every part of the live bundle whose files have the
-        same bytes (see snapshot_store); a failed load leaves it serving.
+        same bytes (see snapshot_store). A failed load, or one whose version
+        does not exceed the live one, leaves the live bundle serving.
         """
-        if self.snapshot_dir is None:
-            raise NoSnapshotError("service has no snapshot directory")
         with self._refresh_lock:
-            bundle = load_runtime(self.snapshot_dir, previous=self._holder.current())
-            old = self._holder.swap(bundle)
-            return old, bundle.version
+            old = self._bundle
+            bundle = load_runtime(self.snapshot_dir, previous=old)
+            if bundle.version <= old.version:
+                raise VersionRegressionError(
+                    f"version {bundle.version} does not exceed {old.version}"
+                )
+            self._bundle = bundle
+            return old.version, bundle.version
 
     def match(self, query: str, market: str) -> tuple[list[MatchRecord], int]:
         bundle = self.current()
@@ -128,11 +125,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/healthz":
             self._send(404, {"error": "not found"})
             return
-        bundle = self.service._holder.current()
-        if bundle is None:
-            self._send(503, {"status": "no_snapshot", "snapshot_version": None})
-        else:
-            self._send(200, {"status": "ok", "snapshot_version": bundle.version})
+        self._send(200, {"status": "ok", "snapshot_version": self.service.current().version})
 
     def _post(self) -> None:
         if self.path == "/refresh":
@@ -177,8 +170,6 @@ class _Handler(BaseHTTPRequestHandler):
                         "matches": [match_record_to_doc(r) for r in records],
                     },
                 )
-        except NoSnapshotError:
-            self._send(503, {"error": "no snapshot loaded"})
         except UnknownMarketError as exc:
             self._send(404, {"error": str(exc)})
         except AdexpandError as exc:

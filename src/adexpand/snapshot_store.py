@@ -30,7 +30,7 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, TextIO
 
 from .clustering import Clustering, load_clustering
@@ -283,7 +283,13 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
 
     extractor = FeatureExtractor(embed_dim=dim)
     if reuse_index:
-        snapshot = previous.snapshot.rescored(model, thresholds, version, extractor)
+        snapshot = replace(
+            previous.snapshot,
+            version=version,
+            model=model,
+            market_thresholds=thresholds,
+            extractor=extractor,
+        )
     else:
         snapshot = build_snapshot(campaigns, expansions, model, thresholds, version, extractor)
     return RuntimeBundle(

@@ -27,7 +27,6 @@ from .errors import (
 )
 
 DEFAULT_MIN_CLUSTER_SIZE = 10
-DEFAULT_QUANTILE = 0.999999
 
 
 def quantile(values, p: float) -> float:

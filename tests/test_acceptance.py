@@ -9,6 +9,7 @@ pinned here, not tuned to the implementation.
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -28,7 +29,6 @@ from adexpand.expansion import (
     numeric_consistent,
 )
 from adexpand.flat_index import batch_search, build_index, knn_search
-from adexpand.matching import SnapshotHolder, match_query
 from adexpand.relevance import (
     rmse,
     serialize_model,
@@ -37,10 +37,10 @@ from adexpand.relevance import (
     tune_market_threshold,
 )
 from adexpand.reports import LabeledPair, tpr_sweep
+from adexpand.service import MatchService
 from adexpand.thresholds import build_threshold_table, quantile
 
 from conftest import CHAIN_OUTPUTS, price_step_model, run_chain, single_thread_env
-from test_matching import make_snapshot
 from test_relevance import assert_same_tree, oracle_fit_tree
 from test_reports import sweep_corpus
 
@@ -391,13 +391,29 @@ def test_criterion_9_tpr_contract():
         assert row.tpr_filtered >= row.tpr_raw - 1e-12
 
 
-@criterion(10, "snapshot isolation: 10k reads, 50 swaps, no mixed batches")
-def test_criterion_10_snapshot_isolation():
-    snapshots = {
-        v: make_snapshot(version=v, model=price_step_model(base_score=100.0 * v))
-        for v in range(1, 52)
-    }
-    holder = SnapshotHolder(snapshots[1])
+@criterion(10, "snapshot isolation: 10k reads, 50 refreshes, no mixed batches")
+def test_criterion_10_snapshot_isolation(chain_dir, tmp_path):
+    # Version v scores with base_score = 100 * v and keeps every item at
+    # threshold -v, so each record is tagged with its version twice; a batch
+    # mixing two versions, or one version's model with another's
+    # thresholds, would carry two tags. A refresh rewrites only meta.json,
+    # model.json and market_thresholds.json of one directory.
+    snapshot_dir = str(tmp_path / "snapshot")
+    shutil.copytree(os.path.join(chain_dir, "snapshot"), snapshot_dir)
+
+    def publish(version):
+        with open(os.path.join(snapshot_dir, "model.json"), "wb") as fh:
+            fh.write(serialize_model(price_step_model(base_score=100.0 * version)))
+        with open(os.path.join(snapshot_dir, "market_thresholds.json"), "w") as fh:
+            json.dump({"US": -version, "UK": -version}, fh)
+        meta_path = os.path.join(snapshot_dir, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        with open(meta_path, "w") as fh:
+            json.dump({**meta, "version": version}, fh)
+
+    publish(1)
+    service = MatchService(snapshot_dir)
     errors = []
     total = [0]
     lock = threading.Lock()
@@ -411,26 +427,22 @@ def test_criterion_10_snapshot_isolation():
                 if total[0] >= target and swaps_done.is_set():
                     return
                 total[0] += 1
-            snapshot = holder.current()
-            records = match_query("solar led garden lights outdoor", "US", snapshot)
-            tags = {int(r.score_base // 100) for r in records}
-            if len(tags) > 1:
-                errors.append(f"mixed batch {tags}")
-            elif tags and tags != {snapshot.version}:
-                errors.append(f"tags {tags} under version {snapshot.version}")
-            if snapshot.version < last_version:
+            records, version = service.match("solar led garden lights outdoor", "US")
+            tags = {int(r.score_base // 100) for r in records} | {-r.threshold for r in records}
+            if not records:
+                errors.append(f"no matches under version {version}")
+            elif tags != {version}:
+                errors.append(f"tags {tags} under version {version}")
+            if version < last_version:
                 errors.append("version decreased")
-            last_version = snapshot.version
+            last_version = version
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for t in threads:
         t.start()
-    previous = None
     for v in range(2, 52):
-        returned = holder.swap(snapshots[v])
-        if previous is not None:
-            assert returned == previous
-        previous = v
+        publish(v)
+        assert service.refresh() == (v - 1, v)
         time.sleep(0.002)
     swaps_done.set()
     for t in threads:

@@ -100,7 +100,7 @@ class TestKmeans:
         emb = two_group_set(rng, per_group=30)
         model = kmeans(emb, 2, seed=9)
         for ref in emb.refs:
-            cluster, _ = assign_cluster(model.centroids, emb.vector(ref))
+            cluster, _ = assign_cluster(model, emb.vector(ref))
             assert cluster == model.assignments[ref.id]
 
     def test_no_empty_clusters(self):
@@ -111,16 +111,22 @@ class TestKmeans:
         assert all(size > 0 for size in sizes)
 
 
+def centroids_only(centroids):
+    """A clustering of the given centroids, with no keyword assigned."""
+    return Clustering(market="US", cluster_count=len(centroids), centroids=centroids,
+                      assignments={})
+
+
 class TestAssignCluster:
     def test_centroid_direction_is_its_cluster(self):
-        centroids = np.array([[2.0, 0.0], [0.0, 0.5]])
-        cluster, distance = assign_cluster(centroids, np.array([0.0, 1.0], dtype=np.float32))
+        clustering = centroids_only(np.array([[2.0, 0.0], [0.0, 0.5]]))
+        cluster, distance = assign_cluster(clustering, np.array([0.0, 1.0], dtype=np.float32))
         assert cluster == 1
         assert distance == pytest.approx(0.0, abs=1e-9)
 
     def test_tie_goes_to_lowest_index(self):
-        centroids = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cluster, _ = assign_cluster(centroids, np.array([1.0, 0.0], dtype=np.float32))
+        clustering = centroids_only(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        cluster, _ = assign_cluster(clustering, np.array([1.0, 0.0], dtype=np.float32))
         assert cluster == 0
 
     def test_matches_linear_scan_oracle(self):
@@ -128,7 +134,7 @@ class TestAssignCluster:
         centroids = rng.normal(size=(10, 8))
         for _ in range(50):
             v = normalize(rng.normal(size=8))
-            got_cluster, got_distance = assign_cluster(centroids, v)
+            got_cluster, got_distance = assign_cluster(centroids_only(centroids), v)
             expected = min(
                 (1.0 - cosine_similarity(v, normalize(c)), j) for j, c in enumerate(centroids)
             )

@@ -2,7 +2,7 @@
 
 Each kernel was rewritten for speed with the promise that no output bit
 moves: k-means casts its matrix once and sums with ``bincount``,
-``assign_cluster`` takes cached centroid directions, the expansion filters
+``assign_cluster`` reads cached centroid directions, the expansion filters
 memoise per text, and the embeddings file is parsed by one ``np.loadtxt``
 call. Each property below runs the earlier code path as the oracle and asks
 for equal results: ``array_equal`` on arrays, the same exception type and
@@ -240,10 +240,9 @@ class TestAssignClusterCachedDirections:
         model = Clustering(market="US", cluster_count=len(centroids), centroids=centroids,
                            assignments={})
         want = _old_assign_cluster(centroids, v)
-        assert assign_cluster(centroids, v, directions=model.directions) == want
-        assert assign_cluster(centroids, v) == want
+        assert assign_cluster(model, v) == want
         # the second call reads the cached directions
-        assert assign_cluster(centroids, v, directions=model.directions) == want
+        assert assign_cluster(model, v) == want
 
     def test_directions_are_computed_once_and_read_only(self):
         model = Clustering(market="US", cluster_count=2,
@@ -256,8 +255,7 @@ class TestAssignClusterCachedDirections:
         model = Clustering(market="US", cluster_count=1, centroids=np.zeros((1, 2)),
                            assignments={})
         with pytest.raises(ZeroVectorError):
-            assign_cluster(model.centroids, np.array([1.0, 0.0], dtype=np.float32),
-                           directions=model.directions)
+            assign_cluster(model, np.array([1.0, 0.0], dtype=np.float32))
 
 
 # -------------------------------------------------------- expansion filters

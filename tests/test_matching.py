@@ -1,6 +1,5 @@
-"""Broad-match algebra, snapshot building, query matching, atomic swap."""
+"""Broad-match algebra, snapshot building, query matching."""
 
-import threading
 from collections import Counter
 
 import numpy as np
@@ -11,11 +10,7 @@ from hypothesis import strategies as st
 from adexpand import matching
 
 from adexpand.embeddings import KeywordRef
-from adexpand.errors import (
-    DanglingReferenceError,
-    UnknownMarketError,
-    VersionRegressionError,
-)
+from adexpand.errors import DanglingReferenceError, UnknownMarketError
 from adexpand.expansion import ExpansionRecord, FilterReason, Variant, tokenize
 from adexpand.features import FeatureExtractor
 from adexpand.matching import (
@@ -23,7 +18,6 @@ from adexpand.matching import (
     Campaign,
     Item,
     MatchRecord,
-    SnapshotHolder,
     broad_match,
     build_snapshot,
     match_query,
@@ -467,54 +461,3 @@ class TestMatchQuery:
             base_score, adjustment_score = model.predict_one(features)
             assert (record.score_base, record.score_adjustment) == (base_score, adjustment_score)
             assert record.score == base_score + adjustment_score
-
-
-class TestSnapshotHolder:
-    def test_swap_returns_previous_version(self):
-        holder = SnapshotHolder(make_snapshot(version=1))
-        assert holder.swap(make_snapshot(version=2)) == 1
-
-    def test_same_version_rejected(self):
-        holder = SnapshotHolder(make_snapshot(version=2))
-        with pytest.raises(VersionRegressionError):
-            holder.swap(make_snapshot(version=2))
-
-    def test_lower_version_rejected(self):
-        holder = SnapshotHolder(make_snapshot(version=3))
-        with pytest.raises(VersionRegressionError):
-            holder.swap(make_snapshot(version=1))
-
-    def test_concurrent_readers_never_see_mixed_versions(self):
-        # base_score = 100 * version tags every record, so a batch mixing two
-        # versions would carry two different tags.
-        versions = {
-            v: make_snapshot(version=v, model=price_step_model(base_score=100.0 * v))
-            for v in range(1, 11)
-        }
-        holder = SnapshotHolder(versions[1])
-        errors: list[str] = []
-        stop = threading.Event()
-
-        def reader():
-            last_version = 0
-            while not stop.is_set():
-                snapshot = holder.current()
-                records = match_query("solar led garden lights outdoor", "US", snapshot)
-                tags = {int(r.score_base // 100) for r in records}
-                if len(tags) > 1:
-                    errors.append(f"mixed batch: {tags}")
-                elif tags and tags != {snapshot.version}:
-                    errors.append(f"batch tagged {tags} under snapshot {snapshot.version}")
-                if snapshot.version < last_version:
-                    errors.append("version went backwards")
-                last_version = snapshot.version
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for v in range(2, 11):
-            holder.swap(versions[v])
-        stop.set()
-        for t in threads:
-            t.join()
-        assert errors == []

@@ -180,8 +180,8 @@ PROBES = (
 def _answers(bundle):
     """Each probe's /match or /expand body, or its error, as the service
     gives it for this bundle."""
-    service = MatchService(None)
-    service._holder.swap(bundle)
+    service = MatchService.__new__(MatchService)  # serves ``bundle``, loads nothing
+    service._bundle = bundle
     out = []
     for path, text, market in PROBES:
         try:

@@ -74,22 +74,6 @@ class TestEndpoints:
         assert status == 200
         assert doc == {"status": "ok", "snapshot_version": 1}
 
-    def test_healthz_without_snapshot_is_503(self):
-        service = MatchService(None)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, doc = _get(httpd.server_address[1], "/healthz")
-            assert status == 503
-            assert doc["status"] == "no_snapshot"
-            status, _ = _post(httpd.server_address[1], "/match",
-                              {"query": "x", "market": "US"})
-            assert status == 503
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-
     def test_match_known_market(self, server):
         httpd, _, _ = server
         status, doc = _post(httpd.server_address[1], "/match",
@@ -221,9 +205,20 @@ class TestRefresh:
         assert doc["snapshot_version"] == 1
 
     def test_refresh_same_version_is_conflict(self, server):
-        httpd, _, _ = server
-        status, _ = _post(httpd.server_address[1], "/refresh")
-        assert status == 409
+        # a directory at the live version, then at a lower one: each is
+        # refused, and version 1 keeps serving though the refused directory
+        # would keep every match at threshold -100
+        httpd, _, snapshot_dir = server
+        port = httpd.server_address[1]
+        query = {"query": "apple iphone 13 case red", "market": "US"}
+        served = _post(port, "/match", query)
+        for version in (1, 0):
+            _bump_snapshot(snapshot_dir, version, -100.0)
+            status, doc = _post(port, "/refresh")
+            assert status == 409
+            assert doc == {"error": f"version {version} does not exceed 1"}
+            assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+            assert _post(port, "/match", query) == served
 
     def test_refresh_during_match_stream_no_mixed_batches(self, server):
         # Every version writes its own sentinel threshold, so a mixed batch

@@ -12,6 +12,7 @@ from adexpand.clustering import load_clustering
 from adexpand.errors import EmptySetError, ParseError
 from adexpand.expansion import load_expansions
 from adexpand.matching import load_campaigns
+from adexpand.relevance import load_model
 from adexpand.snapshot_store import (
     EMBEDDINGS_FILE,
     META_FILE,
@@ -118,6 +119,14 @@ def _drop_price(doc):
     del doc["campaigns"][0]["ad_groups"][0]["items"][0]["price"]
 
 
+def _duplicate_campaign(doc):
+    doc["campaigns"].append(doc["campaigns"][0])
+
+
+def _child_not_after_parent(doc):
+    doc["base"]["trees"][0]["nodes"][0][2] = 0  # node 0's left child is itself
+
+
 def _drop_key(key):
     def edit(doc):
         del doc[key]
@@ -158,6 +167,10 @@ BAD_FILES = [
                  id="campaigns-list-campaign"),
     pytest.param("campaigns.json", load_campaigns, _overwrite("{"), "JSONDecodeError",
                  id="campaigns-bad-json"),
+    pytest.param("campaigns.json", load_campaigns, lambda p: _edit_json(p, _duplicate_campaign),
+                 "duplicate campaign id", id="campaigns-duplicate-id"),
+    pytest.param("model.json", load_model, lambda p: _edit_json(p, _child_not_after_parent),
+                 "tree 0 node 0", id="model-child-not-after-parent"),
     pytest.param("expansions.jsonl", load_expansions,
                  lambda p: _edit_jsonl(p, 2, _drop_key("tau_used")), "expansions.jsonl:2",
                  id="expansions-no-tau"),
