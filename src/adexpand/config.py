@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .embeddings import MIN_DIM
-from .errors import ParseError
+from .errors import MALFORMED, ParseError, malformed, reading
 
 _PATH_KEYS = {
     "keywords",
@@ -97,11 +97,11 @@ def _section(path: str, doc: dict, name: str) -> dict:
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        except MALFORMED as exc:
+            raise malformed(path, "config", exc) from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: a config must be a JSON object")
     unknown_sections = set(doc) - {"paths", "parameters"}

@@ -8,7 +8,7 @@ so the CLI can map it to a single "data error" exit code.
 from __future__ import annotations
 
 import contextlib
-from typing import ContextManager, TextIO
+from typing import Iterator, TextIO
 
 
 class AdexpandError(Exception):
@@ -44,10 +44,17 @@ def malformed(where: str, what: str, exc: Exception) -> ParseError:
     return ParseError(f"{where}: malformed {what}: {type(exc).__name__}: {exc}")
 
 
-def reading(path: str, fh: TextIO | None = None) -> ContextManager[TextIO]:
+@contextlib.contextmanager
+def reading(path: str, fh: TextIO | None = None) -> Iterator[TextIO]:
     """What a loader reads ``path`` from: ``fh`` when the caller has it open
-    (left open, its owner closes it), else ``path`` opened as UTF-8 text."""
-    return open(path, "r", encoding="utf-8") if fh is None else contextlib.nullcontext(fh)
+    (left open, its owner closes it), else ``path`` opened as UTF-8 text. A
+    byte that is not UTF-8, met anywhere in the block, raises ParseError
+    naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") if fh is None else contextlib.nullcontext(fh) as src:
+            yield src
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def check_market(where: str, found: str, expected: str) -> None:

@@ -13,7 +13,6 @@ order, and the result is the first k of the full (distance, id) order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,23 +91,3 @@ def knn_search(
         if d != np.inf
     ]
 
-
-def batch_search(
-    index: FlatIndex,
-    queries: list[np.ndarray],
-    k: int = DEFAULT_K,
-    exclude_ids: list[int | None] | None = None,
-    workers: int = 1,
-) -> list[list[Neighbor]]:
-    """knn_search per query; output order always matches input order."""
-    for qi, q in enumerate(queries):
-        if q.shape != (index.dim,):
-            raise DimensionMismatchError(f"query {qi}: dim {q.shape} != {index.dim}")
-    if exclude_ids is None:
-        exclude_ids = [None] * len(queries)
-    if not queries:
-        return []
-    if workers <= 1:
-        return [knn_search(index, q, k, e) for q, e in zip(queries, exclude_ids)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda qe: knn_search(index, qe[0], k, qe[1]), zip(queries, exclude_ids)))

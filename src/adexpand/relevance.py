@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,10 @@ from .errors import (
     MALFORMED,
     ConstraintViolationError,
     EmptyDatasetError,
+    ParseError,
     SchemaMismatchError,
     malformed,
+    reading,
 )
 from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
 
@@ -361,25 +364,30 @@ def tune_market_threshold(
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """CSV with header ``name_1,...,name_n,label``; returns (X, y, names)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """CSV with header ``name_1,...,name_n,label``; returns (X, y, names).
+    ParseError names ``path:lineno`` for a bad header, a row of another width
+    or a cell that is not a finite number."""
+    with reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1] != "label":
-            raise EmptyDatasetError(f"{path}: expected a header ending in 'label'")
-        names = header[:-1]
+            raise ParseError(f"{path}:1: expected a header ending in 'label'")
         rows = []
-        labels = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise EmptyDatasetError(f"{path}:{lineno}: expected {len(header)} columns")
-            rows.append([float(v) for v in row[:-1]])
-            labels.append(float(row[-1]))
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"{path}:{lineno}: every cell must be a finite number")
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.float64), names
+    data = np.array(rows, dtype=np.float64)
+    return np.ascontiguousarray(data[:, :-1]), data[:, -1].copy(), header[:-1]
 
 
 def save_dataset(X: np.ndarray, y: np.ndarray, names: list[str], path: str) -> None:
@@ -459,7 +467,7 @@ def save_model(model: GbdtModel | StackedModel, path: str) -> None:
 
 
 def load_model(path: str) -> GbdtModel | StackedModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         try:
             doc = json.load(fh)
             if doc.get("kind") == "stacked":

@@ -11,6 +11,7 @@ import json
 import sys
 import threading
 import traceback
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import AdexpandError, UnknownMarketError, VersionRegressionError
@@ -41,18 +42,14 @@ class MatchService:
         the old and new versions.
 
         The load shares every part of the live bundle whose files have the
-        same bytes (see snapshot_store). A failed load, or one whose version
-        does not exceed the live one, leaves the live bundle serving.
+        same bytes, and refuses a version that does not exceed the live one
+        (see snapshot_store). A failed or refused load leaves the live bundle
+        serving.
         """
         with self._refresh_lock:
             old = self._bundle
-            bundle = load_runtime(self.snapshot_dir, previous=old)
-            if bundle.version <= old.version:
-                raise VersionRegressionError(
-                    f"version {bundle.version} does not exceed {old.version}"
-                )
-            self._bundle = bundle
-            return old.version, bundle.version
+            self._bundle = load_runtime(self.snapshot_dir, previous=old)
+            return old.version, self._bundle.version
 
     def match(self, query: str, market: str) -> tuple[list[MatchRecord], int]:
         bundle = self.current()
@@ -83,7 +80,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD reply has headers only
+            self.wfile.write(body)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """The stdlib's own error replies (unsupported method, over-long or
+        malformed request line, bad headers) in JSON like every other answer;
+        json.dumps escapes whatever request text ``message`` quotes."""
+        self.close_connection = True
+        self._send(code, {"error": message or HTTPStatus(code).phrase})
 
     def _read_json(self) -> dict | None:
         """The body as a JSON object, or None once a 400 has been sent.

@@ -7,19 +7,24 @@ thresholds) and the per-market
 expansion context (embeddings, flat index, clustering, cutoff table) used to
 expand keywords that arrive after the offline run.
 
-A reload reuses what did not change. load_runtime takes a streamed sha256 of
-each file a reusable part is built from, and keeps those digests on the
-bundle:
+A reload reuses what did not change, by one rule. Every reusable part is
+keyed by its name and the streamed sha256 digests of the files it is built
+from, and load_runtime keeps the parts it used on the bundle:
 
-- the match index: campaigns.json and expansions.jsonl;
-- a market's expansion context: embeddings.tsv, meta.json's ``markets``,
-  clustering_<m>.json and thresholds_<m>.jsonl.
+- ``("embeddings", embeddings.tsv, markets)``: the embedding sets, one per
+  market in meta.json's ``markets``;
+- ``("context", market, embeddings key, clustering_<m>.json,
+  thresholds_<m>.jsonl)``: a market's expansion context;
+- ``("index", campaigns.json, expansions.jsonl)``: the match index, held as
+  the snapshot it was first built in.
 
-Given the bundle it replaces, it shares each part whose digests match, as is
-and read-only, and builds and checks every other part afresh. The key is the
-file bytes, not size or mtime, so a publish that copies every file anew still
-reuses. meta.json, model.json and market_thresholds.json are read on every
-load, and so is the check that each campaign market has a threshold.
+Given the bundle it replaces, a load shares each part whose key that bundle
+holds, as is and read-only, and builds and checks every other part afresh.
+The key is the file bytes, not size or mtime, so a publish that copies every
+file anew still reuses. meta.json, model.json and market_thresholds.json are
+read on every load, and so is the check that each campaign market has a
+threshold. A reload is refused from meta.json alone: a version that does not
+exceed the replaced bundle's raises before any other file is opened.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from typing import NamedTuple, TextIO
 
 from .clustering import Clustering, load_clustering
 from .embeddings import MIN_DIM, EmbeddingSet, load_embedding_sets
-from .errors import MALFORMED, ParseError, check_market, malformed
+from .errors import (
+    MALFORMED,
+    ParseError,
+    VersionRegressionError,
+    check_market,
+    malformed,
+    reading,
+)
 from .expansion import ExpansionContext, load_expansions
 from .features import FeatureExtractor
 from .flat_index import build_index
@@ -57,12 +69,9 @@ class RuntimeBundle:
     contexts: dict[str, ExpansionContext]
     k_neighbors: int
     filters_enabled: bool
-    # the digests of campaigns.json and expansions.jsonl, which the
-    # snapshot's match index was built from
-    index_inputs: tuple[bytes, bytes]
-    # per market, what its context was built from: (embeddings.tsv digest,
-    # meta markets), then the digests of its clustering and threshold files
-    context_inputs: dict[str, tuple]
+    # each reusable part, keyed by its name and what it was built from
+    # (see the module docstring)
+    parts: dict[tuple, object]
 
     @property
     def version(self) -> int:
@@ -72,7 +81,7 @@ class RuntimeBundle:
 def load_market_thresholds(path: str) -> dict[str, float]:
     """JSON map market -> threshold, each null or a finite number; null
     disables filtering (-inf)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         try:
             doc = json.load(fh)
             for market, value in doc.items():
@@ -210,22 +219,26 @@ class _Input(NamedTuple):
 def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> RuntimeBundle:
     """Load and validate a snapshot directory into serving state.
 
-    Each part of ``previous`` whose input digests match is shared, and every
-    other part is built (see the module docstring). A file a part is built
-    from is opened once: digested, rewound and, unless the part is reused,
-    parsed from the same handle.
+    Given ``previous``, a version in meta.json that does not exceed
+    ``previous.version`` raises VersionRegressionError before any other file
+    is opened. Otherwise each part whose key is in ``previous.parts`` is
+    shared, and every other part is built (see the module docstring). A file
+    a part is built from is opened once: digested, rewound and, unless the
+    part is reused, parsed from the same handle.
     """
     meta_path = os.path.join(snapshot_dir, META_FILE)
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")
-    with open(meta_path, "r", encoding="utf-8") as fh:
+    with reading(meta_path) as fh:
         try:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
+        except MALFORMED as exc:
+            raise malformed(meta_path, "meta", exc) from exc
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
     version = _meta_value(meta_path, meta, "version", "an integer")
+    if previous is not None and version <= previous.version:
+        raise VersionRegressionError(f"version {version} does not exceed {previous.version}")
     dim = _meta_value(meta_path, meta, "dim", "an integer")
     if dim < MIN_DIM:
         raise ParseError(f"{meta_path}: 'dim' must be at least {MIN_DIM}, got {dim}")
@@ -234,6 +247,13 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
     filters_enabled = _meta_value(meta_path, meta, "filters_enabled", "a boolean", True)
     markets = _meta_value(meta_path, meta, "markets", "a list of strings", [])
+
+    old_parts = previous.parts if previous is not None else {}
+    parts: dict[tuple, object] = {}
+
+    def part(key: tuple, build):
+        parts[key] = old_parts[key] if key in old_parts else build()
+        return parts[key]
 
     with contextlib.ExitStack() as files:
 
@@ -244,59 +264,35 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
             fh.seek(0)
             return _Input(path, fh, sha256)
 
-        campaigns_file, expansions_file = read(CAMPAIGNS_FILE), read(EXPANSIONS_FILE)
-        index_inputs = (campaigns_file.sha256, expansions_file.sha256)
-        reuse_index = previous is not None and previous.index_inputs == index_inputs
-        if not reuse_index:
-            campaigns = load_campaigns(campaigns_file.path, campaigns_file.fh)
-            expansions = load_expansions(expansions_file.path, expansions_file.fh)
         model = as_stacked(load_model(os.path.join(snapshot_dir, MODEL_FILE)))
         thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
+        extractor = FeatureExtractor(embed_dim=dim)
 
-        embeddings_file = read(EMBEDDINGS_FILE)
-        embeddings_inputs = (embeddings_file.sha256, tuple(markets))
-        old = previous.contexts if previous is not None else {}
-        old_inputs = previous.context_inputs if previous is not None else {}
-        if old and all(inputs[0] == embeddings_inputs for inputs in old_inputs.values()):
-            embedding_sets = {market: c.embedding_set for market, c in old.items()}
-        else:
-            embedding_sets = load_embedding_sets(
-                embeddings_file.path, markets or None, embeddings_file.fh
-            )
+        embeddings = read(EMBEDDINGS_FILE)
+        embeddings_key = ("embeddings", embeddings.sha256, tuple(markets))
+        embedding_sets = part(embeddings_key, lambda: load_embedding_sets(
+            embeddings.path, markets or None, embeddings.fh))
         contexts: dict[str, ExpansionContext] = {}
-        context_inputs: dict[str, tuple] = {}
         for market, embedding_set in embedding_sets.items():
-            clustering_file = read(f"clustering_{market}.json")
-            table_file = read(f"thresholds_{market}.jsonl")
-            inputs = (embeddings_inputs, clustering_file.sha256, table_file.sha256)
-            if market in old and old_inputs[market] == inputs:
-                contexts[market] = old[market]
-            else:
-                contexts[market] = load_expansion_files(
-                    embedding_set,
-                    clustering_file.path,
-                    table_file.path,
-                    clustering_file.fh,
-                    table_file.fh,
-                )
-            context_inputs[market] = inputs
+            clustering, table = read(f"clustering_{market}.json"), read(f"thresholds_{market}.jsonl")
+            contexts[market] = part(
+                ("context", market, embeddings_key, clustering.sha256, table.sha256),
+                lambda: load_expansion_files(
+                    embedding_set, clustering.path, table.path, clustering.fh, table.fh),
+            )
 
-    extractor = FeatureExtractor(embed_dim=dim)
-    if reuse_index:
-        snapshot = replace(
-            previous.snapshot,
-            version=version,
-            model=model,
-            market_thresholds=thresholds,
-            extractor=extractor,
-        )
-    else:
-        snapshot = build_snapshot(campaigns, expansions, model, thresholds, version, extractor)
+        campaigns, expansions = read(CAMPAIGNS_FILE), read(EXPANSIONS_FILE)
+        index = part(("index", campaigns.sha256, expansions.sha256), lambda: build_snapshot(
+            load_campaigns(campaigns.path, campaigns.fh),
+            load_expansions(expansions.path, expansions.fh),
+            model, thresholds, version, extractor,
+        ))
+
     return RuntimeBundle(
-        snapshot=snapshot,
+        snapshot=replace(index, version=version, model=model, market_thresholds=thresholds,
+                         extractor=extractor),
         contexts=contexts,
         k_neighbors=k_neighbors,
         filters_enabled=filters_enabled,
-        index_inputs=index_inputs,
-        context_inputs=context_inputs,
+        parts=parts,
     )

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from adexpand.expansion import (
     gender_consistent,
     numeric_consistent,
 )
-from adexpand.flat_index import batch_search, build_index, knn_search
+from adexpand.flat_index import build_index, knn_search
 from adexpand.relevance import (
     rmse,
     serialize_model,
@@ -91,9 +92,9 @@ def test_criterion_1_knn_oracle():
             [nb.distance for nb in got], distances[order], atol=1e-6
         )
 
-    batch = batch_search(index, queries, k=50, workers=4)
     sequential = [knn_search(index, q, k=50) for q in queries]
-    assert batch == sequential
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(lambda q: knn_search(index, q, k=50), queries)) == sequential
     assert time.monotonic() - started < 10.0
 
 

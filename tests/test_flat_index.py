@@ -1,5 +1,7 @@
 """Exactness of the brute-force index against an independent full-sort oracle."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from adexpand.embeddings import EmbeddingSet, KeywordRef
 from adexpand.errors import DimensionMismatchError, EmptySetError
-from adexpand.flat_index import FlatIndex, batch_search, build_index, knn_search
+from adexpand.flat_index import FlatIndex, build_index, knn_search
 
 
 def random_set(rng, n, dim, market="US"):
@@ -209,31 +211,14 @@ class TestKnnOracleProperty:
         assert [nb.id for nb in got] == [1, 3, 4]
 
 
-class TestBatchSearch:
-    def test_singleton_batch(self):
-        rng = np.random.default_rng(8)
-        emb = random_set(rng, 100, 8)
-        index = build_index(emb)
-        got = batch_search(index, [emb.matrix[3]], k=5)
-        assert got[0] == knn_search(index, emb.matrix[3], k=5)
-
-    def test_batch_equals_sequential(self):
+class TestConcurrentSearch:
+    def test_concurrent_equals_sequential(self):
+        # the index is read-only, so searches from several threads at once
+        # return what one thread gets, each in its own order
         rng = np.random.default_rng(9)
         emb = random_set(rng, 500, 16)
         index = build_index(emb)
         queries = [emb.matrix[i] for i in rng.integers(0, 500, size=100)]
         sequential = [knn_search(index, q, k=10) for q in queries]
-        assert batch_search(index, queries, k=10) == sequential
-        assert batch_search(index, queries, k=10, workers=4) == sequential
-
-    def test_empty_batch(self):
-        rng = np.random.default_rng(10)
-        index = build_index(random_set(rng, 10, 8))
-        assert batch_search(index, [], k=5) == []
-
-    def test_dimension_mismatch_reports_query_index(self):
-        rng = np.random.default_rng(11)
-        index = build_index(random_set(rng, 10, 8))
-        queries = [index.matrix[0], np.ones(9, dtype=np.float32)]
-        with pytest.raises(DimensionMismatchError, match="query 1"):
-            batch_search(index, queries, k=1)
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(lambda q: knn_search(index, q, k=10), queries)) == sequential

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adexpand import snapshot_store
-from adexpand.errors import AdexpandError
+from adexpand.errors import AdexpandError, VersionRegressionError
 from adexpand.expansion import record_to_doc
 from adexpand.matching import match_record_to_doc
 from adexpand.service import MatchService, make_server
@@ -163,6 +163,13 @@ def _apply(snapshot_dir, changes, breaks=()):
         rewrite(os.path.join(snapshot_dir, GROUPS[group][0]))
 
 
+def _bump_version(snapshot_dir, previous):
+    """Set meta.json's version one above ``previous``'s, as a publish does,
+    so that a load given ``previous`` is not refused."""
+    _rewrite_json(os.path.join(snapshot_dir, "meta.json"),
+                  lambda meta: meta.update(version=previous.version + 1))
+
+
 def _read_queries():
     with open(os.path.join(FIXTURES_DIR, "queries.tsv"), encoding="utf-8") as fh:
         return [line.rstrip("\n").split("\t")[::-1] for line in fh if not line.startswith("#")]
@@ -194,6 +201,15 @@ def _answers(bundle):
         except AdexpandError as exc:
             doc = {"error": f"{type(exc).__name__}: {exc}"}
         out.append(json.dumps(doc, sort_keys=True))
+    return out
+
+
+def _http_answers(port):
+    """Each probe's status and body from the server on ``port``."""
+    out = []
+    for path, text, market in PROBES:
+        key = "query" if path == "/match" else "keyword"
+        out.append(_post(port, path, {key: text, "market": market}))
     return out
 
 
@@ -266,6 +282,7 @@ def _check_reload(base_dir, previous, changes, breaks):
         snapshot = os.path.join(tmp, "snapshot")
         shutil.copytree(base_dir, snapshot)
         _apply(snapshot, changes, breaks)
+        _bump_version(snapshot, old)
         cold = _load(snapshot)
         warm = _load(snapshot, old)
     assert cold[0] == ("raised" if breaks else "loaded"), cold
@@ -344,6 +361,8 @@ class TestOnlyChangedPartsAreBuilt:
         for name in BUILDERS:
             monkeypatch.setattr(snapshot_store, name,
                                 _counted(calls, name, getattr(snapshot_store, name)))
+        if previous is not None:
+            _bump_version(snapshot_dir, previous)
         load_runtime(snapshot_dir, previous=previous)
         monkeypatch.undo()
         return calls
@@ -372,17 +391,53 @@ class TestOnlyChangedPartsAreBuilt:
             {"load_model": 1, "load_market_thresholds": 1})
 
 
+class TestRefusedRefresh:
+    """A directory whose version does not exceed the live one is refused
+    from meta.json alone: no loader runs and no other file is opened, even
+    when every other file changed; /refresh answers 409 and the live bundle
+    keeps serving."""
+
+    CHANGED = {group: "alter" for group in GROUPS if group != "meta"}
+
+    @pytest.mark.parametrize("version", [1, 0])
+    def test_refused_load_opens_only_meta(self, snapshot_copy, monkeypatch, version):
+        old = load_runtime(snapshot_copy)
+        _apply(snapshot_copy, self.CHANGED)
+        _rewrite_json(os.path.join(snapshot_copy, "meta.json"),
+                      lambda meta: meta.update(version=version))
+        calls = Counter()
+        for name in BUILDERS:
+            monkeypatch.setattr(snapshot_store, name,
+                                _counted(calls, name, getattr(snapshot_store, name)))
+        with _opened_files() as opened, pytest.raises(VersionRegressionError,
+                                                      match=f"version {version} does not exceed 1"):
+            load_runtime(snapshot_copy, previous=old)
+        assert calls == Counter()
+        assert [os.path.basename(fh.name) for fh in opened] == ["meta.json"]
+        assert all(fh.closed for fh in opened)
+
+    def test_refused_refresh_is_409_and_keeps_serving(self, snapshot_copy):
+        service = MatchService(snapshot_copy)
+        v1 = service.current()
+        httpd = make_server(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        port = httpd.server_address[1]
+        try:
+            v1_http = _http_answers(port)
+            _apply(snapshot_copy, self.CHANGED)
+            assert _post(port, "/refresh") == (409, {"error": "version 1 does not exceed 1"})
+            assert service.current() is v1
+            assert _http_answers(port) == v1_http
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+
 class TestFailedRefreshLeavesTheLiveBundle:
     """/refresh onto a snapshot whose index is reusable but which fails to
     load answers 500; version 1 keeps serving, and a later good refresh
     still shares its parts."""
-
-    def _http_answers(self, port):
-        out = []
-        for path, text, market in PROBES:
-            key = "query" if path == "/match" else "keyword"
-            out.append(_post(port, path, {key: text, "market": market}))
-        return out
 
     def test_failed_loads_then_good_refresh(self, snapshot_copy):
         service = MatchService(snapshot_copy)
@@ -392,7 +447,7 @@ class TestFailedRefreshLeavesTheLiveBundle:
         thread.start()
         port = httpd.server_address[1]
         try:
-            v1_http = self._http_answers(port)
+            v1_http = _http_answers(port)
             pristine = {}
             for name in ("model.json", "market_thresholds.json"):
                 with open(os.path.join(snapshot_copy, name), "rb") as fh:
@@ -403,7 +458,7 @@ class TestFailedRefreshLeavesTheLiveBundle:
                 status, doc = _post(port, "/refresh")
                 assert status == 500, doc
                 assert service.current() is v1
-                assert self._http_answers(port) == v1_http
+                assert _http_answers(port) == v1_http
                 name = GROUPS[BREAKS[key][0]][0]
                 with open(os.path.join(snapshot_copy, name), "wb") as fh:
                     fh.write(pristine[name])
@@ -415,7 +470,7 @@ class TestFailedRefreshLeavesTheLiveBundle:
             assert all(v2.contexts[m] is v1.contexts[m] for m in v1.contexts)
             cold = load_runtime(snapshot_copy)
             assert _answers(v2) == _answers(cold)
-            assert self._http_answers(port) != v1_http
+            assert _http_answers(port) != v1_http
         finally:
             httpd.shutdown()
             httpd.server_close()

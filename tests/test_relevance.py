@@ -511,6 +511,27 @@ class TestPersistence:
         np.testing.assert_array_equal(y2, y)
         assert names == ["f1", "f2", "f3"]
 
+    @pytest.mark.parametrize("text, where, what", [
+        ("a,b,label\n1,x,0\n", ":2:", "could not convert"),
+        ("a,b,label\n1,2,0\n1,nan,0\n", ":3:", "finite"),
+        ("a,b,label\n1,2,inf\n", ":2:", "finite"),
+        ("a,b,label\n1,2,0\n1,2\n", ":3:", "expected 3 columns, got 2"),
+        ("a,b,grade\n1,2,0\n", ":1:", "header"),
+        ("", ":1:", "header"),
+    ])
+    def test_bad_dataset_names_the_line(self, tmp_path, text, where, what):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=what) as info:
+            load_dataset(str(path))
+        assert f"{path}{where}" in str(info.value)
+
+    def test_header_only_dataset_is_empty(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,label\n\n", encoding="utf-8")
+        with pytest.raises(EmptyDatasetError, match="no data rows"):
+            load_dataset(str(path))
+
     def test_model_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         X, y = synthetic_regression(rng, n=200)

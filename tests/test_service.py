@@ -264,6 +264,55 @@ class TestRefresh:
         assert errors == []
 
 
+def _raw_exchange(port, request):
+    """Send ``request`` as is and read the reply until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return response
+
+
+# Requests the stdlib answers itself, before a do_* handler runs: request
+# bytes, status, and whether the reply has a status line. The stdlib sends
+# none on a request line it reads as HTTP/0.9 (one word, or a version it
+# cannot use), so that reply is the JSON body alone.
+STDLIB_ERRORS = {
+    "PUT": (b"PUT /match HTTP/1.1\r\nHost: x\r\n\r\n", 501, True),
+    "quoted-method": (b'P"UT\\ /match HTTP/1.1\r\n\r\n', 501, True),
+    "HEAD": (b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 501, True),
+    "70kB-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, True),
+    "101-headers": (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431, True),
+    "HTTP/9.9": (b"GET /healthz HTTP/9.9\r\n\r\n", 505, False),
+    "one-word": (b"GARBAGE\r\n\r\n", 400, False),
+    "quoted-version": (b'GET /"\\ H"T\\TP\r\n\r\n', 400, False),
+}
+
+
+class TestStdlibErrorsAnswerJson:
+    @pytest.mark.parametrize("name", STDLIB_ERRORS)
+    def test_reply_is_json(self, server, name):
+        request, status, has_status_line = STDLIB_ERRORS[name]
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        response = _raw_exchange(port, request)
+        if has_status_line:
+            head, body = response.split(b"\r\n\r\n", 1)
+            status_line, *header_lines = head.decode("iso-8859-1").split("\r\n")
+            assert status_line.split(" ", 2)[1] == str(status)
+            headers = dict(line.split(": ", 1) for line in header_lines)
+            assert headers["Content-Type"] == "application/json"
+            if request.startswith(b"HEAD "):
+                assert body == b""  # a reply to HEAD carries headers only
+                return
+            assert int(headers["Content-Length"]) == len(body)
+        else:
+            body = response
+        assert set(json.loads(body.decode("utf-8"))) == {"error"}
+        assert _get(port, "/healthz")[0] == 200
+
+
 class TestUnexpectedErrors:
     def test_handler_error_is_500_and_server_lives(self, server, monkeypatch, capsys):
         httpd, _, _ = server

@@ -16,8 +16,8 @@ CALLER_DIRS = [SRC_DIR, os.path.join(_ROOT, "perfbench"), os.path.join(_ROOT, "s
 ALLOWED = {
     "gender_consistent": "the tests' reference rule for the gender filter",
     "numeric_consistent": "the tests' reference rule for the numeric filter",
-    "batch_search": "acceptance criterion 1: batch results equal sequential ones",
     "log_message": "BaseHTTPRequestHandler calls it",
+    "send_error": "BaseHTTPRequestHandler calls it on a request it cannot parse",
     "error": "argparse calls it; the CLI's override turns usage errors into exit 1",
 }
 # "module:Qual.name", the form perfbench/tracer.py names its targets in
