@@ -180,16 +180,6 @@ def write_inputs() -> None:
         for market, query in QUERIES:
             fh.write(f"{market}\t{query}\n")
     config = {
-        "paths": {
-            "keywords": "fixtures/keywords.tsv",
-            "campaigns": "fixtures/campaigns.json",
-            "labels": "fixtures/labels.tsv",
-            "dataset": "fixtures/relevance_base.csv",
-            "new_dataset": "fixtures/relevance_new.csv",
-            "holdout": "fixtures/relevance_holdout.csv",
-            "queries": "fixtures/queries.tsv",
-            "output_dir": "out",
-        },
         "parameters": {
             "dim": DIM,
             "clusters": 2,
@@ -202,7 +192,6 @@ def write_inputs() -> None:
             "adjustment_trees": 2,
             "adjustment_depth": 5,
             "precision_target": 0.8,
-            "markets": ["UK", "US"],
         },
     }
     with open(os.path.join(FIXTURES, "config.json"), "w", encoding="utf-8") as fh:

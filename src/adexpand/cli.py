@@ -95,12 +95,23 @@ def _percent_to_fraction(pct: float) -> float:
 
 
 def _apply_config(args) -> None:
-    """Fill each flag left unset with the same-named PipelineConfig field;
-    explicit flags always win."""
-    config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for f in dataclasses.fields(PipelineConfig):
-        if hasattr(args, f.name) and getattr(args, f.name) is None:
-            setattr(args, f.name, getattr(config, f.name))
+    """Lay the flags the caller set over the config file's values (or the
+    defaults), validate the result once and set every parameter flag from
+    it: a flag and a config value meet the same check."""
+    config = load_config(args.config) if args.config else PipelineConfig()
+    names = [f.name for f in dataclasses.fields(PipelineConfig) if hasattr(args, f.name)]
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    config = dataclasses.replace(config, **given)
+    config.validate()
+    for name in names:
+        setattr(args, name, getattr(config, name))
+
+
+def _load_base_model(path: str) -> GbdtModel:
+    model = load_model(path)
+    if not isinstance(model, GbdtModel):
+        raise ParseError(f"{path}: expected a base model, got a stacked one")
+    return model
 
 
 def _cmd_embed(args) -> int:
@@ -120,9 +131,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_cluster(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    model = clustering_mod.kmeans(
-        embedding_set, args.clusters, args.seed, max_iter=args.max_iter, tol=args.tol
-    )
+    model = clustering_mod.kmeans(embedding_set, args.clusters, args.seed)
     clustering_mod.save_clustering(model, args.out)
     final = clustering_mod.wcss(model, embedding_set)
     print(f"clustered {len(embedding_set)} keywords into {args.clusters} clusters, wcss={final:.6g}")
@@ -158,7 +167,7 @@ def _cmd_stability(args) -> int:
 def _cmd_thresholds(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
     model = load_clustering_for(embedding_set, args.clustering)
-    p = _percent_to_fraction(args.quantile_pct)
+    p = args.quantile_pct / 100.0
     table = build_threshold_table(model, embedding_set, p, args.min_cluster_size)
     save_threshold_table(table, args.out)
     print(f"wrote {len(table.rows)} cluster thresholds (p={p}) -> {args.out}")
@@ -189,7 +198,6 @@ def _cmd_train_base(args) -> int:
         y,
         tree_count=args.trees,
         learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
         seed=args.seed,
         min_leaf=args.min_leaf,
         feature_names=names,
@@ -200,9 +208,7 @@ def _cmd_train_base(args) -> int:
 
 
 def _cmd_train_adjust(args) -> int:
-    base = load_model(args.base)
-    if not isinstance(base, GbdtModel):
-        raise ParseError(f"{args.base}: expected a base model, got a stacked one")
+    base = _load_base_model(args.base)
     X, y, _ = load_dataset(args.dataset)
     stacked = train_adjustment(
         base,
@@ -210,9 +216,7 @@ def _cmd_train_adjust(args) -> int:
         y,
         adjustment_trees=args.adjustment_trees,
         max_depth=args.adjustment_depth,
-        adjustment_rate=args.adjustment_rate,
         min_leaf=args.min_leaf,
-        allow_exceed_limits=args.allow_exceed_limits,
     )
     save_model(stacked, args.out)
     print(f"stacked {len(stacked.adjustment)} adjustment trees onto frozen base -> {args.out}")
@@ -220,9 +224,7 @@ def _cmd_train_adjust(args) -> int:
 
 
 def _cmd_eval_relevance(args) -> int:
-    base = load_model(args.base)
-    if not isinstance(base, GbdtModel):
-        raise ParseError(f"{args.base}: expected a base model")
+    base = _load_base_model(args.base)
     stacked = as_stacked(load_model(args.stacked))
     X, y, _ = load_dataset(args.holdout)
     report = reports_mod.relevance_report(base, stacked, X, y)
@@ -368,8 +370,6 @@ def build_parser() -> _Parser:
     p.add_argument("--market", required=True)
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
 
     p = add("elbow", _cmd_elbow, "mean held-in WCSS per candidate cluster count")
@@ -411,7 +411,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--min-leaf", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -421,9 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--adjustment-trees", type=int, default=None)
     p.add_argument("--adjustment-depth", type=int, default=None)
-    p.add_argument("--adjustment-rate", type=float, default=1.0)
     p.add_argument("--min-leaf", type=int, default=20)
-    p.add_argument("--allow-exceed-limits", action="store_true")
     p.add_argument("--out", required=True)
 
     p = add("eval-relevance", _cmd_eval_relevance, "per-grade RMSE deltas vs the base")

@@ -22,13 +22,11 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import (
-    MALFORMED,
     EmptySetError,
     TooManyClustersError,
     UnassignedKeywordError,
     ZeroVectorError,
-    malformed,
-    reading,
+    parse_json,
 )
 from .rng import SplitMix64
 
@@ -358,14 +356,13 @@ def save_clustering(clustering: Clustering, path: str) -> None:
 
 
 def load_clustering(path: str, fh: TextIO | None = None) -> Clustering:
-    with reading(path, fh) as fh:
-        try:
-            doc = json.load(fh)
-            return Clustering(
-                market=doc["market"],
-                cluster_count=int(doc["M"]),
-                centroids=np.array(doc["centroids"], dtype=np.float64),
-                assignments={int(k): int(v) for k, v in doc["assignments"].items()},
-            )
-        except MALFORMED as exc:
-            raise malformed(path, "clustering", exc) from exc
+    return parse_json(path, "clustering", _clustering_from_doc, fh)
+
+
+def _clustering_from_doc(doc: dict) -> Clustering:
+    return Clustering(
+        market=doc["market"],
+        cluster_count=int(doc["M"]),
+        centroids=np.array(doc["centroids"], dtype=np.float64),
+        assignments={int(k): int(v) for k, v in doc["assignments"].items()},
+    )

@@ -1,39 +1,24 @@
-"""Pipeline configuration file: JSON with "paths" and "parameters" sections.
+"""Pipeline configuration file: a JSON object with one "parameters" section.
 
-Validation is fail-fast: unknown keys are rejected and every parameter is
-type- and bounds-checked at load so a bad config never reaches the pipeline.
-The PipelineConfig fields are the one table of parameter names and defaults;
-the CLI fills each unset flag from the same-named field.
-
-The "paths" section and the "markets" parameter are validated but not read
-by the CLI, which takes file paths and the market from its flags. They stay
-accepted so that existing config files keep loading.
+The PipelineConfig fields are the one table of the CLI's parameters: each
+field's name, default and, in validate(), its range. The CLI lays the flags
+a caller set over a config file's values (or the defaults) and validates the
+result once, so a value meets the same check whether it came from a flag or
+from the file, and a flag overrides a bad file value. load_config checks only
+the file's shape: unknown keys are rejected and each parameter must have its
+default's JSON type.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .embeddings import MIN_DIM
-from .errors import MALFORMED, ParseError, malformed, reading
-
-_PATH_KEYS = {
-    "keywords",
-    "embeddings",
-    "campaigns",
-    "labels",
-    "dataset",
-    "new_dataset",
-    "holdout",
-    "queries",
-    "output_dir",
-}
+from .errors import ParseError, parse_json
 
 
 @dataclass
 class PipelineConfig:
-    paths: dict[str, str] = field(default_factory=dict)
     dim: int = 256
     clusters: int = 8
     seed: int = 7
@@ -45,7 +30,6 @@ class PipelineConfig:
     adjustment_trees: int = 2
     adjustment_depth: int = 5
     precision_target: float = 0.8
-    markets: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
         if self.dim < MIN_DIM:
@@ -70,55 +54,31 @@ class PipelineConfig:
             raise ParseError("adjustment_depth must be in [1, 5]")
         if not 0.0 < self.precision_target <= 1.0:
             raise ParseError("precision_target must be in (0, 1]")
-        if not isinstance(self.markets, list) or any(
-            not isinstance(m, str) for m in self.markets
-        ):
-            raise ParseError("markets must be a list of strings")
 
 
 def _check_type(path: str, name: str, value, default) -> None:
     """A parameter must have its default's JSON type; an int stands for a float."""
-    if isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, type(default))
-    if not ok:
-        expected = "a number" if isinstance(default, float) else type(default).__name__
+    number = isinstance(default, float)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+        expected = "a number" if number else "int"
         raise ParseError(f"{path}: parameter {name!r} must be {expected}, got {value!r}")
 
 
-def _section(path: str, doc: dict, name: str) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ParseError(f"{path}: section {name!r} must be an object")
-    return section
-
-
 def load_config(path: str) -> PipelineConfig:
-    with reading(path) as fh:
-        try:
-            doc = json.load(fh)
-        except MALFORMED as exc:
-            raise malformed(path, "config", exc) from exc
+    """The file's parameters over the defaults, not yet validated."""
+    doc = parse_json(path, "config")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: a config must be a JSON object")
-    unknown_sections = set(doc) - {"paths", "parameters"}
+    unknown_sections = set(doc) - {"parameters"}
     if unknown_sections:
         raise ParseError(f"{path}: unknown sections {sorted(unknown_sections)}")
-    paths = _section(path, doc, "paths")
-    unknown_paths = set(paths) - _PATH_KEYS
-    if unknown_paths:
-        raise ParseError(f"{path}: unknown path keys {sorted(unknown_paths)}")
-    parameters = _section(path, doc, "parameters")
-    known_params = {f.name for f in fields(PipelineConfig)} - {"paths"}
-    unknown_params = set(parameters) - known_params
+    parameters = doc.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ParseError(f"{path}: section 'parameters' must be an object")
+    unknown_params = set(parameters) - {f.name for f in fields(PipelineConfig)}
     if unknown_params:
         raise ParseError(f"{path}: unknown parameter keys {sorted(unknown_params)}")
     defaults = PipelineConfig()
     for name, value in parameters.items():
         _check_type(path, name, value, getattr(defaults, name))
-    config = PipelineConfig(paths={k: str(v) for k, v in paths.items()}, **parameters)
-    config.validate()
-    return config
+    return PipelineConfig(**parameters)

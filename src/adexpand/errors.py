@@ -8,7 +8,10 @@ so the CLI can map it to a single "data error" exit code.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, TextIO
+import json
+from typing import Callable, Iterator, TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 class AdexpandError(Exception):
@@ -57,6 +60,21 @@ def reading(path: str, fh: TextIO | None = None) -> Iterator[TextIO]:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def parse_json(
+    path: str, what: str, build: Callable[[object], T] = lambda doc: doc, fh: TextIO | None = None
+) -> T:
+    """``build`` applied to the JSON document read from ``path`` (see
+    reading). The text is decoded before parsing starts, so a byte that is
+    not UTF-8 reads "not UTF-8 text" like every loader's; bad JSON, and any
+    of MALFORMED that ``build`` raises, is ``malformed(path, what, ...)``."""
+    with reading(path, fh) as src:
+        text = src.read()
+    try:
+        return build(json.loads(text))
+    except MALFORMED as exc:
+        raise malformed(path, what, exc) from exc
+
+
 def check_market(where: str, found: str, expected: str) -> None:
     """ParseError naming the file when a per-market file belongs to another
     market than the one it is used for."""
@@ -101,7 +119,7 @@ class SchemaMismatchError(AdexpandError):
 
 
 class ConstraintViolationError(AdexpandError):
-    """Adjustment-model size limits exceeded without an explicit override."""
+    """An adjustment model would exceed its caps of two trees of depth 5."""
 
 
 class DanglingReferenceError(AdexpandError):

@@ -11,7 +11,6 @@ versions.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, TextIO
@@ -19,12 +18,10 @@ from typing import AbstractSet, Iterable, TextIO
 import numpy as np
 
 from .errors import (
-    MALFORMED,
     DanglingReferenceError,
     ParseError,
     UnknownMarketError,
-    malformed,
-    reading,
+    parse_json,
 )
 from .expansion import ExpansionRecord, tokenize
 from .features import FeatureExtractor
@@ -54,11 +51,7 @@ class Campaign:
 
 def load_campaigns(path: str, fh: TextIO | None = None) -> list[Campaign]:
     """Parse the campaign JSON file and enforce id/market invariants."""
-    with reading(path, fh) as fh:
-        try:
-            return _campaigns_from_doc(json.load(fh))
-        except MALFORMED as exc:
-            raise malformed(path, "campaigns", exc) from exc
+    return parse_json(path, "campaigns", _campaigns_from_doc, fh)
 
 
 def _campaigns_from_doc(doc: dict) -> list[Campaign]:

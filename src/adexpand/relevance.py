@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    MALFORMED,
     ConstraintViolationError,
     EmptyDatasetError,
     ParseError,
     SchemaMismatchError,
-    malformed,
+    parse_json,
     reading,
 )
 from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
@@ -251,22 +250,18 @@ def train_adjustment(
     max_depth: int = MAX_ADJUSTMENT_DEPTH,
     adjustment_rate: float = 1.0,
     min_leaf: int = 20,
-    allow_exceed_limits: bool = False,
 ) -> StackedModel:
     """Fit shallow trees on the new dataset's residuals; base stays frozen.
 
     The tree-count and depth caps (2 and 5) guard the stability argument for
-    incremental updates; raising them requires allow_exceed_limits.
+    incremental updates and have no override.
     """
-    if not allow_exceed_limits:
-        if adjustment_trees > MAX_ADJUSTMENT_TREES:
-            raise ConstraintViolationError(
-                f"adjustment_trees={adjustment_trees} exceeds {MAX_ADJUSTMENT_TREES}"
-            )
-        if max_depth > MAX_ADJUSTMENT_DEPTH:
-            raise ConstraintViolationError(
-                f"max_depth={max_depth} exceeds {MAX_ADJUSTMENT_DEPTH}"
-            )
+    if adjustment_trees > MAX_ADJUSTMENT_TREES:
+        raise ConstraintViolationError(
+            f"adjustment_trees={adjustment_trees} exceeds {MAX_ADJUSTMENT_TREES}"
+        )
+    if max_depth > MAX_ADJUSTMENT_DEPTH:
+        raise ConstraintViolationError(f"max_depth={max_depth} exceeds {MAX_ADJUSTMENT_DEPTH}")
     if adjustment_trees < 1:
         raise ValueError("adjustment_trees must be at least 1")
     X = np.asarray(X, dtype=np.float64)
@@ -467,11 +462,8 @@ def save_model(model: GbdtModel | StackedModel, path: str) -> None:
 
 
 def load_model(path: str) -> GbdtModel | StackedModel:
-    with reading(path) as fh:
-        try:
-            doc = json.load(fh)
-            if doc.get("kind") == "stacked":
-                return stacked_from_doc(doc)
-            return gbdt_from_doc(doc)
-        except MALFORMED as exc:
-            raise malformed(path, "model", exc) from exc
+    return parse_json(path, "model", _model_from_doc)
+
+
+def _model_from_doc(doc: dict) -> GbdtModel | StackedModel:
+    return stacked_from_doc(doc) if doc.get("kind") == "stacked" else gbdt_from_doc(doc)

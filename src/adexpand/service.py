@@ -23,6 +23,9 @@ from .snapshot_store import RuntimeBundle, load_runtime
 # Largest request body read; a request carries one keyword or query, so
 # anything near this size is not a real request.
 MAX_BODY_BYTES = 1 << 20
+# Longest wait, in seconds, on one read from or write to a client: a request
+# that stalls this long ends its exchange instead of holding a thread.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class MatchService:
@@ -70,6 +73,7 @@ class MatchService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: MatchService  # set by make_server
+    timeout = REQUEST_TIMEOUT_S  # applied to the socket by StreamRequestHandler
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the caller's concern, not the test suite's
@@ -94,7 +98,8 @@ class _Handler(BaseHTTPRequestHandler):
         """The body as a JSON object, or None once a 400 has been sent.
 
         The length is checked before any byte is read: a negative one would
-        make rfile.read wait for EOF and hold this thread.
+        make rfile.read wait for EOF and hold this thread. A body shorter
+        than its length times out, and the connection is closed.
         """
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -104,7 +109,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": f"Content-Length must be in [0, {MAX_BODY_BYTES}]"})
             return None
         try:
-            doc = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send(400, {"error": f"timed out reading a {length}-byte body"})
+            return None
+        try:
+            doc = json.loads(body.decode("utf-8"))
         except ValueError:
             doc = None
         if not isinstance(doc, dict):

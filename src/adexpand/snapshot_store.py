@@ -41,12 +41,10 @@ from typing import NamedTuple, TextIO
 from .clustering import Clustering, load_clustering
 from .embeddings import MIN_DIM, EmbeddingSet, load_embedding_sets
 from .errors import (
-    MALFORMED,
     ParseError,
     VersionRegressionError,
     check_market,
-    malformed,
-    reading,
+    parse_json,
 )
 from .expansion import ExpansionContext, load_expansions
 from .features import FeatureExtractor
@@ -81,20 +79,16 @@ class RuntimeBundle:
 def load_market_thresholds(path: str) -> dict[str, float]:
     """JSON map market -> threshold, each null or a finite number; null
     disables filtering (-inf)."""
-    with reading(path) as fh:
-        try:
-            doc = json.load(fh)
-            for market, value in doc.items():
-                # type(), not isinstance(): a JSON true is not a threshold
-                finite = type(value) in (int, float) and math.isfinite(value)
-                if value is not None and not finite:
-                    raise ValueError(f"market {market!r}: {value!r} is not null or a finite number")
-            return {
-                market: float("-inf") if value is None else float(value)
-                for market, value in doc.items()
-            }
-        except MALFORMED as exc:
-            raise malformed(path, "market thresholds", exc) from exc
+    return parse_json(path, "market thresholds", _market_thresholds_from_doc)
+
+
+def _market_thresholds_from_doc(doc: dict) -> dict[str, float]:
+    for market, value in doc.items():
+        # type(), not isinstance(): a JSON true is not a threshold
+        finite = type(value) in (int, float) and math.isfinite(value)
+        if value is not None and not finite:
+            raise ValueError(f"market {market!r}: {value!r} is not null or a finite number")
+    return {market: float("-inf") if value is None else float(value) for market, value in doc.items()}
 
 
 def save_market_thresholds(thresholds: dict[str, float], path: str) -> None:
@@ -229,11 +223,7 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     meta_path = os.path.join(snapshot_dir, META_FILE)
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")
-    with reading(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except MALFORMED as exc:
-            raise malformed(meta_path, "meta", exc) from exc
+    meta = parse_json(meta_path, "meta")
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: expected a JSON object")
     version = _meta_value(meta_path, meta, "version", "an integer")

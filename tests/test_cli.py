@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, single-keyword expansion, the full chain, and
 reproducibility of its artifacts."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,9 @@ import sys
 
 import pytest
 
-from adexpand.cli import cli_dispatch
+from adexpand.cli import build_parser, cli_dispatch
+from adexpand.config import PipelineConfig
+from adexpand.snapshot_store import load_runtime
 
 from conftest import CHAIN_OUTPUTS, FIXTURES_DIR, run_chain, single_thread_env
 
@@ -97,6 +101,113 @@ class TestConfigDefaults:
         ]) == 0
         first = out.read_text(encoding="utf-8").splitlines()[0]
         assert len(first.split("\t")[2].split()) == 64
+
+
+def _chain_argv(argv, chain_dir, out):
+    """``argv`` with {chain} the chain's outputs, {fixtures} the fixture
+    directory and the command's ``--out`` at ``out``."""
+    filled = [arg.format(chain=chain_dir, fixtures=FIXTURES_DIR) for arg in argv]
+    return filled + ["--out", str(out)]
+
+
+TRAIN_ADJUST = ["train-adjust", "--base", "{chain}/base_model.json",
+                "--dataset", "{fixtures}/relevance_new.csv"]
+BUILD_SNAPSHOT = [
+    "build-snapshot", "--embeddings", "{chain}/embeddings.tsv",
+    "--campaigns", "{fixtures}/campaigns.json", "--expansions", "{chain}/expansions.jsonl",
+    "--model", "{chain}/stacked_model.json",
+    "--market-thresholds", "{chain}/market_thresholds.json",
+    "--clustering", "US={chain}/clustering_US.json", "--clustering", "UK={chain}/clustering_UK.json",
+    "--thresholds", "US={chain}/thresholds_US.jsonl", "--thresholds", "UK={chain}/thresholds_UK.jsonl",
+    "--version", "1",
+]
+US_FILES = ["--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+            "--clustering", "{chain}/clustering_US.json"]
+
+# A value outside each range-checked parameter's range, and a subcommand
+# that takes the parameter (argv without it and without --out).
+OUT_OF_RANGE = {
+    "learning_rate": (5, ["train-base", "--dataset", "{fixtures}/relevance_base.csv"]),
+    "adjustment_depth": (0, TRAIN_ADJUST),
+    "adjustment_trees": (3, TRAIN_ADJUST),
+    "dim": (8, BUILD_SNAPSHOT),
+    "k_neighbors": (0, ["expand", *US_FILES, "--thresholds", "{chain}/thresholds_US.jsonl"]),
+    "seed": (-1, ["cluster", "--embeddings", "{chain}/embeddings.tsv", "--market", "US"]),
+    "min_cluster_size": (-1, ["thresholds", *US_FILES]),
+    "precision_target": (1.5, ["tune-threshold", "--model", "{chain}/stacked_model.json",
+                               "--holdout", "{fixtures}/relevance_holdout.csv", "--market", "US"]),
+}
+
+
+def _flag_dests():
+    """The dest of every flag of every subcommand."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for sub in subcommands.choices.values() for action in sub._actions}
+
+
+class TestOneCheckPerParameter:
+    """A parameter meets one range check, whether a flag or a config file
+    gives its value, and fails before the command writes anything."""
+
+    @pytest.mark.parametrize("name", OUT_OF_RANGE)
+    def test_flag_and_config_value_fail_alike(self, chain_dir, tmp_path, capsys, name):
+        value, argv = OUT_OF_RANGE[name]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parameters": {name: value}}), encoding="utf-8")
+        out = tmp_path / "out"
+        errors = []
+        for given in ([f"--{name.replace('_', '-')}={value}"], ["--config", str(config)]):
+            assert cli_dispatch(_chain_argv(argv, chain_dir, out) + given) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {name} must be")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"paths": {"keywords": "fixtures/keywords.tsv"}}, "paths"),
+        ({"parameters": {"markets": ["UK", "US"]}}, "markets"),
+    ])
+    def test_removed_config_keys_are_unknown(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "emb.tsv"
+        assert cli_dispatch([
+            "embed", "--config", str(config),
+            "--keywords", os.path.join(FIXTURES_DIR, "keywords.tsv"), "--out", str(out),
+        ]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_overrides_bad_config_value(self, chain_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parameters": {"dim": 8}}), encoding="utf-8")
+        out = tmp_path / "snapshot"
+        argv = _chain_argv(BUILD_SNAPSHOT, chain_dir, out)
+        assert cli_dispatch(argv + ["--config", str(config), "--dim", "64"]) == 0
+        assert load_runtime(str(out)).version == 1
+
+    def test_every_config_key_is_read_by_a_flag(self):
+        unread = {f.name for f in dataclasses.fields(PipelineConfig)} - _flag_dests()
+        assert not unread, f"config keys that no flag reads: {sorted(unread)}"
+
+    @pytest.mark.parametrize("command, rest", [
+        ("train-adjust", ["--dataset", "{fixtures}/relevance_new.csv", "--out", "{out}"]),
+        ("eval-relevance", ["--stacked", "{stacked}", "--holdout",
+                            "{fixtures}/relevance_holdout.csv", "--out-csv", "{out}",
+                            "--out-json", "{out}.json"]),
+    ])
+    def test_stacked_model_as_base_is_refused_alike(self, chain_dir, tmp_path, capsys,
+                                                    command, rest):
+        stacked = os.path.join(chain_dir, "stacked_model.json")
+        out = tmp_path / "out"
+        fill = {"fixtures": FIXTURES_DIR, "stacked": stacked, "out": out}
+        argv = [command, "--base", stacked] + [arg.format(**fill) for arg in rest]
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stacked}: expected a base model, got a stacked one\n"
+        )
+        assert not out.exists()
 
 
 class TestSingleKeywordExpand:

@@ -71,18 +71,18 @@ def test_loader_names_the_file(inputs, loader):
     name, load = LOADERS[loader]
     path = _path(inputs, name)
     _spoil(path)
-    with pytest.raises(ParseError, match="can.t decode byte 0xff") as info:
+    with pytest.raises(ParseError, match="not UTF-8 text: .*can.t decode byte 0xff") as info:
         load(path)
-    assert path in str(info.value)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
 
 
 @pytest.mark.parametrize("name", SNAPSHOT_FILES)
 def test_load_runtime_names_the_file(inputs, name):
     path = _path(inputs, name)
     _spoil(path)
-    with pytest.raises(ParseError, match="can.t decode byte 0xff") as info:
+    with pytest.raises(ParseError, match="not UTF-8 text: .*can.t decode byte 0xff") as info:
         load_runtime(inputs[0])
-    assert path in str(info.value)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
 
 
 # CLI argv for each spoiled file: {snapshot} and {fixtures} are the copies
@@ -105,4 +105,5 @@ def test_cli_exits_2_naming_the_file(inputs, capsys, name):
     argv = [arg.format(snapshot=snapshot, fixtures=fixtures) for arg in CLI_RUNS[name]]
     assert cli_dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and path in err and "decode byte 0xff" in err
+    assert err.startswith("error: ") and path in err
+    assert f"{path}: not UTF-8 text: " in err and "decode byte 0xff" in err

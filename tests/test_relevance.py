@@ -187,9 +187,6 @@ class TestTrainAdjustment:
             train_adjustment(base, X, y, adjustment_trees=3)
         with pytest.raises(ConstraintViolationError):
             train_adjustment(base, X, y, max_depth=6)
-        stacked = train_adjustment(base, X, y, adjustment_trees=3, max_depth=6,
-                                   allow_exceed_limits=True)
-        assert len(stacked.adjustment) == 3
 
     def test_adjustment_trees_fit_residuals_sequentially(self):
         rng = np.random.default_rng(8)

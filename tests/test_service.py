@@ -313,6 +313,22 @@ class TestStdlibErrorsAnswerJson:
         assert _get(port, "/healthz")[0] == 200
 
 
+class TestStalledBody:
+    def test_short_body_is_400_and_closed(self, server, monkeypatch):
+        """A body shorter than its Content-Length times out on the handler's
+        socket: the client gets a 400 and a closed connection."""
+        httpd, _, _ = server
+        monkeypatch.setattr(httpd.RequestHandlerClass, "timeout", 0.2)
+        port = httpd.server_address[1]
+        request = (b"POST /match HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+                   b'{"market": "US", "query": "garden')
+        response = _raw_exchange(port, request)  # returns once the server closes
+        head, body = response.split(b"\r\n\r\n", 1)
+        assert head.split(b" ", 2)[1] == b"400"
+        assert json.loads(body.decode("utf-8")) == {"error": "timed out reading a 100-byte body"}
+        assert _get(port, "/healthz")[0] == 200
+
+
 class TestUnexpectedErrors:
     def test_handler_error_is_500_and_server_lives(self, server, monkeypatch, capsys):
         httpd, _, _ = server
