@@ -303,7 +303,7 @@ def run_chain(out_dir: str, fixtures_dir: str = FIXTURES) -> None:
                 out_fh.write(in_fh.read())
 
     run(["train-base", "--dataset", fx("relevance_base.csv"), "--trees", "60",
-         "--learning-rate", "0.1", "--seed", str(SEED), "--out", out("base_model.json")])
+         "--learning-rate", "0.1", "--out", out("base_model.json")])
     run(["train-adjust", "--base", out("base_model.json"), "--dataset",
          fx("relevance_new.csv"), "--min-leaf", "5", "--out", out("stacked_model.json")])
     for market in ("US", "UK"):

@@ -177,12 +177,11 @@ def _cmd_thresholds(args) -> int:
 def _cmd_expand(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
     context = load_expansion_files(embedding_set, args.clustering, args.thresholds)
-    filters_enabled = not args.no_filters
     if args.keyword is not None:
-        record = expand_text(context, args.keyword, args.k_neighbors, filters_enabled)
+        record = expand_text(context, args.keyword, args.k_neighbors)
         print(json.dumps(record_to_doc(record), sort_keys=True))
         return EXIT_OK
-    records = expand_all(context, args.k_neighbors, filters_enabled)
+    records = expand_all(context, args.k_neighbors)
     save_expansions(records, args.out)
     accepted = sum(len(r.accepted_variants()) for r in records)
     print(f"expanded {len(records)} keywords, {accepted} accepted variants -> {args.out}")
@@ -198,7 +197,6 @@ def _cmd_train_base(args) -> int:
         y,
         tree_count=args.trees,
         learning_rate=args.learning_rate,
-        seed=args.seed,
         min_leaf=args.min_leaf,
         feature_names=names,
     )
@@ -319,7 +317,6 @@ def _cmd_build_snapshot(args) -> int:
         threshold_paths=threshold_paths,
         dim=args.dim,
         k_neighbors=args.k_neighbors,
-        filters_enabled=not args.no_filters,
     )
     print(f"snapshot version {args.version} -> {args.out}")
     return EXIT_OK
@@ -402,7 +399,6 @@ def build_parser() -> _Parser:
     p.add_argument("--clustering", required=True)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--k-neighbors", type=int, default=None)
-    p.add_argument("--no-filters", action="store_true")
     p.add_argument("--keyword", help="expand one keyword and print the record")
     p.add_argument("--out", help="JSONL output (required unless --keyword)")
     p.add_argument("--table", action="store_true", help="also print a text expansion table")
@@ -412,7 +408,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="no effect on this command: training is deterministic")
     p.add_argument("--out", required=True)
 
     p = add("train-adjust", _cmd_train_adjust, "stack residual trees for new inventory")
@@ -462,7 +459,6 @@ def build_parser() -> _Parser:
     p.add_argument("--version", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--k-neighbors", type=int, default=None)
-    p.add_argument("--no-filters", action="store_true")
     p.add_argument("--out", required=True)
 
     p = add("match", _cmd_match, "match a query (or a query file) against a snapshot")

@@ -31,7 +31,8 @@ from .errors import (
 from .rng import SplitMix64
 
 DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-6
+# Lloyd iterations stop once WCSS improves by less than this fraction
+TOL = 1e-6
 DEFAULT_FOLDS = 5
 
 
@@ -158,11 +159,10 @@ def kmeans(
     cluster_count: int,
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
 ) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Stops when the relative WCSS improvement drops below tol, assignments
+    Stops when the relative WCSS improvement drops below TOL, assignments
     stop changing, or max_iter is reached. The recorded wcss_history holds
     one value per iteration, measured after the means update.
     """
@@ -175,8 +175,6 @@ def kmeans(
         raise ValueError("cluster_count must be at least 1")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
 
     X = embedding_set.matrix.astype(np.float64)
     columns = np.ascontiguousarray(X.T)
@@ -196,7 +194,7 @@ def kmeans(
             break
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
-            if prev <= 1e-300 or (prev - cur) / prev < tol:
+            if prev <= 1e-300 or (prev - cur) / prev < TOL:
                 break
 
     # One more assignment pass so stored labels agree with assign_cluster on

@@ -147,46 +147,6 @@ class ExpansionRecord:
         return [v for v in self.variants if v.accepted]
 
 
-def expand_keyword(
-    origin: KeywordRef,
-    vector: np.ndarray,
-    index: FlatIndex,
-    clustering: Clustering,
-    table: ThresholdTable,
-    k_neighbors: int = DEFAULT_K,
-    filters_enabled: bool = True,
-) -> ExpansionRecord:
-    """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
-    then apply gender and numeric filters (first failing filter wins)."""
-    cluster, _ = assign_cluster(clustering, vector)
-    tau = table.tau_for(cluster)
-    exclude = origin.id if origin.market == index.market else None
-    neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)
-    # the origin's side of both filters, derived once for all neighbors
-    origin_gender = gender_class(origin.text)
-    origin_units = _values_by_unit(origin.text)
-    variants: list[Variant] = []
-    for nb in neighbors:
-        if nb.distance > tau:
-            continue
-        ref = index.refs[nb.id]
-        reason: FilterReason | None = None
-        if filters_enabled:
-            if not _genders_agree(origin_gender, gender_class(ref.text)):
-                reason = FilterReason.GENDER
-            elif not _units_agree(origin_units, _values_by_unit(ref.text)):
-                reason = FilterReason.NUMERIC
-        variants.append(
-            Variant(
-                keyword=ref,
-                distance=nb.distance,
-                similarity=1.0 - nb.distance,
-                filtered_reason=reason,
-            )
-        )
-    return ExpansionRecord(origin=origin, cluster=cluster, tau_used=tau, variants=variants)
-
-
 @dataclass
 class ExpansionContext:
     """One market's state for expanding a keyword: its embedding set, the
@@ -198,15 +158,50 @@ class ExpansionContext:
     table: ThresholdTable
 
 
-def expand_text(
+def expand_keyword(
     context: ExpansionContext,
-    text: str,
+    origin: KeywordRef,
+    vector: np.ndarray,
     k_neighbors: int = DEFAULT_K,
-    filters_enabled: bool = True,
 ) -> ExpansionRecord:
-    """Expand a keyword given as text. A keyword of the market's set keeps
-    its stored vector and id; any other is embedded with fallback_embed and
-    gets id -1."""
+    """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
+    then apply gender and numeric filters (first failing filter wins)."""
+    index = context.index
+    cluster, _ = assign_cluster(context.clustering, vector)
+    tau = context.table.tau_for(cluster)
+    exclude = origin.id if origin.market == index.market else None
+    neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)
+    # the origin's side of both filters, derived once for all neighbors
+    origin_gender = gender_class(origin.text)
+    origin_units = _values_by_unit(origin.text)
+    variants: list[Variant] = []
+    for nb in neighbors:
+        if nb.distance > tau:
+            continue
+        ref = index.refs[nb.id]
+        reason: FilterReason | None = None
+        if not _genders_agree(origin_gender, gender_class(ref.text)):
+            reason = FilterReason.GENDER
+        elif not _units_agree(origin_units, _values_by_unit(ref.text)):
+            reason = FilterReason.NUMERIC
+        variants.append(
+            Variant(
+                keyword=ref,
+                distance=nb.distance,
+                similarity=1.0 - nb.distance,
+                filtered_reason=reason,
+            )
+        )
+    return ExpansionRecord(origin=origin, cluster=cluster, tau_used=tau, variants=variants)
+
+
+def expand_text(
+    context: ExpansionContext, text: str, k_neighbors: int = DEFAULT_K
+) -> ExpansionRecord:
+    """Expand a keyword given as text, stripped as keyword files are. A
+    keyword of the market's set keeps its stored vector and id; any other is
+    embedded with fallback_embed and gets id -1."""
+    text = text.strip()
     embedding_set = context.embedding_set
     ref = embedding_set.ref_by_text(text)
     if ref is not None:
@@ -214,32 +209,14 @@ def expand_text(
     else:
         ref = KeywordRef(market=embedding_set.market, text=text, id=-1)
         vector = fallback_embed(text, embedding_set.dim)
-    return expand_keyword(
-        ref,
-        vector,
-        context.index,
-        context.clustering,
-        context.table,
-        k_neighbors=k_neighbors,
-        filters_enabled=filters_enabled,
-    )
+    return expand_keyword(context, ref, vector, k_neighbors)
 
 
-def expand_all(
-    context: ExpansionContext, k_neighbors: int = DEFAULT_K, filters_enabled: bool = True
-) -> list[ExpansionRecord]:
+def expand_all(context: ExpansionContext, k_neighbors: int = DEFAULT_K) -> list[ExpansionRecord]:
     """Expand every keyword of the context's set, in ascending-id order."""
     embedding_set = context.embedding_set
     return [
-        expand_keyword(
-            ref,
-            vector,
-            context.index,
-            context.clustering,
-            context.table,
-            k_neighbors=k_neighbors,
-            filters_enabled=filters_enabled,
-        )
+        expand_keyword(context, ref, vector, k_neighbors)
         for ref, vector in zip(embedding_set.refs, embedding_set.matrix)
     ]
 

@@ -29,6 +29,7 @@ from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
 
 MAX_ADJUSTMENT_TREES = 2
 MAX_ADJUSTMENT_DEPTH = 5
+BASE_DEPTH = 3
 RELEVANT_GRADE = 3
 
 _GAIN_EPS = 1e-12
@@ -157,16 +158,15 @@ def train_base(
     y: np.ndarray,
     tree_count: int,
     learning_rate: float = 0.1,
-    max_depth: int = 3,
-    seed: int = 0,
     min_leaf: int = 5,
     feature_names: list[str] | None = None,
 ) -> GbdtModel:
-    """Least-squares boosting: each stage fits a tree to current residuals.
+    """Least-squares boosting: each stage fits a tree of depth BASE_DEPTH
+    to current residuals.
 
     Training is fully deterministic (exhaustive split search, no
-    subsampling); the seed parameter is part of the pipeline contract and
-    reserved for sampled variants. The per-stage training RMSE is recorded.
+    subsampling), so it takes no seed. The per-stage training RMSE is
+    recorded.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -176,14 +176,13 @@ def train_base(
         raise EmptyDatasetError("cannot train on an empty dataset")
     if tree_count < 1:
         raise ValueError("tree_count must be at least 1")
-    del seed
     base_score = float(y.mean())
     trees: list[RegressionTree] = []
     train_rmse: list[float] = []
     current = np.full(X.shape[0], base_score, dtype=np.float64)
     for _ in range(tree_count):
         residuals = y - current
-        tree = fit_tree(X, residuals, max_depth=max_depth, min_leaf=min_leaf)
+        tree = fit_tree(X, residuals, max_depth=BASE_DEPTH, min_leaf=min_leaf)
         current += learning_rate * tree.predict(X)
         trees.append(tree)
         train_rmse.append(float(np.sqrt(np.mean((y - current) ** 2))))
@@ -248,10 +247,10 @@ def train_adjustment(
     y: np.ndarray,
     adjustment_trees: int = MAX_ADJUSTMENT_TREES,
     max_depth: int = MAX_ADJUSTMENT_DEPTH,
-    adjustment_rate: float = 1.0,
     min_leaf: int = 20,
 ) -> StackedModel:
-    """Fit shallow trees on the new dataset's residuals; base stays frozen.
+    """Fit shallow trees on the new dataset's residuals, added at rate 1.0;
+    the base stays frozen.
 
     The tree-count and depth caps (2 and 5) guard the stability argument for
     incremental updates and have no override.
@@ -272,10 +271,10 @@ def train_adjustment(
         raise EmptyDatasetError("cannot train an adjustment on an empty dataset")
     trees: list[RegressionTree] = []
     for _ in range(adjustment_trees):
-        fitted = StackedModel(base=base, adjustment=trees, adjustment_rate=adjustment_rate)
+        fitted = StackedModel(base=base, adjustment=trees)
         residuals = y - fitted.predict(X)
         trees.append(fit_tree(X, residuals, max_depth=max_depth, min_leaf=min_leaf))
-    return StackedModel(base=base, adjustment=trees, adjustment_rate=adjustment_rate)
+    return StackedModel(base=base, adjustment=trees)
 
 
 def rmse(predictions: np.ndarray, y: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from .errors import (
     NoPositivePairsError,
     ParseError,
 )
-from .expansion import expand_keyword
+from .expansion import ExpansionContext, expand_keyword
 from .flat_index import build_index, knn_search
 from .relevance import GbdtModel, StackedModel, rmse_by_label
 from .thresholds import (
@@ -108,21 +108,14 @@ def tpr_sweep(
     results: dict[float, tuple[float, float]] = {}
     for p in sorted(set(p_list)):
         table = build_threshold_table(clustering, embedding_set, p, min_cluster_size)
+        context = ExpansionContext(embedding_set, index, clustering, table)
         raw_hits = 0
         filtered_hits = 0
         accepted_raw: dict[str, set[str]] = {}
         accepted_filtered: dict[str, set[str]] = {}
         for origin in origins:
             ref = refs[origin]
-            record = expand_keyword(
-                ref,
-                embedding_set.vector(ref),
-                index,
-                clustering,
-                table,
-                k_neighbors=k_neighbors,
-                filters_enabled=True,
-            )
+            record = expand_keyword(context, ref, embedding_set.vector(ref), k_neighbors)
             accepted_raw[origin] = {v.keyword.text for v in record.variants}
             accepted_filtered[origin] = {v.keyword.text for v in record.accepted_variants()}
         for pair in positives:

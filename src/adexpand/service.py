@@ -68,7 +68,7 @@ class MatchService:
         context = bundle.contexts.get(market)
         if context is None:
             raise UnknownMarketError(f"unknown market {market!r}")
-        return expand_text(context, keyword, bundle.k_neighbors, bundle.filters_enabled)
+        return expand_text(context, keyword, bundle.k_neighbors)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -66,7 +66,6 @@ class RuntimeBundle:
     snapshot: Snapshot
     contexts: dict[str, ExpansionContext]
     k_neighbors: int
-    filters_enabled: bool
     # each reusable part, keyed by its name and what it was built from
     # (see the module docstring)
     parts: dict[tuple, object]
@@ -113,7 +112,6 @@ def write_snapshot_dir(
     threshold_paths: dict[str, str],
     dim: int,
     k_neighbors: int,
-    filters_enabled: bool,
 ) -> None:
     """Copy artifacts into a canonical directory layout and write meta.json.
 
@@ -134,7 +132,8 @@ def write_snapshot_dir(
         "version": version,
         "dim": dim,
         "k_neighbors": k_neighbors,
-        "filters_enabled": filters_enabled,
+        # the filters always run; the key keeps meta.json's bytes stable
+        "filters_enabled": True,
         "markets": sorted(clustering_paths),
     }
     with open(os.path.join(out_dir, META_FILE), "w", encoding="utf-8") as fh:
@@ -145,13 +144,12 @@ def write_snapshot_dir(
 
 def _meta_value(meta_path: str, meta: dict, key: str, expected: str, default=None):
     """meta[key]; ParseError when it is missing (with no default) or is not
-    ``expected``: "an integer", "a boolean" or "a list of strings"."""
+    ``expected``: "an integer" or "a list of strings"."""
     if key not in meta and default is None:
         raise ParseError(f"{meta_path}: missing {key!r}")
     value = meta.get(key, default)
     ok = {
         "an integer": isinstance(value, int) and not isinstance(value, bool),
-        "a boolean": isinstance(value, bool),
         "a list of strings": isinstance(value, list) and all(isinstance(v, str) for v in value),
     }[expected]
     if not ok:
@@ -235,7 +233,12 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer", 100)
     if k_neighbors < 1:
         raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
-    filters_enabled = _meta_value(meta_path, meta, "filters_enabled", "a boolean", True)
+    if meta.get("filters_enabled", True) is not True:
+        # a snapshot that asked for unfiltered expansion is refused, not
+        # served filtered
+        raise ParseError(
+            f"{meta_path}: 'filters_enabled' must be true, got {meta['filters_enabled']!r}"
+        )
     markets = _meta_value(meta_path, meta, "markets", "a list of strings", [])
 
     old_parts = previous.parts if previous is not None else {}
@@ -283,6 +286,5 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
                          extractor=extractor),
         contexts=contexts,
         k_neighbors=k_neighbors,
-        filters_enabled=filters_enabled,
         parts=parts,
     )

@@ -190,9 +190,8 @@ def test_criterion_3_quantiles_and_thresholds():
                 assert old <= new + 1e-12
         previous_tau = taus
         accepted = {
-            record.origin.text: {v.keyword.text for v in record.accepted_variants()}
-            for record in expand_all(ExpansionContext(emb, index, clustering, table),
-                                     filters_enabled=False)
+            record.origin.text: {v.keyword.text for v in record.variants}
+            for record in expand_all(ExpansionContext(emb, index, clustering, table))
         }
         if previous_accepted is not None:
             for origin, variants in previous_accepted.items():
@@ -244,7 +243,7 @@ def test_criterion_5_gbdt_properties():
     rng = np.random.default_rng(1005)
     X = rng.normal(size=(2000, 4))
     y = 2.0 + np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2 + 0.3 * rng.normal(size=2000)
-    model = train_base(X, y, tree_count=50, learning_rate=0.1, max_depth=3)
+    model = train_base(X, y, tree_count=50, learning_rate=0.1)
     assert len(model.train_rmse) == 50
     for earlier, later in zip(model.train_rmse, model.train_rmse[1:]):
         assert later <= earlier + 1e-12
@@ -275,8 +274,7 @@ def test_criterion_6_stacking_improvement():
     started = time.monotonic()
     rng = np.random.default_rng(1006)
     X_train, clean_train, _ = _shifted_population(rng, 4000)
-    base = train_base(X_train, clean_train, tree_count=60, learning_rate=0.1,
-                      max_depth=3)
+    base = train_base(X_train, clean_train, tree_count=60, learning_rate=0.1)
 
     # Shifted new inventory: grades <= 2 sit 0.5 lower than the base learned.
     X_new, clean_new, grade_new = _shifted_population(rng, 2000)

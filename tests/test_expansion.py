@@ -130,7 +130,8 @@ def _fixture_corpus():
     return EmbeddingSet.from_pairs("US", pairs)
 
 
-def _one_cluster_table(emb, tau):
+def _one_cluster_context(emb, tau):
+    """emb's context with one cluster whose cutoff is tau."""
     clustering = Clustering(
         market="US",
         cluster_count=1,
@@ -144,24 +145,22 @@ def _one_cluster_table(emb, tau):
         fallback_tau=tau,
         rows={0: ThresholdRow(size=len(emb), tau_distance=tau, tau_similarity=1 - tau, fallback=False)},
     )
-    return clustering, table
+    return ExpansionContext(emb, build_index(emb), clustering, table)
 
 
 class TestExpandKeyword:
     def test_zero_threshold_accepts_nothing(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.0)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=0.0)
         ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+        record = expand_keyword(context, ref, emb.vector(ref))
         assert record.accepted_variants() == []
 
     def test_near_neighbors_within_tau_accepted(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.05)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+        record = expand_keyword(context, ref, emb.vector(ref))
         accepted = {v.keyword.text for v in record.accepted_variants()}
         assert accepted == {"outdoor led lights", "garden lighting"}
         for v in record.accepted_variants():
@@ -170,46 +169,32 @@ class TestExpandKeyword:
 
     def test_origin_never_among_variants(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=2.0)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=2.0)
         for ref in emb.refs:
-            record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+            record = expand_keyword(context, ref, emb.vector(ref))
             assert all(v.keyword.id != ref.id for v in record.variants)
 
     def test_gender_filter_records_reason(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.05)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("mens shoes")
-        record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+        record = expand_keyword(context, ref, emb.vector(ref))
         by_text = {v.keyword.text: v for v in record.variants}
         assert by_text["womens sandals"].filtered_reason is FilterReason.GENDER
         assert "womens sandals" not in {v.keyword.text for v in record.accepted_variants()}
 
     def test_numeric_filter_records_reason(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.05)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("iphone 13 case")
-        record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+        record = expand_keyword(context, ref, emb.vector(ref))
         by_text = {v.keyword.text: v for v in record.variants}
         assert by_text["iphone 12 accessories"].filtered_reason is FilterReason.NUMERIC
 
-    def test_filters_disabled_accepts_everything_within_tau(self):
-        emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.05)
-        index = build_index(emb)
-        ref = emb.ref_by_text("mens shoes")
-        record = expand_keyword(
-            ref, emb.vector(ref), index, clustering, table, filters_enabled=False
-        )
-        assert "womens sandals" in {v.keyword.text for v in record.accepted_variants()}
-
     def test_filter_soundness(self):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=2.0)
-        index = build_index(emb)
-        for record in expand_all(ExpansionContext(emb, index, clustering, table)):
+        context = _one_cluster_context(emb, tau=2.0)
+        for record in expand_all(context):
             for v in record.variants:
                 if v.filtered_reason is FilterReason.GENDER:
                     assert not gender_consistent(record.origin.text, v.keyword.text)
@@ -225,10 +210,9 @@ class TestExpandKeyword:
         emb = EmbeddingSet.from_pairs(
             "US", [(f"kw-{i}", rng.normal(size=8)) for i in range(40)]
         )
-        clustering, table = _one_cluster_table(emb, tau=2.0)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=2.0)
         ref = emb.refs[0]
-        record = expand_keyword(ref, emb.vector(ref), index, clustering, table)
+        record = expand_keyword(context, ref, emb.vector(ref))
         keys = [(v.distance, v.keyword.id) for v in record.variants]
         assert keys == sorted(keys)
 
@@ -244,8 +228,9 @@ class TestExpandKeyword:
             table = build_threshold_table(clustering, emb, p, min_cluster_size=0)
             accepted = {}
             context = ExpansionContext(emb, index, clustering, table)
-            for record in expand_all(context, filters_enabled=False):
-                accepted[record.origin.text] = {v.keyword.text for v in record.accepted_variants()}
+            for record in expand_all(context):
+                # every variant inside the cutoff, filtered or not
+                accepted[record.origin.text] = {v.keyword.text for v in record.variants}
             if previous is not None:
                 for origin, variants in previous.items():
                     assert variants <= accepted[origin]
@@ -264,22 +249,17 @@ class TestFilterReasons:
             min_size=2, max_size=12, unique=True,
         ),
         seed=st.integers(0, 2**32 - 1),
-        filters_enabled=st.booleans(),
     )
-    def test_reasons_equal_per_neighbor_rules(self, texts, seed, filters_enabled):
+    def test_reasons_equal_per_neighbor_rules(self, texts, seed):
         rng = np.random.default_rng(seed)
         emb = EmbeddingSet.from_pairs("US", [(t, rng.normal(size=8)) for t in texts])
-        clustering, table = _one_cluster_table(emb, tau=2.0)
-        index = build_index(emb)
+        context = _one_cluster_context(emb, tau=2.0)
         for ref in emb.refs:
-            record = expand_keyword(ref, emb.vector(ref), index, clustering, table,
-                                    filters_enabled=filters_enabled)
+            record = expand_keyword(context, ref, emb.vector(ref))
             assert len(record.variants) == len(emb) - 1
             for v in record.variants:
                 expected = None
-                if not filters_enabled:
-                    pass
-                elif not gender_consistent(ref.text, v.keyword.text):
+                if not gender_consistent(ref.text, v.keyword.text):
                     expected = FilterReason.GENDER
                 elif not numeric_consistent(ref.text, v.keyword.text):
                     expected = FilterReason.NUMERIC
@@ -289,9 +269,8 @@ class TestFilterReasons:
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         emb = _fixture_corpus()
-        clustering, table = _one_cluster_table(emb, tau=0.2)
-        index = build_index(emb)
-        records = expand_all(ExpansionContext(emb, index, clustering, table))
+        context = _one_cluster_context(emb, tau=0.2)
+        records = expand_all(context)
         path = str(tmp_path / "expansions.jsonl")
         save_expansions(records, path)
         loaded = load_expansions(path)

@@ -130,7 +130,6 @@ GROUPS = {
     "meta": ("meta.json", {
         "reformat": _json(lambda d: d.update(version=2)),
         "k": _json(lambda d: d.update(k_neighbors=3)),
-        "no-filters": _json(lambda d: d.update(filters_enabled=False)),
         "US-only": _json(lambda d: d.update(markets=["US"])),
         "file-order": _json(lambda d: d.pop("markets")),
     }),
@@ -150,6 +149,7 @@ BREAKS = {
     "model-truncated": ("model", _truncate),
     "market_thresholds-no-UK": ("market_thresholds", _json(lambda d: d.pop("UK"))),
     "meta-DE": ("meta", _json(lambda d: d.update(markets=["UK", "US", "DE"]))),
+    "meta-no-filters": ("meta", _json(lambda d: d.update(filters_enabled=False))),
 }
 
 

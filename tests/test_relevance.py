@@ -145,7 +145,7 @@ class TestTrainBase:
     def test_training_rmse_non_increasing(self):
         rng = np.random.default_rng(3)
         X, y = synthetic_regression(rng)
-        model = train_base(X, y, tree_count=50, learning_rate=0.1, max_depth=3)
+        model = train_base(X, y, tree_count=50, learning_rate=0.1)
         assert len(model.train_rmse) == 50
         for earlier, later in zip(model.train_rmse, model.train_rmse[1:]):
             assert later <= earlier + 1e-12
@@ -168,7 +168,7 @@ class TestTrainAdjustment:
         X = rng.normal(size=(100, 2))
         base = train_base(X, np.zeros(100), tree_count=1, learning_rate=1.0)
         stacked = train_adjustment(base, X, np.ones(100), adjustment_trees=1,
-                                   max_depth=1, adjustment_rate=1.0, min_leaf=1)
+                                   max_depth=1, min_leaf=1)
         np.testing.assert_allclose(stacked.predict(X), 1.0, atol=1e-12)
 
     def test_base_bytes_unchanged_by_stacking(self):
@@ -419,8 +419,14 @@ class TestRmseByLabel:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 2))
         y = rng.integers(1, 6, size=60).astype(float)
-        model = as_stacked(train_base(X, y, tree_count=40, learning_rate=1.0,
-                                      max_depth=6, min_leaf=1))
+        # 40 boosting stages of depth-6 trees interpolate these 60 rows;
+        # train_base's depth-3 trees would only approach them
+        trees, current = [], np.zeros(60)
+        for _ in range(40):
+            trees.append(fit_tree(X, y - current, max_depth=6, min_leaf=1))
+            current += trees[-1].predict(X)
+        model = as_stacked(GbdtModel(base_score=0.0, learning_rate=1.0, n_features=2,
+                                     trees=trees))
         if not np.allclose(model.predict(X), y):
             pytest.skip("fixture did not interpolate; adjust tree capacity")
         per_grade, overall = rmse_by_label(model, X, y)

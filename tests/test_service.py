@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from adexpand.cli import cli_dispatch
+from adexpand.expansion import record_to_doc
 from adexpand.service import MAX_BODY_BYTES, MatchService, make_server
 
 from test_snapshot_store import UNSERVABLE
@@ -150,7 +151,11 @@ class TestRefresh:
         status, doc = _get(httpd.server_address[1], "/healthz")
         assert doc["snapshot_version"] == 2
 
-    @pytest.mark.parametrize("meta", [{"dim": 8}, {"version": "2", "dim": 8}])
+    @pytest.mark.parametrize("meta", [
+        {"dim": 8}, {"version": "2", "dim": 8},
+        # the filters always run: a snapshot that asks for none is refused
+        {"version": 2, "dim": 64, "filters_enabled": False},
+    ])
     def test_refresh_with_bad_meta_is_500_and_keeps_serving(self, server, meta):
         httpd, _, snapshot_dir = server
         port = httpd.server_address[1]
@@ -347,18 +352,23 @@ class TestUnexpectedErrors:
 
 class TestOfflineExpandEqualsServed:
     """``adexpand expand --keyword`` and /expand share one rule for a keyword
-    given as text, so on the same files they print the same record."""
+    given as text, so on the same files they print the same record. The text
+    is stripped first, as keyword files are, so padding changes nothing."""
 
     @pytest.mark.parametrize("keyword, seen", [
         ("led garden lights", True),  # in the US set: its stored vector and id
         ("garden light fixtures", False),  # unseen: embedded on the fly, id -1
+        (" led garden lights", True),
+        ("led garden lights\n", True),
+        ("\tgarden light fixtures  ", False),
     ])
     def test_stdout_equals_expand_body(self, server, keyword, seen, capsys):
         httpd, _, snapshot_dir = server
-        status, body = _post(httpd.server_address[1], "/expand",
-                             {"keyword": keyword, "market": "US"})
+        port = httpd.server_address[1]
+        status, body = _post(port, "/expand", {"keyword": keyword, "market": "US"})
         assert status == 200
         assert (body["origin"]["id"] >= 0) == seen
+        assert _post(port, "/expand", {"keyword": keyword.strip(), "market": "US"}) == (200, body)
         with open(os.path.join(snapshot_dir, "meta.json"), encoding="utf-8") as fh:
             meta = json.load(fh)
         assert cli_dispatch([
@@ -371,3 +381,23 @@ class TestOfflineExpandEqualsServed:
             "--keyword", keyword,
         ]) == 0
         assert capsys.readouterr().out == json.dumps(body, sort_keys=True) + "\n"
+
+
+class TestOneFilterPolicy:
+    def test_served_accepted_variants_equal_offline(self, snapshot_copy):
+        """/expand of a stored keyword accepts the variants the offline
+        expand wrote for it, the ones the match index serves."""
+        service = MatchService(snapshot_copy)
+        with open(os.path.join(snapshot_copy, "expansions.jsonl"), encoding="utf-8") as fh:
+            offline = [json.loads(line) for line in fh]
+        contexts = service.current().contexts.values()
+        assert len(offline) == sum(len(context.embedding_set) for context in contexts)
+
+        def accepted(doc):
+            return [v["keyword"] for v in doc["variants"] if "filtered_reason" not in v]
+
+        for doc in offline:
+            origin = doc["origin"]
+            served = record_to_doc(service.expand(origin["text"], origin["market"]))
+            assert served["origin"] == origin
+            assert accepted(served) == accepted(doc), origin

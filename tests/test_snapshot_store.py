@@ -101,9 +101,20 @@ class TestBadMeta:
             load_runtime(snapshot_copy)
 
     @pytest.mark.parametrize("value", [True, False])
-    def test_boolean_filters_enabled_is_read_as_given(self, snapshot_copy, value):
+    def test_boolean_filters_enabled_is_read_as_given(self, snapshot_copy, value, capsys):
+        # the filters always run: true loads, and a snapshot that asks for
+        # none is refused, by load_runtime and by match (exit 2)
         _edit_meta(snapshot_copy, filters_enabled=value)
-        assert load_runtime(snapshot_copy).filters_enabled is value
+        if value:
+            assert load_runtime(snapshot_copy).version == 1
+            return
+        with pytest.raises(ParseError, match="meta.json: 'filters_enabled' must be true"):
+            load_runtime(snapshot_copy)
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert "meta.json: 'filters_enabled' must be true" in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes", BAD_META[:2] + BAD_META[5:7] + BAD_META[-4:])
     def test_match_exits_2(self, snapshot_copy, changes, capsys):

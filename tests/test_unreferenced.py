@@ -1,6 +1,7 @@
 """Every function, class and method in src/adexpand/ has a caller outside its
-own definition in src/, perfbench/ or scripts/: code that only tests run
-belongs in the tests."""
+own definition in src/, perfbench/ or scripts/, and every parameter with a
+default is passed by some call there: code and options that only tests use
+belong in the tests."""
 
 import ast
 import os
@@ -19,6 +20,12 @@ ALLOWED = {
     "log_message": "BaseHTTPRequestHandler calls it",
     "send_error": "BaseHTTPRequestHandler calls it on a request it cannot parse",
     "error": "argparse calls it; the CLI's override turns usage errors into exit 1",
+}
+# "name(parameters)" -> why those defaulted parameters stay though no call
+# in the program passes them
+ALLOWED_PARAMETERS = {
+    "send_error(message, explain)": "the stdlib signature BaseHTTPRequestHandler calls",
+    "kmeans(max_iter)": "tests/test_kernel_oracles.py truncates k-means against its oracle",
 }
 # "module:Qual.name", the form perfbench/tracer.py names its targets in
 _TARGET = re.compile(r"^[\w.]+:([\w.]+)$")
@@ -84,3 +91,62 @@ def test_every_definition_has_a_caller():
 def test_allow_list_is_current():
     """An allowed name that gains a caller, or is deleted, leaves the list."""
     assert {f.split()[-1] for f in unreferenced_definitions()} >= set(ALLOWED)
+
+
+def _defaulted(func):
+    """(position, name) of each parameter with a default; the position a
+    call passes it at, or None for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    out = [(i - offset, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, position, name):
+    """Whether the call passes the parameter: by position, by keyword, or
+    through a *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def unpassed_parameters():
+    """Each function in the package with defaulted parameters that no call
+    passes, as "path:line name(parameters)"."""
+    calls = {}
+    for path in _py_files(CALLER_DIRS):
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read(), path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    found = []
+    for path in _py_files([PACKAGE_DIR]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            unpassed = [
+                name for position, name in _defaulted(node)
+                if not any(_passes(call, position, name) for call in calls.get(node.name, []))
+            ]
+            if unpassed:
+                found.append(f"{os.path.relpath(path, _ROOT)}:{node.lineno}"
+                             f" {node.name}({', '.join(unpassed)})")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    found = unpassed_parameters()
+    assert [f for f in found if f.split(" ", 1)[1] not in ALLOWED_PARAMETERS] == []
+
+
+def test_parameter_allow_list_is_current():
+    assert {f.split(" ", 1)[1] for f in unpassed_parameters()} == set(ALLOWED_PARAMETERS)
