@@ -26,7 +26,6 @@ from .errors import AdexpandError, ParseError
 from .expansion import (
     expand_all,
     expand_text,
-    format_expansion_table,
     record_to_doc,
     save_expansions,
 )
@@ -185,8 +184,6 @@ def _cmd_expand(args) -> int:
     save_expansions(records, args.out)
     accepted = sum(len(r.accepted_variants()) for r in records)
     print(f"expanded {len(records)} keywords, {accepted} accepted variants -> {args.out}")
-    if args.table:
-        print(format_expansion_table(records))
     return EXIT_OK
 
 
@@ -197,7 +194,6 @@ def _cmd_train_base(args) -> int:
         y,
         tree_count=args.trees,
         learning_rate=args.learning_rate,
-        min_leaf=args.min_leaf,
         feature_names=names,
     )
     save_model(model, args.out)
@@ -388,7 +384,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--market", required=True)
     p.add_argument("--clustering", required=True)
-    p.add_argument("--quantile-pct", "--p", dest="quantile_pct", type=float, default=None,
+    p.add_argument("--quantile-pct", type=float, default=None,
                    help="quantile as a percent, e.g. 99.9999")
     p.add_argument("--min-cluster-size", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -401,13 +397,11 @@ def build_parser() -> _Parser:
     p.add_argument("--k-neighbors", type=int, default=None)
     p.add_argument("--keyword", help="expand one keyword and print the record")
     p.add_argument("--out", help="JSONL output (required unless --keyword)")
-    p.add_argument("--table", action="store_true", help="also print a text expansion table")
 
     p = add("train-base", _cmd_train_base, "train the frozen base tree ensemble")
     p.add_argument("--dataset", required=True)
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--min-leaf", type=int, default=5)
     p.add_argument("--seed", type=int, default=None,
                    help="no effect on this command: training is deterministic")
     p.add_argument("--out", required=True)

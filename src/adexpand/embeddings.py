@@ -239,7 +239,7 @@ def _parse_all_vectors(
 
 
 def _read_rows(
-    path: str, markets: list[str] | None, fh: TextIO
+    path: str, markets: list[str], fh: TextIO
 ) -> tuple[dict[str, list[tuple[str, np.ndarray]]], int | None]:
     """Every row of the embeddings file checked, and the requested markets'
     (keyword, raw vector) pairs in file order, with the shared dimension."""
@@ -281,27 +281,27 @@ def _read_rows(
             raise DimensionMismatchError(
                 f"{path}:{lineno}: dim {vec.size}, expected {dim}"
             )
-        if markets is None or row_market in markets:
+        if row_market in markets:
             by_market.setdefault(row_market, []).append((keyword, vec))
     return by_market, dim
 
 
 def load_embedding_sets(
-    path: str, markets: list[str] | None = None, fh: TextIO | None = None
+    path: str, markets: list[str], fh: TextIO | None = None
 ) -> dict[str, EmbeddingSet]:
     """Load several markets' vectors from one pass over a TSV file.
 
     Format: ``market<TAB>keyword<TAB>v1 v2 ... vD`` per line (see read_tsv),
     dimension inferred from the first record and shared by every market. All
-    rows are validated; only the requested markets' rows are kept. ``markets``
-    defaults to every market in the file, in first-seen order; a requested
-    market with no rows raises EmptySetError. ``fh``, when given, is
-    ``path`` open at its start; it is rewound if the file is read twice.
+    rows are validated; only the rows of ``markets`` are kept, one set per
+    market in that order, and a market with no rows raises EmptySetError.
+    ``fh``, when given, is ``path`` open at its start; it is rewound if the
+    file is read twice.
     """
     with reading(path, fh) as fh:
         by_market, dim = _read_rows(path, markets, fh)
     sets: dict[str, EmbeddingSet] = {}
-    for market in by_market if markets is None else markets:
+    for market in markets:
         pairs = by_market.get(market)
         if not pairs:
             raise EmptySetError(f"{path}: no rows for market {market!r}")

@@ -35,9 +35,13 @@ class ParseError(AdexpandError):
 
 
 # What reading a parsed document raises on a missing key, a wrong type, a
-# value that does not convert or a failed check of the loader's own; each
-# loader turns these into a ParseError that names the file.
-MALFORMED = (AttributeError, KeyError, ParseError, TypeError, ValueError)
+# value that does not convert (1e999 or a 400-digit number meets int() or
+# float() as OverflowError), a document nested too deep for the parser
+# (RecursionError) or a failed check of the loader's own; each loader turns
+# these into a ParseError that names the file.
+MALFORMED = (
+    AttributeError, KeyError, OverflowError, ParseError, RecursionError, TypeError, ValueError
+)
 
 
 def malformed(where: str, what: str, exc: Exception) -> ParseError:

@@ -169,8 +169,8 @@ def expand_keyword(
     index = context.index
     cluster, _ = assign_cluster(context.clustering, vector)
     tau = context.table.tau_for(cluster)
-    exclude = origin.id if origin.market == index.market else None
-    neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=exclude)
+    # an unseen origin has id -1, for which knn_search excludes no row
+    neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=origin.id)
     # the origin's side of both filters, derived once for all neighbors
     origin_gender = gender_class(origin.text)
     origin_units = _values_by_unit(origin.text)
@@ -248,7 +248,10 @@ def record_to_doc(record: ExpansionRecord) -> dict:
 
 def record_from_doc(doc: dict) -> ExpansionRecord:
     def ref(d: dict) -> KeywordRef:
-        return KeywordRef(market=d["market"], text=d["text"], id=int(d["id"]))
+        market, text = d["market"], d["text"]
+        if type(market) is not str or type(text) is not str:
+            raise TypeError(f"keyword market and text must be strings, got {market!r}, {text!r}")
+        return KeywordRef(market=market, text=text, id=int(d["id"]))
 
     variants = [
         Variant(
@@ -286,12 +289,3 @@ def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRecord
                 except MALFORMED as exc:
                     raise malformed(f"{path}:{lineno}", "expansion record", exc) from exc
     return records
-
-
-def format_expansion_table(records: list[ExpansionRecord]) -> str:
-    """Two-column text table: origin keyword and its accepted expansions."""
-    lines = ["Original Keyword | Semantic Expansions", "---|---"]
-    for record in records:
-        accepted = ", ".join(v.keyword.text for v in record.accepted_variants())
-        lines.append(f"{record.origin.text} | {accepted}")
-    return "\n".join(lines)

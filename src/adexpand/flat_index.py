@@ -33,7 +33,6 @@ class Neighbor:
 class FlatIndex:
     """Immutable row-major matrix of unit vectors; row i is keyword id i."""
 
-    market: str
     dim: int
     refs: list[KeywordRef]
     matrix: np.ndarray
@@ -47,7 +46,6 @@ def build_index(embedding_set: EmbeddingSet) -> FlatIndex:
     if len(embedding_set) == 0:
         raise EmptySetError("cannot index an empty embedding set")
     return FlatIndex(
-        market=embedding_set.market,
         dim=embedding_set.dim,
         refs=embedding_set.refs,
         matrix=embedding_set.matrix,

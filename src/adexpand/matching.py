@@ -11,6 +11,7 @@ versions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, TextIO
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DanglingReferenceError,
+    NonFiniteError,
     ParseError,
     UnknownMarketError,
     parse_json,
@@ -64,6 +66,8 @@ def _campaigns_from_doc(doc: dict) -> list[Campaign]:
             raise ParseError(f"duplicate campaign id {cid!r}")
         seen_campaigns.add(cid)
         market = c["market"]
+        if type(market) is not str:
+            raise ParseError(f"campaign {cid!r}: market {market!r} is not a string")
         groups = []
         for g in c.get("ad_groups", []):
             items = []
@@ -131,9 +135,7 @@ def match_record_to_doc(record: MatchRecord) -> dict:
         "score": record.score,
         "score_base": record.score_base,
         "score_adjustment": record.score_adjustment,
-        # null mirrors the thresholds-file convention for disabled filtering;
-        # a bare -Infinity would not be strict JSON
-        "threshold": None if record.threshold == float("-inf") else record.threshold,
+        "threshold": record.threshold,
     }
 
 
@@ -144,26 +146,29 @@ class Snapshot:
     ``_token_index`` (campaign market -> token -> entries) is the match index.
     It depends only on the campaigns and expansions, so snapshots that differ
     in model, thresholds or version may share one, read-only
-    (``dataclasses.replace``). Every campaign market must have a threshold.
+    (``dataclasses.replace``). Every campaign market must have a threshold,
+    and every threshold must be a finite number.
     """
 
     version: int
     model: StackedModel
     market_thresholds: dict[str, float]
     extractor: FeatureExtractor
-    markets: set[str] = field(init=False)
     _token_index: dict[str, dict[str, list[_IndexEntry]]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         _check_thresholds(self._token_index, self.market_thresholds)
-        self.markets = set(self._token_index) | set(self.market_thresholds)
 
     def entries_for(self, market: str, token: str) -> list[_IndexEntry]:
         return self._token_index.get(market, {}).get(token, [])
 
 
 def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
-    """UnknownMarketError unless every campaign market has a threshold."""
+    """NonFiniteError unless every threshold is a finite number, and
+    UnknownMarketError unless every campaign market has one."""
+    for market, threshold in sorted(market_thresholds.items()):
+        if not math.isfinite(threshold):
+            raise NonFiniteError(f"relevance threshold {threshold!r} for market {market!r}")
     for market in sorted(campaign_markets):
         if market not in market_thresholds:
             raise UnknownMarketError(f"no relevance threshold for market {market!r}")
@@ -276,9 +281,9 @@ def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord
     its best-scoring keyword; output is sorted by descending score, then
     ascending item id.
     """
-    if market not in snapshot.markets:
+    if market not in snapshot.market_thresholds:
         raise UnknownMarketError(f"unknown market {market!r}")
-    threshold = snapshot.market_thresholds.get(market, float("-inf"))
+    threshold = snapshot.market_thresholds[market]
     query_tokens = set(tokenize(query))
     candidates: list[_IndexEntry] = []
     for token in sorted(query_tokens):

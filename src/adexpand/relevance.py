@@ -30,6 +30,7 @@ from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
 MAX_ADJUSTMENT_TREES = 2
 MAX_ADJUSTMENT_DEPTH = 5
 BASE_DEPTH = 3
+BASE_MIN_LEAF = 5
 RELEVANT_GRADE = 3
 
 _GAIN_EPS = 1e-12
@@ -89,8 +90,6 @@ def fit_tree(
     """Greedy CART regression tree; leaves predict the target mean."""
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot fit a tree on an empty dataset")
     if not np.all(np.isfinite(targets)):
@@ -144,8 +143,6 @@ class GbdtModel:
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         if X.shape[1] != self.n_features:
             raise SchemaMismatchError(
                 f"got {X.shape[1]} features, model expects {self.n_features}"
@@ -158,11 +155,10 @@ def train_base(
     y: np.ndarray,
     tree_count: int,
     learning_rate: float = 0.1,
-    min_leaf: int = 5,
     feature_names: list[str] | None = None,
 ) -> GbdtModel:
-    """Least-squares boosting: each stage fits a tree of depth BASE_DEPTH
-    to current residuals.
+    """Least-squares boosting: each stage fits a tree of depth BASE_DEPTH,
+    with at least BASE_MIN_LEAF rows per leaf, to current residuals.
 
     Training is fully deterministic (exhaustive split search, no
     subsampling), so it takes no seed. The per-stage training RMSE is
@@ -170,8 +166,6 @@ def train_base(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     if tree_count < 1:
@@ -182,7 +176,7 @@ def train_base(
     current = np.full(X.shape[0], base_score, dtype=np.float64)
     for _ in range(tree_count):
         residuals = y - current
-        tree = fit_tree(X, residuals, max_depth=BASE_DEPTH, min_leaf=min_leaf)
+        tree = fit_tree(X, residuals, max_depth=BASE_DEPTH, min_leaf=BASE_MIN_LEAF)
         current += learning_rate * tree.predict(X)
         trees.append(tree)
         train_rmse.append(float(np.sqrt(np.mean((y - current) ** 2))))
@@ -228,9 +222,8 @@ class StackedModel:
         Serving scores whole batches through predict_base and
         predict_adjustment; this one-row form is kept as a traced entry point.
         """
-        base = float(self.predict_base(x)[0])
-        adj = float(self.predict_adjustment(x)[0])
-        return base, adj
+        X = np.reshape(x, (1, -1))
+        return float(self.predict_base(X)[0]), float(self.predict_adjustment(X)[0])
 
 
 def as_stacked(model: GbdtModel | StackedModel) -> StackedModel:
@@ -265,8 +258,6 @@ def train_adjustment(
         raise ValueError("adjustment_trees must be at least 1")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train an adjustment on an empty dataset")
     trees: list[RegressionTree] = []
@@ -359,25 +350,31 @@ def tune_market_threshold(
 
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """CSV with header ``name_1,...,name_n,label``; returns (X, y, names).
-    ParseError names ``path:lineno`` for a bad header, a row of another width
-    or a cell that is not a finite number."""
+    ParseError names ``path:lineno`` for a bad header, a row of another
+    width, a cell that is not a finite number, or a line the csv module
+    refuses (a cell over its field size limit)."""
     with reading(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label":
-            raise ParseError(f"{path}:1: expected a header ending in 'label'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ParseError(f"{path}:{lineno}: every cell must be a finite number")
+        try:
+            header = next(reader, None)
+            if not header or header[-1] != "label":
+                raise ParseError(f"{path}:1: expected a header ending in 'label'")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ParseError(f"{path}:{lineno}: every cell must be a finite number")
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     data = np.array(rows, dtype=np.float64)

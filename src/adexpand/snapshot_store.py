@@ -76,27 +76,21 @@ class RuntimeBundle:
 
 
 def load_market_thresholds(path: str) -> dict[str, float]:
-    """JSON map market -> threshold, each null or a finite number; null
-    disables filtering (-inf)."""
+    """JSON map market -> threshold, each a finite number."""
     return parse_json(path, "market thresholds", _market_thresholds_from_doc)
 
 
 def _market_thresholds_from_doc(doc: dict) -> dict[str, float]:
     for market, value in doc.items():
         # type(), not isinstance(): a JSON true is not a threshold
-        finite = type(value) in (int, float) and math.isfinite(value)
-        if value is not None and not finite:
-            raise ValueError(f"market {market!r}: {value!r} is not null or a finite number")
-    return {market: float("-inf") if value is None else float(value) for market, value in doc.items()}
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"market {market!r}: {value!r} is not a finite number")
+    return {market: float(value) for market, value in doc.items()}
 
 
 def save_market_thresholds(thresholds: dict[str, float], path: str) -> None:
-    doc = {
-        market: (None if value == float("-inf") else value)
-        for market, value in thresholds.items()
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(thresholds, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -142,15 +136,18 @@ def write_snapshot_dir(
     load_runtime(out_dir)
 
 
-def _meta_value(meta_path: str, meta: dict, key: str, expected: str, default=None):
-    """meta[key]; ParseError when it is missing (with no default) or is not
-    ``expected``: "an integer" or "a list of strings"."""
-    if key not in meta and default is None:
+def _meta_value(meta_path: str, meta: dict, key: str, expected: str):
+    """meta[key]; ParseError when it is missing or is not ``expected``: "an
+    integer", "true" or "a non-empty list of strings"."""
+    if key not in meta:
         raise ParseError(f"{meta_path}: missing {key!r}")
-    value = meta.get(key, default)
+    value = meta[key]
     ok = {
         "an integer": isinstance(value, int) and not isinstance(value, bool),
-        "a list of strings": isinstance(value, list) and all(isinstance(v, str) for v in value),
+        "true": value is True,
+        "a non-empty list of strings": (
+            isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+        ),
     }[expected]
     if not ok:
         raise ParseError(f"{meta_path}: {key!r} must be {expected}, got {value!r}")
@@ -230,16 +227,13 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     dim = _meta_value(meta_path, meta, "dim", "an integer")
     if dim < MIN_DIM:
         raise ParseError(f"{meta_path}: 'dim' must be at least {MIN_DIM}, got {dim}")
-    k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer", 100)
+    k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer")
     if k_neighbors < 1:
         raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
-    if meta.get("filters_enabled", True) is not True:
-        # a snapshot that asked for unfiltered expansion is refused, not
-        # served filtered
-        raise ParseError(
-            f"{meta_path}: 'filters_enabled' must be true, got {meta['filters_enabled']!r}"
-        )
-    markets = _meta_value(meta_path, meta, "markets", "a list of strings", [])
+    # a snapshot that asked for unfiltered expansion is refused, not served
+    # filtered
+    _meta_value(meta_path, meta, "filters_enabled", "true")
+    markets = _meta_value(meta_path, meta, "markets", "a non-empty list of strings")
 
     old_parts = previous.parts if previous is not None else {}
     parts: dict[tuple, object] = {}
@@ -264,7 +258,7 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         embeddings = read(EMBEDDINGS_FILE)
         embeddings_key = ("embeddings", embeddings.sha256, tuple(markets))
         embedding_sets = part(embeddings_key, lambda: load_embedding_sets(
-            embeddings.path, markets or None, embeddings.fh))
+            embeddings.path, markets, embeddings.fh))
         contexts: dict[str, ExpansionContext] = {}
         for market, embedding_set in embedding_sets.items():
             clustering, table = read(f"clustering_{market}.json"), read(f"thresholds_{market}.jsonl")

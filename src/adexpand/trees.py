@@ -40,8 +40,6 @@ class RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
         packed = pack_trees([self], X.shape[1])
         return packed.value[leaf_index(packed, X)[0]]
 

@@ -227,7 +227,8 @@ class TestTsvRoundTrip:
         uk = load_embeddings(str(path), "UK")
         assert [r.text for r in us.refs] == ["alpha"]
         assert [r.text for r in uk.refs] == ["bravo"]
-        assert list(load_embedding_sets(str(path))) == ["US", "UK"]
+        # one set per requested market, in the order asked for
+        assert list(load_embedding_sets(str(path), ["UK", "US"])) == ["UK", "US"]
 
 
 def _read_queries(path, request):

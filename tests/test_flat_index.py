@@ -194,7 +194,7 @@ class TestKnnOracleProperty:
     def test_equals_full_stable_argsort(self, case):
         matrix, query, k, exclude_id = case
         refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
-        index = FlatIndex(market="US", dim=matrix.shape[1], refs=refs, matrix=matrix)
+        index = FlatIndex(dim=matrix.shape[1], refs=refs, matrix=matrix)
         got = knn_search(index, query, k=k, exclude_id=exclude_id)
         assert [(nb.id, repr(nb.distance)) for nb in got] == _full_sort_knn(
             index, query, k, exclude_id
@@ -205,7 +205,7 @@ class TestKnnOracleProperty:
         matrix = np.array([[1, 0], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [-1, 0]],
                           dtype=np.float32)
         refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
-        index = FlatIndex(market="US", dim=2, refs=refs, matrix=matrix)
+        index = FlatIndex(dim=2, refs=refs, matrix=matrix)
         query = np.array([0.6, 0.8], dtype=np.float32)
         got = knn_search(index, query, k=3, exclude_id=2)
         assert [nb.id for nb in got] == [1, 3, 4]

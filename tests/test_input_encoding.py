@@ -32,7 +32,7 @@ LOADERS = {
     "load_label_set": ("labels.tsv", load_label_set),
     "load_dataset": ("relevance_base.csv", load_dataset),
     "load_config": ("config.json", load_config),
-    "load_embedding_sets": ("embeddings.tsv", load_embedding_sets),
+    "load_embedding_sets": ("embeddings.tsv", lambda path: load_embedding_sets(path, ["US"])),
     "load_campaigns": ("campaigns.json", load_campaigns),
     "load_expansions": ("expansions.jsonl", load_expansions),
     "load_clustering": ("clustering_US.json", load_clustering),

@@ -313,7 +313,7 @@ class TestMemoisedFilters:
 # --------------------------------------------------------- embeddings parse
 
 
-def _old_load_embedding_sets(path, markets=None):
+def _old_load_embedding_sets(path, markets):
     """load_embedding_sets parsing each vector field with float() per row."""
     by_market = {}
     dim = None
@@ -338,10 +338,10 @@ def _old_load_embedding_sets(path, markets=None):
             dim = vec.size
         elif vec.size != dim:
             raise DimensionMismatchError(f"{path}:{lineno}: dim {vec.size}, expected {dim}")
-        if markets is None or row_market in markets:
+        if row_market in markets:
             by_market.setdefault(row_market, []).append((keyword, vec))
     sets = {}
-    for market in by_market if markets is None else markets:
+    for market in markets:
         pairs = by_market.get(market)
         if not pairs:
             raise EmptySetError(f"{path}: no rows for market {market!r}")
@@ -385,7 +385,7 @@ def _embeddings_file(draw):
         market = draw(st.sampled_from(["US", "UK"]))
         keyword = f"kw{i}" if kind != 6 else draw(st.sampled_from(["kw0", " ", "kw1"]))
         lines.append(f"{market}\t{keyword}\t{sep.join(values)}")
-    markets = draw(st.sampled_from([None, ["US"], ["UK", "US"], ["FR"]]))
+    markets = draw(st.sampled_from([["US"], ["UK", "US"], ["FR"]]))
     return "\n".join(lines) + "\n", markets
 
 
@@ -430,10 +430,10 @@ class TestBulkEmbeddingsParse:
         path.write_text(f"US\ta\t1 0\n# note\nUS\tb\t{value}\nUS\ta\t1 0\n", encoding="utf-8")
         with pytest.raises((ParseError, DimensionMismatchError),
                            match=f"{path}:3: {message}"):
-            load_embedding_sets(str(path))
+            load_embedding_sets(str(path), ["US"])
 
     def test_underscored_literals_load_as_before(self, tmp_path):
         path = tmp_path / "embeddings.tsv"
         path.write_text("US\ta\t1_000 0\nUS\tb\t0 2\n", encoding="utf-8")
-        got = load_embedding_sets(str(path))["US"]
+        got = load_embedding_sets(str(path), ["US"])["US"]
         assert got.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adexpand import matching
 
 from adexpand.embeddings import KeywordRef
-from adexpand.errors import DanglingReferenceError, UnknownMarketError
+from adexpand.errors import DanglingReferenceError, NonFiniteError, UnknownMarketError
 from adexpand.expansion import ExpansionRecord, FilterReason, Variant, tokenize
 from adexpand.features import FeatureExtractor
 from adexpand.matching import (
@@ -25,6 +25,11 @@ from adexpand.matching import (
 from adexpand.relevance import GbdtModel, StackedModel, as_stacked, fit_tree
 
 from conftest import golden_campaigns, price_step_model
+
+
+# A market threshold is a finite number; this one is below every score the
+# test models give, so it keeps every candidate.
+FLOOR = -1e9
 
 
 def tokens(text):
@@ -92,7 +97,7 @@ def make_snapshot(version=1, thresholds=None, model=None, expansions=None):
         campaigns=golden_campaigns(),
         expansions=golden_expansions() if expansions is None else expansions,
         model=model or price_step_model(),
-        market_thresholds=thresholds or {"US": float("-inf"), "UK": float("-inf")},
+        market_thresholds=thresholds or {"US": FLOOR, "UK": FLOOR},
         version=version,
     )
 
@@ -124,6 +129,11 @@ class TestBuildSnapshot:
                 market_thresholds={"US": 0.0},  # UK campaigns exist
                 version=1,
             )
+
+    @pytest.mark.parametrize("threshold", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(NonFiniteError, match="'UK'"):
+            make_snapshot(thresholds={"US": 2.5, "UK": threshold})
 
     def test_rebuild_equivalence_on_probe_queries(self):
         a = make_snapshot(version=1)
@@ -289,7 +299,7 @@ def _matching_inputs(draw):
                     for v in variants:
                         v.similarity = 1.0 - v.distance
                     expansions.append(_expansion(campaign.market, keyword, 0, variants))
-    threshold = draw(st.sampled_from([float("-inf"), 2.5, 3.0]))
+    threshold = draw(st.sampled_from([FLOOR, 2.5, 3.0]))
     queries = draw(st.lists(
         st.tuples(st.lists(st.sampled_from(_WORDS), min_size=2, max_size=8).map(" ".join),
                   st.sampled_from(["US", "UK"])),
@@ -383,14 +393,14 @@ class TestMatchQuery:
         assert all(r.matched_keyword == "iphone 13 cover" for r in records)
 
     def test_disabled_threshold_equals_unfiltered(self):
-        lenient = make_snapshot(thresholds={"US": float("-inf"), "UK": float("-inf")})
+        lenient = make_snapshot(thresholds={"US": FLOOR, "UK": FLOOR})
         strict = make_snapshot(thresholds={"US": 3.0, "UK": 3.0})
         query = "solar led garden lights outdoor string"
         all_records = match_query(query, "US", lenient)
         kept = match_query(query, "US", strict)
         assert {r.item_id for r in kept} <= {r.item_id for r in all_records}
         assert all(r.score >= 3.0 for r in kept)
-        # cheap items (score 2.5) pass only the disabled threshold
+        # cheap items (score 2.5) pass only the floor
         assert {r.item_id for r in all_records} - {r.item_id for r in kept}
 
     def test_score_decomposition_and_threshold_invariants(self):

@@ -125,17 +125,16 @@ GROUPS = {
     }),
     "market_thresholds": ("market_thresholds.json", {
         "reformat": _json(),
-        "alter": _json(lambda d: d.update(US=None)),
+        "alter": _json(lambda d: d.update(US=0.0)),
     }),
     "meta": ("meta.json", {
         "reformat": _json(lambda d: d.update(version=2)),
         "k": _json(lambda d: d.update(k_neighbors=3)),
         "US-only": _json(lambda d: d.update(markets=["US"])),
-        "file-order": _json(lambda d: d.pop("markets")),
     }),
 }
 # meta changes that change its markets, a key of every expansion context
-MARKETS_CHANGES = {"US-only", "file-order"}
+MARKETS_CHANGES = {"US-only"}
 
 # Rewrites after which a load raises: name -> (group, rewrite).
 BREAKS = {
@@ -148,8 +147,10 @@ BREAKS = {
     "thresholds_US-header-only": ("thresholds_US", _lines(lambda lines: lines[:1])),
     "model-truncated": ("model", _truncate),
     "market_thresholds-no-UK": ("market_thresholds", _json(lambda d: d.pop("UK"))),
+    "market_thresholds-null": ("market_thresholds", _json(lambda d: d.update(US=None))),
     "meta-DE": ("meta", _json(lambda d: d.update(markets=["UK", "US", "DE"]))),
     "meta-no-filters": ("meta", _json(lambda d: d.update(filters_enabled=False))),
+    "meta-file-order": ("meta", _json(lambda d: d.pop("markets"))),
 }
 
 
@@ -448,12 +449,13 @@ class TestFailedRefreshLeavesTheLiveBundle:
         port = httpd.server_address[1]
         try:
             v1_http = _http_answers(port)
+            _apply(snapshot_copy, {"meta": "reformat"})  # version 2
             pristine = {}
-            for name in ("model.json", "market_thresholds.json"):
+            for name in ("model.json", "market_thresholds.json", "meta.json"):
                 with open(os.path.join(snapshot_copy, name), "rb") as fh:
                     pristine[name] = fh.read()
-            _apply(snapshot_copy, {"meta": "reformat"})  # version 2
-            for key in ("model-truncated", "market_thresholds-no-UK"):
+            for key in ("model-truncated", "market_thresholds-no-UK", "market_thresholds-null",
+                        "meta-file-order"):
                 _apply(snapshot_copy, {}, [key])
                 status, doc = _post(port, "/refresh")
                 assert status == 500, doc

@@ -141,6 +141,11 @@ class TestEndpoints:
         assert _post(httpd.server_address[1], "/nope", {})[0] == 404
 
 
+# meta.json as build-snapshot writes it for version 2 of the fixture snapshot
+_META_V2 = {"version": 2, "dim": 64, "k_neighbors": 11, "filters_enabled": True,
+            "markets": ["UK", "US"]}
+
+
 class TestRefresh:
     def test_refresh_swaps_versions(self, server):
         httpd, _, snapshot_dir = server
@@ -154,7 +159,11 @@ class TestRefresh:
     @pytest.mark.parametrize("meta", [
         {"dim": 8}, {"version": "2", "dim": 8},
         # the filters always run: a snapshot that asks for none is refused
-        {"version": 2, "dim": 64, "filters_enabled": False},
+        {**_META_V2, "filters_enabled": False},
+        # every key build-snapshot writes is required, and markets is not empty
+        *({k: v for k, v in _META_V2.items() if k != key}
+          for key in ("k_neighbors", "filters_enabled", "markets")),
+        {**_META_V2, "markets": []},
     ])
     def test_refresh_with_bad_meta_is_500_and_keeps_serving(self, server, meta):
         httpd, _, snapshot_dir = server

@@ -54,16 +54,6 @@ class TestLoadRuntime:
         assert sorted(bundle.contexts) == ["UK", "US"]
         assert opened.count(EMBEDDINGS_FILE) == 1
 
-    def test_markets_default_to_first_seen_order(self, snapshot_copy):
-        path = os.path.join(snapshot_copy, EMBEDDINGS_FILE)
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        assert lines[0].startswith("UK\t")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(sorted(lines, key=lambda line: not line.startswith("US\t")))
-        _edit_meta(snapshot_copy, markets=None)
-        assert list(load_runtime(snapshot_copy).contexts) == ["US", "UK"]
-
     def test_listed_market_without_rows_is_empty(self, snapshot_copy):
         _edit_meta(snapshot_copy, markets=["UK", "US", "DE"])
         with pytest.raises(EmptySetError, match="DE"):
@@ -125,6 +115,27 @@ class TestBadMeta:
         ]) == 2
         assert "meta.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, named", [
+        pytest.param({"k_neighbors": None}, "missing 'k_neighbors'", id="no-k"),
+        pytest.param({"filters_enabled": None}, "missing 'filters_enabled'", id="no-filters"),
+        pytest.param({"markets": None}, "missing 'markets'", id="no-markets"),
+        pytest.param({"markets": []},
+                     "'markets' must be a non-empty list of strings, got []", id="empty-markets"),
+    ])
+    def test_every_written_key_is_required(self, snapshot_copy, changes, named, capsys):
+        # meta.json is read as write_snapshot_dir writes it: every key, and
+        # at least one market
+        meta_path = os.path.join(snapshot_copy, META_FILE)
+        _edit_meta(snapshot_copy, **changes)
+        with pytest.raises(ParseError) as info:
+            load_runtime(snapshot_copy)
+        assert str(info.value) == f"{meta_path}: {named}"
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert f"{meta_path}: {named}" in capsys.readouterr().err
+
 
 def _drop_price(doc):
     del doc["campaigns"][0]["ad_groups"][0]["items"][0]["price"]
@@ -180,6 +191,14 @@ BAD_FILES = [
                  id="campaigns-bad-json"),
     pytest.param("campaigns.json", load_campaigns, lambda p: _edit_json(p, _duplicate_campaign),
                  "duplicate campaign id", id="campaigns-duplicate-id"),
+    # a market or keyword that is not a string would meet sorting and
+    # tokenising as an internal error
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, lambda d: d["campaigns"][0].update(market=5)),
+                 "market 5 is not a string", id="campaigns-numeric-market"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d["variants"][0]["keyword"].update(text=5)),
+                 "must be strings", id="expansions-numeric-text"),
     pytest.param("model.json", load_model, lambda p: _edit_json(p, _child_not_after_parent),
                  "tree 0 node 0", id="model-child-not-after-parent"),
     pytest.param("expansions.jsonl", load_expansions,
@@ -211,6 +230,10 @@ BAD_FILES = [
                  id="market-thresholds-infinity"),
     pytest.param("market_thresholds.json", load_market_thresholds,
                  _overwrite('{"UK": true, "US": 2.5}'), "'UK'", id="market-thresholds-bool"),
+    # a threshold is a number: no value turns a market's filtering off
+    pytest.param("market_thresholds.json", load_market_thresholds,
+                 _overwrite('{"UK": 2.5, "US": null}'), "market 'US': None is not a finite number",
+                 id="market-thresholds-null"),
 ]
 
 

@@ -1,17 +1,23 @@
 """Every function, class and method in src/adexpand/ has a caller outside its
-own definition in src/, perfbench/ or scripts/, and every parameter with a
-default is passed by some call there: code and options that only tests use
+own definition in src/, perfbench/ or scripts/, every parameter with a
+default is passed by some call there, and every flag of every CLI
+subcommand is passed by an argv in perfbench/ or scripts/ or by an
+``adexpand`` command in README.md: code and options that only tests use
 belong in the tests."""
 
+import argparse
 import ast
 import os
 import re
+
+from adexpand.cli import build_parser
 
 from conftest import SRC_DIR
 
 _ROOT = os.path.dirname(SRC_DIR)
 PACKAGE_DIR = os.path.join(SRC_DIR, "adexpand")
 CALLER_DIRS = [SRC_DIR, os.path.join(_ROOT, "perfbench"), os.path.join(_ROOT, "scripts")]
+README = os.path.join(_ROOT, "README.md")
 
 # name -> why it stays without a caller in the program
 ALLOWED = {
@@ -26,6 +32,16 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "send_error(message, explain)": "the stdlib signature BaseHTTPRequestHandler calls",
     "kmeans(max_iter)": "tests/test_kernel_oracles.py truncates k-means against its oracle",
+}
+# "subcommand --flag", or "* --flag" for every subcommand -> why the flag
+# stays though no argv and no README command passes it
+ALLOWED_FLAGS = {
+    "* --config": "a config file supplies any subcommand's parameters; README's config"
+                  " paragraph describes it and tests/test_cli.py drives it",
+    "train-adjust --adjustment-trees": "reads the PipelineConfig parameter adjustment_trees,"
+                                       " which fixtures/config.json sets",
+    "train-adjust --adjustment-depth": "reads the PipelineConfig parameter adjustment_depth,"
+                                       " which fixtures/config.json sets",
 }
 # "module:Qual.name", the form perfbench/tracer.py names its targets in
 _TARGET = re.compile(r"^[\w.]+:([\w.]+)$")
@@ -150,3 +166,89 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_parameter_allow_list_is_current():
     assert {f.split(" ", 1)[1] for f in unpassed_parameters()} == set(ALLOWED_PARAMETERS)
+
+
+def _cli_flags():
+    """Each (subcommand, option string) the CLI accepts, argparse's own
+    -h/--help aside."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (name, option)
+        for name, sub in commands.choices.items()
+        for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+
+
+def _own_lists(scope):
+    """The list displays of a module or function, in source order, those
+    of the functions and classes it defines aside."""
+    found = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.List):
+            found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda n: (n.lineno, n.col_offset))
+
+
+def _argv_flags(commands):
+    """(subcommand, flag) for each flag an argv in perfbench/ or scripts/
+    passes: a list that starts with a subcommand's name holds its argv, and
+    so do the lists after it in the same function, which extend it."""
+    found = set()
+    for path in _py_files(CALLER_DIRS[1:]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        scopes = [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            command = None
+            for node in _own_lists(scope):
+                words = [e.value for e in node.elts
+                         if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+                if node.elts and isinstance(node.elts[0], ast.Constant) \
+                        and node.elts[0].value in commands:
+                    command = node.elts[0].value
+                if command is not None:
+                    found |= {(command, w) for w in words if w.startswith("--")}
+    return found
+
+
+def _readme_flags():
+    """(subcommand, flag) for each flag of an ``adexpand <subcommand>``
+    command in README.md's bash blocks, continued lines joined."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```bash\n(.*?)```", fh.read(), re.S)
+    found = set()
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split()
+            if len(words) > 1 and words[0] == "adexpand":
+                found |= {(words[1], w.split("=")[0]) for w in words[2:] if w.startswith("--")}
+    return found
+
+
+def flags_without_caller():
+    """Each CLI flag that no caller passes, as "subcommand --flag"."""
+    flags = _cli_flags()
+    passed = _argv_flags({command for command, _ in flags}) | _readme_flags()
+    return sorted(f"{command} {flag}" for command, flag in flags - passed)
+
+
+def _allowed_by(flag):
+    """The ALLOWED_FLAGS key that allows ``flag``, or None."""
+    wildcard = "* " + flag.split(" ", 1)[1]
+    return next((key for key in (flag, wildcard) if key in ALLOWED_FLAGS), None)
+
+
+def test_every_cli_flag_has_a_caller():
+    assert [f for f in flags_without_caller() if _allowed_by(f) is None] == []
+
+
+def test_flag_allow_list_is_current():
+    assert {_allowed_by(f) for f in flags_without_caller()} - {None} == set(ALLOWED_FLAGS)
