@@ -28,6 +28,7 @@ from .errors import (
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 
 NGRAM_SIZES = (3, 4, 5)
 DEFAULT_DIM = 256
@@ -93,9 +94,20 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     The lowercased, trimmed text is padded with '#' boundaries and decomposed
     into character n-grams of sizes 3, 4 and 5. Each n-gram is hashed with
     FNV-1a 64-bit; the hash picks a bucket (hash mod dim) and a sign (+1 when
-    bit 63 is clear, -1 otherwise). Bucket counts are accumulated in that
-    fixed order and the result is normalized, so identical (text, dim) inputs
-    produce bit-identical vectors on every platform.
+    bit 63 is clear, -1 otherwise). Bucket counts are accumulated and the
+    result is normalized, so identical (text, dim) inputs produce
+    bit-identical vectors on every platform.
+
+    FNV-1a is a left fold over bytes, so when the padded text is ASCII (one
+    byte per character) the hashes of all n-grams come out of whole-array
+    passes: pass j folds byte ``i + j`` into the running hash of the n-gram
+    starting at ``i``, and passes 3, 4 and 5 leave the hash of every 3-, 4-
+    and 5-gram. The operands stay ``uint64`` arrays, whose multiply wraps
+    mod 2**64 as the hash needs (a scalar ``np.uint64`` multiply would warn
+    on overflow). One ``np.add.at`` adds the +-1 signs into the integer
+    buckets; integer sums do not depend on their order, so the counts equal
+    the sequential ones. A non-ASCII text, whose UTF-8 n-grams have no fixed
+    byte length, is hashed n-gram by n-gram.
     """
     if dim < MIN_DIM:
         raise ValueError(f"dim must be at least {MIN_DIM}")
@@ -103,12 +115,25 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     if not trimmed:
         raise ZeroVectorError("text produces no n-grams")
     padded = "#" + trimmed + "#"
+    # a dim numpy cannot allocate fails here, as a ValueError or MemoryError
     buckets = np.zeros(dim, dtype=np.int64)
-    for n in NGRAM_SIZES:
-        for start in range(len(padded) - n + 1):
-            h = fnv1a_64(padded[start : start + n].encode("utf-8"))
-            sign = 1 if (h >> 63) == 0 else -1
-            buckets[h % dim] += sign
+    if padded.isascii():
+        data = np.frombuffer(padded.encode("ascii"), dtype=np.uint8).astype(np.uint64)
+        h = np.full(data.size + 1, _FNV_OFFSET, dtype=np.uint64)
+        hashes = []
+        for j in range(max(NGRAM_SIZES)):
+            h = (h[:-1] ^ data[j:]) * _FNV_PRIME_U64
+            if j + 1 in NGRAM_SIZES:
+                hashes.append(h)
+        h = np.concatenate(hashes)
+        signs = 1 - 2 * (h >> np.uint64(63)).astype(np.int64)
+        np.add.at(buckets, (h % np.uint64(dim)).astype(np.intp), signs)
+    else:
+        for n in NGRAM_SIZES:
+            for start in range(len(padded) - n + 1):
+                h = fnv1a_64(padded[start : start + n].encode("utf-8"))
+                sign = 1 if (h >> 63) == 0 else -1
+                buckets[h % dim] += sign
     if not np.any(buckets):
         raise ZeroVectorError("n-gram signs cancelled to a zero vector")
     return normalize(buckets)

@@ -51,6 +51,16 @@ def _best_split(
     zero gain. Thresholds are midpoints between consecutive distinct values.
     Gains within float noise of the incumbent count as ties, so two features
     inducing the same partition resolve to the lower feature index.
+
+    The scan is sequential: over features in order and, within one, split
+    positions in order, a position replaces the incumbent only when its gain
+    exceeds the incumbent's by more than ``tie_eps``. Each feature's gains
+    are one float64 vector, from the same elementwise operations in the same
+    order as a per-position loop, so each has the same bits. The scan is
+    replayed on it: the next incumbent is the first later position above the
+    current bar. The positions before it are all at or below that bar, and
+    the bar only rises, so it is the first position whose running maximum
+    exceeds the bar: one ``searchsorted`` on the prefix maximum.
     """
     n = idx.size
     y_node = y[idx]
@@ -58,26 +68,31 @@ def _best_split(
     total_sq = float((y_node * y_node).sum())
     sse_parent = total_sq - total * total / n
     tie_eps = 1e-9 * max(1.0, abs(sse_parent))
+    # split position i puts sorted rows [0, i) left; min_leaf <= i <= n - min_leaf
+    left_n = np.arange(min_leaf, n - min_leaf + 1, dtype=np.float64)
+    lo, hi = min_leaf - 1, n - min_leaf
     best: tuple[float, int, float] | None = None
     for f in range(X.shape[1]):
         vals = X[idx, f]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
         sy = y_node[order]
-        cum = np.cumsum(sy)
-        cum_sq = np.cumsum(sy * sy)
-        for i in range(min_leaf, n - min_leaf + 1):
-            if sv[i - 1] == sv[i]:
-                continue
-            left_sum = cum[i - 1]
-            left_sq = cum_sq[i - 1]
-            sse_left = left_sq - left_sum * left_sum / i
-            right_sum = total - left_sum
-            right_sq = total_sq - left_sq
-            sse_right = right_sq - right_sum * right_sum / (n - i)
-            gain = sse_parent - sse_left - sse_right
-            if gain > _GAIN_EPS and (best is None or gain > best[0] + tie_eps):
-                best = (gain, f, float((sv[i - 1] + sv[i]) / 2.0))
+        left_sum = np.cumsum(sy)[lo:hi]
+        left_sq = np.cumsum(sy * sy)[lo:hi]
+        sse_left = left_sq - left_sum * left_sum / left_n
+        right_sum = total - left_sum
+        right_sq = total_sq - left_sq
+        sse_right = right_sq - right_sum * right_sum / (n - left_n)
+        gain = sse_parent - sse_left - sse_right
+        eligible = (sv[lo:hi] != sv[lo + 1 : hi + 1]) & (gain > _GAIN_EPS)
+        running_max = np.maximum.accumulate(np.where(eligible, gain, -np.inf))
+        while True:
+            bar = -np.inf if best is None else best[0] + tie_eps
+            k = int(np.searchsorted(running_max, bar, side="right"))
+            if k == running_max.size:
+                break
+            i = lo + k  # the split between sorted rows i and i + 1
+            best = (float(gain[k]), f, float((sv[i] + sv[i + 1]) / 2.0))
     return best
 
 

@@ -22,9 +22,10 @@ Given the bundle it replaces, a load shares each part whose key that bundle
 holds, as is and read-only, and builds and checks every other part afresh.
 The key is the file bytes, not size or mtime, so a publish that copies every
 file anew still reuses. meta.json, model.json and market_thresholds.json are
-read on every load, and so is the check that each campaign market has a
-threshold. A reload is refused from meta.json alone: a version that does not
-exceed the replaced bundle's raises before any other file is opened.
+read on every load, and so are the checks that meta.json's ``dim`` is the
+embeddings' dim and that each campaign market has a threshold. A reload is
+refused from meta.json alone: a version that does not exceed the replaced
+bundle's raises before any other file is opened.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import NamedTuple, TextIO
 from .clustering import Clustering, load_clustering
 from .embeddings import MIN_DIM, EmbeddingSet, load_embedding_sets
 from .errors import (
+    DanglingReferenceError,
     ParseError,
     VersionRegressionError,
     check_market,
@@ -259,6 +261,13 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         embeddings_key = ("embeddings", embeddings.sha256, tuple(markets))
         embedding_sets = part(embeddings_key, lambda: load_embedding_sets(
             embeddings.path, markets, embeddings.fh))
+        # dim sizes the fallback vector of every query and title scored
+        embeddings_dim = next(iter(embedding_sets.values())).dim
+        if dim != embeddings_dim:
+            raise ParseError(
+                f"{meta_path}: 'dim' must equal the dim of {EMBEDDINGS_FILE},"
+                f" {embeddings_dim}, got {dim}"
+            )
         contexts: dict[str, ExpansionContext] = {}
         for market, embedding_set in embedding_sets.items():
             clustering, table = read(f"clustering_{market}.json"), read(f"thresholds_{market}.jsonl")
@@ -269,11 +278,16 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
             )
 
         campaigns, expansions = read(CAMPAIGNS_FILE), read(EXPANSIONS_FILE)
-        index = part(("index", campaigns.sha256, expansions.sha256), lambda: build_snapshot(
-            load_campaigns(campaigns.path, campaigns.fh),
-            load_expansions(expansions.path, expansions.fh),
-            model, thresholds, version, extractor,
-        ))
+        try:
+            index = part(("index", campaigns.sha256, expansions.sha256), lambda: build_snapshot(
+                load_campaigns(campaigns.path, campaigns.fh),
+                load_expansions(expansions.path, expansions.fh),
+                model, thresholds, version, extractor,
+            ))
+        except DanglingReferenceError as exc:
+            raise DanglingReferenceError(
+                f"{expansions.path}: {exc} of {campaigns.path}"
+            ) from exc
 
     return RuntimeBundle(
         snapshot=replace(index, version=version, model=model, market_thresholds=thresholds,

@@ -3,20 +3,24 @@
 Each kernel was rewritten for speed with the promise that no output bit
 moves: k-means casts its matrix once and sums with ``bincount``,
 ``assign_cluster`` reads cached centroid directions, the expansion filters
-memoise per text, and the embeddings file is parsed by one ``np.loadtxt``
-call. Each property below runs the earlier code path as the oracle and asks
-for equal results: ``array_equal`` on arrays, the same exception type and
-message on failure.
+memoise per text, the embeddings file is parsed by one ``np.loadtxt``
+call, ``fallback_embed`` hashes an ASCII text's n-grams in whole-array
+passes, and ``_best_split`` scores each feature's split positions as one
+vector. Each property below runs the earlier code path as the oracle and
+asks for equal results: ``array_equal`` or equal bytes on arrays and model
+files, the same exception type and message on failure.
 """
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adexpand import relevance
 from adexpand.clustering import (
     Clustering,
     _means,
@@ -27,6 +31,7 @@ from adexpand.clustering import (
 from adexpand.embeddings import (
     EmbeddingSet,
     _normalize_rows,
+    fallback_embed,
     load_embedding_sets,
     normalize,
     read_tsv,
@@ -48,6 +53,7 @@ from adexpand.expansion import (
     numeric_tokens,
     tokenize,
 )
+from adexpand.relevance import _best_split, serialize_model, train_base
 from adexpand.rng import SplitMix64
 
 
@@ -437,3 +443,195 @@ class TestBulkEmbeddingsParse:
         path.write_text("US\ta\t1_000 0\nUS\tb\t0 2\n", encoding="utf-8")
         got = load_embedding_sets(str(path), ["US"])["US"]
         assert got.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+# ------------------------------------------------------------ fallback_embed
+
+
+def _old_fnv1a_64(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h ^= b
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def _old_fallback_embed(text, dim):
+    """fallback_embed hashing every n-gram byte by byte."""
+    if dim < 16:
+        raise ValueError("dim must be at least 16")
+    trimmed = text.strip().lower()
+    if not trimmed:
+        raise ZeroVectorError("text produces no n-grams")
+    padded = "#" + trimmed + "#"
+    buckets = np.zeros(dim, dtype=np.int64)
+    for n in (3, 4, 5):
+        for start in range(len(padded) - n + 1):
+            h = _old_fnv1a_64(padded[start : start + n].encode("utf-8"))
+            sign = 1 if (h >> 63) == 0 else -1
+            buckets[h % dim] += sign
+    if not np.any(buckets):
+        raise ZeroVectorError("n-gram signs cancelled to a zero vector")
+    return normalize(buckets)
+
+
+def _embed_outcome(fn, text, dim):
+    outcome = _outcome(fn, text, dim)
+    return (outcome[0], outcome[1].tobytes()) if outcome[0] == "ok" else outcome
+
+
+# '#' and whitespace; upper case; U+212A KELVIN SIGN, which lower() makes
+# the ASCII 'k'; U+0130, which lower() turns into two characters; and
+# other non-ASCII letters, which keep the text on the byte loop
+_embed_chars = st.sampled_from(list("ab#Z 9\t\n-") + ["K", "İ", "é", "ß", "日"])
+_embed_text = st.one_of(
+    st.text(_embed_chars, max_size=24),
+    st.text(st.characters(codec="ascii"), max_size=24),
+    st.text(max_size=12),
+    # padded to 3 or 4 characters: no 4- or 5-grams
+    st.text(st.characters(codec="ascii", categories=["L", "N", "P"]), min_size=1, max_size=2),
+)
+_embed_dims = st.sampled_from([16, 17, 64, 100, 256])
+
+# Texts whose n-gram signs cancel at a dim, found by search: fallback_embed
+# raises. At dims 64 and 256 no 3-character printable ASCII text and no
+# 4-character text over [a-z0-9 -] cancels.
+CANCELLING = {16: "7h6j7", 17: "ctc", 100: "u#'"}
+
+
+class TestFallbackEmbedFold:
+    @settings(max_examples=1000, deadline=None)
+    @given(_embed_text, _embed_dims)
+    def test_same_bytes_or_same_error(self, text, dim):
+        assert _embed_outcome(fallback_embed, text, dim) == _embed_outcome(
+            _old_fallback_embed, text, dim)
+
+    @pytest.mark.parametrize("text", ["Kelvin", "İstanbul", "a", "ab", "#", " A\t", "K"])
+    @pytest.mark.parametrize("dim", [16, 17, 64, 100, 256])
+    def test_edge_texts(self, text, dim):
+        assert _embed_outcome(fallback_embed, text, dim) == _embed_outcome(
+            _old_fallback_embed, text, dim)
+
+    @pytest.mark.parametrize("dim, text", sorted(CANCELLING.items()))
+    def test_cancelling_signs_raise(self, dim, text):
+        want = _outcome(_old_fallback_embed, text, dim)
+        assert want == ("raised", ZeroVectorError, "n-gram signs cancelled to a zero vector")
+        assert _outcome(fallback_embed, text, dim) == want
+
+
+# --------------------------------------------------------------- _best_split
+
+
+def _old_best_split(X, y, idx, min_leaf):
+    """_best_split scoring one split position at a time."""
+    n = idx.size
+    y_node = y[idx]
+    total = float(y_node.sum())
+    total_sq = float((y_node * y_node).sum())
+    sse_parent = total_sq - total * total / n
+    tie_eps = 1e-9 * max(1.0, abs(sse_parent))
+    best = None
+    for f in range(X.shape[1]):
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y_node[order]
+        cum = np.cumsum(sy)
+        cum_sq = np.cumsum(sy * sy)
+        for i in range(min_leaf, n - min_leaf + 1):
+            if sv[i - 1] == sv[i]:
+                continue
+            left_sum = cum[i - 1]
+            left_sq = cum_sq[i - 1]
+            sse_left = left_sq - left_sum * left_sum / i
+            right_sum = total - left_sum
+            right_sq = total_sq - left_sq
+            sse_right = right_sq - right_sum * right_sum / (n - i)
+            gain = sse_parent - sse_left - sse_right
+            if gain > 1e-12 and (best is None or gain > best[0] + tie_eps):
+                best = (gain, f, float((sv[i - 1] + sv[i]) / 2.0))
+    return best
+
+
+def _split_key(found):
+    # the gain as its bits; the old loop held it as a numpy float64
+    return None if found is None else (float(found[0]).hex(), found[1], found[2])
+
+
+@st.composite
+def _split_case(draw):
+    """Columns of distinct values or of a few values (many duplicates), some
+    copies of earlier columns, and targets from a few values nudged by an
+    ulp's worth or by amounts around the tie tolerance, so gains tie and
+    nearly tie."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 2))
+        if columns and kind == 0:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == 1:
+            columns.append(draw(st.permutations(range(n))))
+        else:
+            pool = draw(st.sampled_from([[0.0, 1.0], [0.0, 1.0, 2.0], [-1.5, 0.25, 3.0, 7.0]]))
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    pool = draw(st.sampled_from([[0.0, 1.0], [0.0, 1.0, 2.0], [0.1, 0.3, 0.7], [0.0, 2.0, 5.0]]))
+    base = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    nudge = draw(st.lists(st.sampled_from([0.0, 1e-14, 1e-13, 1e-10, 1e-9, 2e-9]),
+                          min_size=n, max_size=n))
+    y = np.array(base) + np.array(nudge)
+    idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+    m = idx.size
+    min_leaf = draw(st.sampled_from([1, max(1, m // 2), draw(st.integers(1, max(1, m)))]))
+    return np.array(columns, dtype=np.float64).T.copy(), y, idx, min_leaf
+
+
+class TestBestSplitReplay:
+    @settings(max_examples=1000, deadline=None)
+    @given(_split_case())
+    def test_same_split(self, case):
+        X, y, idx, min_leaf = case
+        assert _split_key(_best_split(X, y, idx, min_leaf)) == _split_key(
+            _old_best_split(X, y, idx, min_leaf))
+
+    def test_identical_columns_tie_to_the_lower_feature(self):
+        col = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        X = np.stack([col, col, col], axis=1)
+        y = np.array([1.0, 1.0, 4.0, 4.0, 9.0, 9.0])
+        idx = np.arange(6)
+        got = _best_split(X, y, idx, 1)
+        assert got is not None and got[1] == 0
+        assert _split_key(got) == _split_key(_old_best_split(X, y, idx, 1))
+
+    def test_near_tie_keeps_the_earlier_position(self):
+        # the splits at 1.5 and at 3.5 gain 3.0000000000000107 and
+        # 3.0000000000000213, within the tie tolerance of each other: the
+        # scan keeps the first, where a plain argmax would take the second
+        X = np.arange(6, dtype=np.float64)[:, None]
+        y = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0 + 1e-14])
+        idx = np.arange(6)
+        got = _best_split(X, y, idx, 1)
+        assert got[1:] == (0, 1.5)
+        assert _split_key(got) == _split_key(_old_best_split(X, y, idx, 1))
+
+
+@st.composite
+def _train_case(draw):
+    n = draw(st.integers(1, 40))
+    features = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, -1.0])
+    X = np.array(draw(st.lists(st.lists(values, min_size=features, max_size=features),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(0.0, 5.0, allow_nan=False), min_size=n, max_size=n)))
+    return X, y, draw(st.integers(1, 6)), draw(st.sampled_from([0.1, 0.3, 1.0]))
+
+
+class TestTrainBaseBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(_train_case())
+    def test_same_model_bytes(self, case):
+        X, y, trees, rate = case
+        got = serialize_model(train_base(X, y, trees, rate))
+        with mock.patch.object(relevance, "_best_split", _old_best_split):
+            want = serialize_model(train_base(X, y, trees, rate))
+        assert got == want

@@ -151,6 +151,7 @@ BREAKS = {
     "meta-DE": ("meta", _json(lambda d: d.update(markets=["UK", "US", "DE"]))),
     "meta-no-filters": ("meta", _json(lambda d: d.update(filters_enabled=False))),
     "meta-file-order": ("meta", _json(lambda d: d.pop("markets"))),
+    "meta-dim-65": ("meta", _json(lambda d: d.update(dim=65))),
 }
 
 
@@ -473,6 +474,36 @@ class TestFailedRefreshLeavesTheLiveBundle:
             cold = load_runtime(snapshot_copy)
             assert _answers(v2) == _answers(cold)
             assert _http_answers(port) != v1_http
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+
+class TestCrossFileRefusals:
+    """/refresh onto a snapshot whose files disagree answers 500 naming the
+    files, and version 1 keeps serving."""
+
+    @pytest.mark.parametrize("key, first, last", [
+        ("meta-dim-65", "meta.json: 'dim' must equal the dim of embeddings.tsv, 64", "got 65"),
+        ("campaigns-dangling", "expansions.jsonl: expansion origin ",
+         "(US) is not in any campaign of {dir}/campaigns.json"),
+    ])
+    def test_refresh_is_500_and_keeps_serving(self, snapshot_copy, key, first, last):
+        service = MatchService(snapshot_copy)
+        v1 = service.current()
+        httpd = make_server(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        port = httpd.server_address[1]
+        try:
+            v1_http = _http_answers(port)
+            _apply(snapshot_copy, {"meta": "reformat"}, [key])  # version 2
+            status, doc = _post(port, "/refresh")
+            assert status == 500, doc
+            assert doc["error"].startswith(f"{snapshot_copy}/{first}"), doc
+            assert doc["error"].endswith(last.format(dir=snapshot_copy)), doc
+            assert service.current() is v1
+            assert _http_answers(port) == v1_http
         finally:
             httpd.shutdown()
             httpd.server_close()

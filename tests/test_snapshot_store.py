@@ -9,12 +9,14 @@ import pytest
 
 from adexpand.cli import cli_dispatch
 from adexpand.clustering import load_clustering
-from adexpand.errors import EmptySetError, ParseError
+from adexpand.errors import DanglingReferenceError, EmptySetError, ParseError
 from adexpand.expansion import load_expansions
 from adexpand.matching import load_campaigns
 from adexpand.relevance import load_model
 from adexpand.snapshot_store import (
+    CAMPAIGNS_FILE,
     EMBEDDINGS_FILE,
+    EXPANSIONS_FILE,
     META_FILE,
     load_market_thresholds,
     load_runtime,
@@ -115,6 +117,22 @@ class TestBadMeta:
         ]) == 2
         assert "meta.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [65, 10**400], ids=["dim-65", "dim-10**400"])
+    def test_dim_must_be_the_embeddings_dim(self, snapshot_copy, dim, capsys):
+        # dim sizes the fallback vector of every query and title that /match
+        # scores: another dim would serve other scores, a huge one fail later
+        meta_path = os.path.join(snapshot_copy, META_FILE)
+        _edit_meta(snapshot_copy, dim=dim)
+        message = f"{meta_path}: 'dim' must equal the dim of {EMBEDDINGS_FILE}, 64, got {dim}"
+        with pytest.raises(ParseError) as info:
+            load_runtime(snapshot_copy)
+        assert str(info.value) == message
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("changes, named", [
         pytest.param({"k_neighbors": None}, "missing 'k_neighbors'", id="no-k"),
         pytest.param({"filters_enabled": None}, "missing 'filters_enabled'", id="no-filters"),
@@ -135,6 +153,33 @@ class TestBadMeta:
             "--query", "solar garden lights", "--market", "US",
         ]) == 2
         assert f"{meta_path}: {named}" in capsys.readouterr().err
+
+
+def _drop_led_garden_lights(doc):
+    for campaign in doc["campaigns"]:
+        for group in campaign["ad_groups"]:
+            group["keywords"] = [k for k in group["keywords"] if k != "led garden lights"]
+
+
+class TestDanglingOrigin:
+    """An expansion whose origin no campaign declares is refused naming
+    both files, since either may be the one at fault."""
+
+    def test_load_and_match_name_both_files(self, snapshot_copy, capsys):
+        _edit_json(os.path.join(snapshot_copy, CAMPAIGNS_FILE), _drop_led_garden_lights)
+        message = (
+            f"{os.path.join(snapshot_copy, EXPANSIONS_FILE)}: expansion origin"
+            f" 'led garden lights' (US) is not in any campaign of"
+            f" {os.path.join(snapshot_copy, CAMPAIGNS_FILE)}"
+        )
+        with pytest.raises(DanglingReferenceError) as info:
+            load_runtime(snapshot_copy)
+        assert str(info.value) == message
+        assert cli_dispatch([
+            "match", "--snapshot", snapshot_copy,
+            "--query", "solar garden lights", "--market", "US",
+        ]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def _drop_price(doc):
