@@ -339,6 +339,9 @@ def _cmd_match(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import serve
 
+    # before the snapshot loads: out of range, bind() raises OverflowError
+    if not 0 <= args.port <= 65535:
+        raise ParseError(f"--port must be in 0..65535, got {args.port}")
     serve(args.snapshot, args.port)
     return EXIT_OK
 

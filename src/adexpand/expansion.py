@@ -246,32 +246,6 @@ def record_to_doc(record: ExpansionRecord) -> dict:
     }
 
 
-def record_from_doc(doc: dict) -> ExpansionRecord:
-    def ref(d: dict) -> KeywordRef:
-        market, text = d["market"], d["text"]
-        if type(market) is not str or type(text) is not str:
-            raise TypeError(f"keyword market and text must be strings, got {market!r}, {text!r}")
-        return KeywordRef(market=market, text=text, id=int(d["id"]))
-
-    variants = [
-        Variant(
-            keyword=ref(v["keyword"]),
-            distance=float(v["distance"]),
-            similarity=float(v["similarity"]),
-            filtered_reason=(
-                FilterReason(v["filtered_reason"]) if "filtered_reason" in v else None
-            ),
-        )
-        for v in doc["variants"]
-    ]
-    return ExpansionRecord(
-        origin=ref(doc["origin"]),
-        cluster=int(doc["cluster"]),
-        tau_used=float(doc["tau_used"]),
-        variants=variants,
-    )
-
-
 def save_expansions(records: list[ExpansionRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -279,13 +253,52 @@ def save_expansions(records: list[ExpansionRecord], path: str) -> None:
             fh.write("\n")
 
 
-def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRecord]:
-    records = []
+# One expansions.jsonl record as the match index reads it: the origin's
+# market and text, and the text and similarity of each accepted variant in
+# file order.
+ExpansionRow = tuple[str, str, list[tuple[str, float]]]
+
+
+def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
+    """The rows of an expansions.jsonl file, one per record in file order.
+
+    Every field save_expansions writes is checked on every variant, accepted
+    or rejected, before the variant is kept or dropped: market and text are
+    strings, id is an int, distance and similarity are floats and a
+    filtered_reason is a FilterReason. A failed check raises ParseError
+    naming ``path:line``.
+    """
+    rows = []
     with reading(path, fh) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    records.append(record_from_doc(json.loads(line)))
+                    rows.append(_row_from_doc(json.loads(line)))
                 except MALFORMED as exc:
                     raise malformed(f"{path}:{lineno}", "expansion record", exc) from exc
-    return records
+    return rows
+
+
+def _ref_text(d: dict) -> tuple[str, str]:
+    """A checked keyword reference's market and text."""
+    market, text = d["market"], d["text"]
+    if type(market) is not str or type(text) is not str:
+        raise TypeError(f"keyword market and text must be strings, got {market!r}, {text!r}")
+    int(d["id"])
+    return market, text
+
+
+def _row_from_doc(doc: dict) -> ExpansionRow:
+    accepted = []
+    for v in doc["variants"]:
+        _, text = _ref_text(v["keyword"])
+        float(v["distance"])
+        similarity = float(v["similarity"])
+        if "filtered_reason" in v:
+            FilterReason(v["filtered_reason"])
+        else:
+            accepted.append((text, similarity))
+    market, origin = _ref_text(doc["origin"])
+    int(doc["cluster"])
+    float(doc["tau_used"])
+    return market, origin, accepted

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, TextIO
+from typing import AbstractSet, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     UnknownMarketError,
     parse_json,
 )
-from .expansion import ExpansionRecord, tokenize
+from .expansion import ExpansionRow, tokenize
 from .features import FeatureExtractor
 from .relevance import StackedModel
 
@@ -101,8 +101,7 @@ def broad_match(query_tokens: AbstractSet[str], keyword_tokens: AbstractSet[str]
     return keyword_tokens <= query_tokens
 
 
-@dataclass(frozen=True)
-class _IndexEntry:
+class _IndexEntry(NamedTuple):
     """One matchable expanded keyword and where it leads."""
 
     tokens: frozenset[str]
@@ -143,7 +142,8 @@ def match_record_to_doc(record: MatchRecord) -> dict:
 class Snapshot:
     """Immutable serving bundle; built once, swapped atomically.
 
-    ``_token_index`` (campaign market -> token -> entries) is the match index.
+    ``_token_index`` (campaign market -> token -> entries) is the match index,
+    filed by build_snapshot from the campaigns and load_expansions' rows.
     It depends only on the campaigns and expansions, so snapshots that differ
     in model, thresholds or version may share one, read-only
     (``dataclasses.replace``). Every campaign market must have a threshold,
@@ -176,7 +176,7 @@ def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[s
 
 def build_snapshot(
     campaigns: list[Campaign],
-    expansions: list[ExpansionRecord],
+    expansions: Iterable[ExpansionRow],
     model: StackedModel,
     market_thresholds: dict[str, float],
     version: int,
@@ -184,21 +184,27 @@ def build_snapshot(
 ) -> Snapshot:
     """Validate cross-references and build the reverse token index.
 
-    Every ad-group keyword is matchable as its own trivial expansion, so the
-    system degrades to plain token matching when no expansions are supplied.
-    Each index entry is filed under its rarest token (lowest document
-    frequency, ties to the lexicographically smallest), which bounds the
-    candidate scan at query time.
+    ``expansions`` holds load_expansions' rows, and every origin must be an
+    ad-group keyword of its market. Every ad-group keyword is matchable as
+    its own trivial expansion, so the system degrades to plain token matching
+    when no expansions are supplied; an accepted variant is filed as one more
+    entry unless it has no tokens or is its origin's own text. Each entry is
+    filed under its rarest token (lowest document frequency, ties to the
+    lexicographically smallest), which bounds the candidate scan at query
+    time.
     """
     extractor = extractor or FeatureExtractor()
-    groups_by_keyword: dict[str, dict[str, list[AdGroup]]] = {}
-    markets: set[str] = set()
+    group_lists: dict[str, dict[str, list[AdGroup]]] = {}
     for campaign in campaigns:
-        markets.add(campaign.market)
-        per_market = groups_by_keyword.setdefault(campaign.market, {})
+        per_market = group_lists.setdefault(campaign.market, {})
         for group in campaign.ad_groups:
             for keyword in group.keywords:
                 per_market.setdefault(keyword, []).append(group)
+    # every entry reached through one keyword holds the same groups tuple
+    groups_by_keyword = {
+        market: {keyword: tuple(groups) for keyword, groups in per_market.items()}
+        for market, per_market in group_lists.items()
+    }
 
     # Each distinct text is tokenised once, and every entry with that text
     # holds the same frozenset.
@@ -210,43 +216,24 @@ def build_snapshot(
             tokens = token_sets[text] = frozenset(tokenize(text))
         return tokens
 
-    entries_by_market: dict[str, list[_IndexEntry]] = {m: [] for m in markets}
-    for market in sorted(markets):
-        for keyword in sorted(groups_by_keyword[market]):
-            groups = tuple(groups_by_keyword[market][keyword])
+    entries_by_market: dict[str, list[_IndexEntry]] = {m: [] for m in groups_by_keyword}
+    for market in sorted(groups_by_keyword):
+        for keyword, groups in sorted(groups_by_keyword[market].items()):
             tokens = tokens_of(keyword)
-            if not tokens:
-                continue
-            entries_by_market[market].append(
-                _IndexEntry(
-                    tokens=tokens,
-                    matched_text=keyword,
-                    origin_text=keyword,
-                    similarity=1.0,
-                    ad_groups=groups,
-                )
-            )
-    for record in expansions:
-        market = record.origin.market
-        origin_groups = groups_by_keyword.get(market, {}).get(record.origin.text)
-        if not origin_groups:
+            if tokens:
+                entries_by_market[market].append(
+                    _IndexEntry(tokens, keyword, keyword, 1.0, groups))
+    for market, origin, variants in expansions:
+        groups = groups_by_keyword.get(market, {}).get(origin)
+        if groups is None:
             raise DanglingReferenceError(
-                f"expansion origin {record.origin.text!r} ({market}) is not in any campaign"
+                f"expansion origin {origin!r} ({market}) is not in any campaign"
             )
-        groups = tuple(origin_groups)
-        for variant in record.accepted_variants():
-            tokens = tokens_of(variant.keyword.text)
-            if not tokens or variant.keyword.text == record.origin.text:
-                continue
-            entries_by_market[market].append(
-                _IndexEntry(
-                    tokens=tokens,
-                    matched_text=variant.keyword.text,
-                    origin_text=record.origin.text,
-                    similarity=variant.similarity,
-                    ad_groups=groups,
-                )
-            )
+        entries = entries_by_market[market]
+        for text, similarity in variants:
+            tokens = tokens_of(text)
+            if tokens and text != origin:
+                entries.append(_IndexEntry(tokens, text, origin, similarity, groups))
 
     token_index: dict[str, dict[str, list[_IndexEntry]]] = {}
     for market, entries in entries_by_market.items():

@@ -7,6 +7,12 @@ thresholds) and the per-market
 expansion context (embeddings, flat index, clustering, cutoff table) used to
 expand keywords that arrive after the offline run.
 
+The token index is filed straight from the parsed lines of expansions.jsonl.
+load_expansions checks every field of every variant, rejected ones too, and
+keeps one row per line: the origin, and the text and similarity of each
+accepted variant. build_snapshot files those rows next to the campaign
+keywords; no expansion record or variant object is built on the way.
+
 A reload reuses what did not change, by one rule. Every reusable part is
 keyed by its name and the streamed sha256 digests of the files it is built
 from, and load_runtime keeps the parts it used on the bundle:

@@ -76,6 +76,14 @@ class TestExitCodes:
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_is_data_error(self, tmp_path, capsys, port):
+        # the snapshot does not exist: the flag is refused before the load
+        assert cli_dispatch([
+            "serve", "--snapshot", str(tmp_path / "no-snapshot"), "--port", port,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: --port must be in 0..65535, got {port}\n"
+
 
 class TestConfigDefaults:
     def test_config_supplies_parameters(self, tmp_path, capsys):

@@ -273,5 +273,11 @@ class TestPersistence:
         records = expand_all(context)
         path = str(tmp_path / "expansions.jsonl")
         save_expansions(records, path)
-        loaded = load_expansions(path)
-        assert loaded == records
+        # the reader keeps each origin and its accepted variants' text and
+        # similarity, rejected variants checked and dropped
+        assert any(not v.accepted for r in records for v in r.variants)
+        assert load_expansions(path) == [
+            (r.origin.market, r.origin.text,
+             [(v.keyword.text, v.similarity) for v in r.accepted_variants()])
+            for r in records
+        ]

@@ -1,5 +1,7 @@
 """Broad-match algebra, snapshot building, query matching."""
 
+import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,14 @@ from adexpand import matching
 
 from adexpand.embeddings import KeywordRef
 from adexpand.errors import DanglingReferenceError, NonFiniteError, UnknownMarketError
-from adexpand.expansion import ExpansionRecord, FilterReason, Variant, tokenize
+from adexpand.expansion import (
+    ExpansionRecord,
+    FilterReason,
+    Variant,
+    load_expansions,
+    record_to_doc,
+    tokenize,
+)
 from adexpand.features import FeatureExtractor
 from adexpand.matching import (
     AdGroup,
@@ -77,6 +86,16 @@ def _expansion(market, origin_text, origin_id, variants):
     )
 
 
+def _rows(records):
+    """load_expansions' rows for expansion records: each origin, and the
+    text and similarity of each accepted variant."""
+    return [
+        (r.origin.market, r.origin.text,
+         [(v.keyword.text, v.similarity) for v in r.accepted_variants()])
+        for r in records
+    ]
+
+
 def golden_expansions():
     return [
         _expansion("US", "led garden lights", 0, [
@@ -95,7 +114,7 @@ def golden_expansions():
 def make_snapshot(version=1, thresholds=None, model=None, expansions=None):
     return build_snapshot(
         campaigns=golden_campaigns(),
-        expansions=golden_expansions() if expansions is None else expansions,
+        expansions=_rows(golden_expansions() if expansions is None else expansions),
         model=model or price_step_model(),
         market_thresholds=thresholds or {"US": FLOOR, "UK": FLOOR},
         version=version,
@@ -359,11 +378,94 @@ class TestMatchQueryEquivalence:
     def test_equals_brute_force_scan(self, inputs):
         campaigns, expansions, threshold, queries = inputs
         model = _keyword_sensitive_model()
-        snapshot = build_snapshot(campaigns, expansions, model,
+        snapshot = build_snapshot(campaigns, _rows(expansions), model,
                                   {"US": threshold, "UK": threshold}, version=1)
         for query, market in queries:
             expected = _brute_force_match(query, market, campaigns, expansions, model, threshold)
             assert match_query(query, market, snapshot) == expected
+
+
+# "'" and "-" have no tokens
+_INDEX_TEXT = st.lists(st.sampled_from(_WORDS + ["'", "-"]), max_size=3).map(" ".join)
+
+
+@st.composite
+def _index_inputs(draw):
+    """Campaigns, and expansion records of their keywords whose variants are
+    accepted or rejected, equal to their origin or without tokens, and share
+    texts across origins and markets."""
+    campaigns = [
+        Campaign(id=f"{market}-{c}", market=market, ad_groups=(AdGroup(
+            keywords=tuple(draw(st.lists(_INDEX_TEXT, min_size=1, max_size=4))),
+            items=(Item(id=1, title="plain", price=5.0, market=market),),
+        ),))
+        for market in ("US", "UK")
+        for c in range(draw(st.integers(0, 2)))
+    ]
+    origins = [(c.market, kw) for c in campaigns for g in c.ad_groups for kw in g.keywords]
+    records = []
+    for market, origin in draw(st.lists(st.sampled_from(origins), max_size=8)
+                               if origins else st.just([])):
+        variants = [
+            Variant(
+                keyword=KeywordRef(market=draw(st.sampled_from(["US", "UK"])),
+                                   text=draw(st.just(origin) | _INDEX_TEXT), id=i),
+                distance=distance,
+                similarity=1.0 - distance,
+                filtered_reason=draw(st.sampled_from([None, None, *FilterReason])),
+            )
+            for i, distance in enumerate(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+        ]
+        records.append(ExpansionRecord(origin=KeywordRef(market=market, text=origin, id=99),
+                                       cluster=0, tau_used=0.5, variants=variants))
+    return campaigns, records
+
+
+def _reference_index(campaigns, records):
+    """The token index by the rule of expansion records: an entry for each
+    campaign keyword and for each accepted variant that has tokens and is
+    not its origin, filed under its token in the fewest entries (ties to the
+    smallest)."""
+    groups = {}
+    for c in campaigns:
+        for g in c.ad_groups:
+            for kw in g.keywords:
+                groups.setdefault(c.market, {}).setdefault(kw, []).append(g)
+    entries = {market: [] for market in groups}
+    for market in sorted(groups):
+        for kw in sorted(groups[market]):
+            if tokenize(kw):
+                entries[market].append(
+                    (frozenset(tokenize(kw)), kw, kw, 1.0, tuple(groups[market][kw])))
+    for r in records:
+        for v in r.accepted_variants():
+            if tokenize(v.keyword.text) and v.keyword.text != r.origin.text:
+                entries[r.origin.market].append((
+                    frozenset(tokenize(v.keyword.text)), v.keyword.text, r.origin.text,
+                    v.similarity, tuple(groups[r.origin.market][r.origin.text]),
+                ))
+    index = {}
+    for market, market_entries in entries.items():
+        df = Counter(t for e in market_entries for t in e[0])
+        buckets = {}
+        for e in market_entries:
+            buckets.setdefault(min(e[0], key=lambda t: (df[t], t)), []).append(e)
+        index[market] = buckets
+    return index
+
+
+class TestIndexFromLines:
+    @settings(max_examples=150, deadline=None)
+    @given(_index_inputs())
+    def test_equals_index_of_records(self, inputs):
+        """The index filed from expansions.jsonl lines equals the one the
+        records give, bucket for bucket and entry for entry."""
+        campaigns, records = inputs
+        text = "".join(json.dumps(record_to_doc(r), sort_keys=True) + "\n" for r in records)
+        rows = load_expansions("expansions.jsonl", io.StringIO(text))
+        snapshot = build_snapshot(campaigns, rows, price_step_model(),
+                                  {"US": FLOOR, "UK": FLOOR}, version=1)
+        assert snapshot._token_index == _reference_index(campaigns, records)
 
 
 class TestMatchQuery:

@@ -218,6 +218,15 @@ def _edit_jsonl(path, lineno, edit):
         fh.writelines(lines)
 
 
+def _break_rejected(edit):
+    """Apply ``edit`` to line 3's first variant, one the filters rejected."""
+    def edit_line(doc):
+        variant = doc["variants"][0]
+        assert "filtered_reason" in variant
+        edit(variant)
+    return lambda path: _edit_jsonl(path, 3, edit_line)
+
+
 def _overwrite(text):
     def write(path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -252,6 +261,21 @@ BAD_FILES = [
     pytest.param("expansions.jsonl", load_expansions,
                  lambda p: _edit_jsonl(p, 1, lambda d: d["variants"][0].update(
                      filtered_reason="COLOUR")), "COLOUR", id="expansions-bad-reason"),
+    # a rejected variant files nothing in the index, and meets the same
+    # checks as an accepted one
+    pytest.param("expansions.jsonl", load_expansions,
+                 _break_rejected(lambda v: v.update(filtered_reason="COLOUR")),
+                 "expansions.jsonl:3: malformed expansion record:"
+                 " ValueError: 'COLOUR' is not a valid FilterReason",
+                 id="expansions-rejected-bad-reason"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 _break_rejected(lambda v: v["keyword"].update(text=5)),
+                 "expansions.jsonl:3: malformed expansion record:"
+                 " TypeError: keyword market and text must be strings, got 'US', 5",
+                 id="expansions-rejected-numeric-text"),
+    pytest.param("expansions.jsonl", load_expansions, _break_rejected(lambda v: v.pop("distance")),
+                 "expansions.jsonl:3: malformed expansion record: missing key 'distance'",
+                 id="expansions-rejected-no-distance"),
     pytest.param("clustering_US.json", load_clustering,
                  lambda p: _edit_json(p, _drop_key("M")), "'M'", id="clustering-no-M"),
     pytest.param("thresholds_US.jsonl", load_threshold_table,
@@ -293,8 +317,9 @@ class TestBadArtifactFiles:
         with pytest.raises(ParseError, match=name) as info:
             loader(path)
         assert named in str(info.value)
-        with pytest.raises(ParseError, match=name):
+        with pytest.raises(ParseError, match=name) as info:
             load_runtime(snapshot_copy)
+        assert named in str(info.value)
 
     @pytest.mark.parametrize("name, loader, damage, named", BAD_FILES)
     def test_match_exits_2(self, snapshot_copy, name, loader, damage, named, capsys):
