@@ -87,10 +87,49 @@ def _parse_market_paths(values: list[str], flag: str) -> dict[str, str]:
     return out
 
 
-def _percent_to_fraction(pct: float) -> float:
-    if not 0.0 < pct <= 100.0:
-        raise ParseError(f"quantile percent must be in (0, 100], got {pct}")
-    return pct / 100.0
+# The flags that are not PipelineConfig fields and take one integer, by
+# subcommand: dest -> (lowest, highest or None).
+_INT_FLAGS = {
+    "elbow": {"folds": (1, None)},
+    "stability": {"folds": (2, None)},
+    "train-adjust": {"min_leaf": (1, None)},
+    "build-snapshot": {"version": (1, None)},
+    "serve": {"port": (0, 65535)},
+}
+
+
+def _flag_list(args, dest: str, parse) -> list:
+    """A comma-separated flag's non-empty items, each through ``parse``."""
+    value = getattr(args, dest)
+    flag = "--" + dest.replace("_", "-")
+    try:
+        items = [parse(v) for v in value.split(",") if v.strip()]
+    except ValueError:
+        raise ParseError(f"{flag} expects comma-separated numbers, got {value!r}") from None
+    if not items:
+        raise ParseError(f"{flag} must list at least one value, got {value!r}")
+    return items
+
+
+def _check_flags(args) -> None:
+    """Check every flag that is not a PipelineConfig field before any work,
+    naming the flag in the error, and parse the list flags into lists."""
+    for dest, (low, high) in _INT_FLAGS.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise ParseError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
+    if args.command == "elbow":
+        k_list = _flag_list(args, "k_list", int)
+        if min(k_list) < 1 or k_list != sorted(k_list):
+            raise ParseError(f"--k-list must be ascending cluster counts of at least 1, "
+                             f"got {args.k_list!r}")
+        args.k_list = k_list
+    if args.command == "sweep-tpr":
+        p_list = _flag_list(args, "p_list", float)
+        if not all(0.0 < p <= 100.0 for p in p_list):
+            raise ParseError(f"--p-list percents must be in (0, 100], got {args.p_list!r}")
+        args.p_list = p_list
 
 
 def _apply_config(args) -> None:
@@ -139,8 +178,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_elbow(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
-    k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
-    rows = clustering_mod.elbow_sweep(embedding_set, k_list, args.seed, folds=args.folds)
+    rows = clustering_mod.elbow_sweep(embedding_set, args.k_list, args.seed, folds=args.folds)
     lines = ["clusters,mean_wcss"] + [f"{m},{value!r}" for m, value in rows]
     output = "\n".join(lines) + "\n"
     if args.out:
@@ -263,12 +301,11 @@ def _cmd_sweep_tpr(args) -> int:
     embedding_set = load_embeddings(args.embeddings, args.market)
     model = load_clustering_for(embedding_set, args.clustering)
     labels = reports_mod.load_label_set(args.labels)
-    p_list = [_percent_to_fraction(float(v)) for v in args.p_list.split(",") if v.strip()]
     rows = reports_mod.tpr_sweep(
         embedding_set,
         model,
         labels,
-        p_list,
+        [pct / 100.0 for pct in args.p_list],
         k_neighbors=args.k_neighbors,
         min_cluster_size=args.min_cluster_size,
     )
@@ -339,9 +376,6 @@ def _cmd_match(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import serve
 
-    # before the snapshot loads: out of range, bind() raises OverflowError
-    if not 0 <= args.port <= 65535:
-        raise ParseError(f"--port must be in 0..65535, got {args.port}")
     serve(args.snapshot, args.port)
     return EXIT_OK
 
@@ -482,6 +516,7 @@ def cli_dispatch(argv: list[str]) -> int:
         if args.command == "expand" and args.keyword is None and not args.out:
             raise _UsageError("expand: --out is required unless --keyword is given")
         _apply_config(args)
+        _check_flags(args)
         if args.command == "match":
             if (args.query is None) == (args.queries is None):
                 raise _UsageError("match: give exactly one of --query or --queries")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .embeddings import MIN_DIM
+from .embeddings import MAX_DIM, MIN_DIM
 from .errors import ParseError, parse_json
 
 
@@ -32,8 +32,8 @@ class PipelineConfig:
     precision_target: float = 0.8
 
     def validate(self) -> None:
-        if self.dim < MIN_DIM:
-            raise ParseError(f"dim must be at least {MIN_DIM}")
+        if not MIN_DIM <= self.dim <= MAX_DIM:
+            raise ParseError(f"dim must be in [{MIN_DIM}, {MAX_DIM}]")
         if self.clusters < 1:
             raise ParseError("clusters must be at least 1")
         if self.seed < 0:

@@ -34,6 +34,8 @@ NGRAM_SIZES = (3, 4, 5)
 DEFAULT_DIM = 256
 # the smallest dim fallback_embed accepts
 MIN_DIM = 16
+# the largest dim a config accepts, well above any real encoder's
+MAX_DIM = 65536
 _MIN_NORM = 1e-12  # a vector whose L2 norm is at or below this is zero
 
 
@@ -82,10 +84,14 @@ def _normalize_rows(vectors: list[np.ndarray]) -> np.ndarray:
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
+    """Dot product of two unit vectors, clamped to [-1, 1].
+
+    The clamp on the Python float gives the bits np.clip gives, NaN and -0.0
+    included, without numpy's per-call wrapper cost.
+    """
     if u.shape != v.shape:
         raise DimensionMismatchError(f"dimensions differ: {u.shape} vs {v.shape}")
-    return float(np.clip(np.dot(u, v), -1.0, 1.0))
+    return min(max(float(np.dot(u, v)), -1.0), 1.0)
 
 
 def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:

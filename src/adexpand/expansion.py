@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -267,13 +267,17 @@ def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
     strings, id is an int, distance and similarity are floats and a
     filtered_reason is a FilterReason. A failed check raises ParseError
     naming ``path:line``.
+
+    json.loads makes a new str for every value it parses; the rows hold one
+    str object per distinct market or text of the file.
     """
     rows = []
+    shared = {}.setdefault
     with reading(path, fh) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(_row_from_doc(json.loads(line)))
+                    rows.append(_row_from_doc(json.loads(line), shared))
                 except MALFORMED as exc:
                     raise malformed(f"{path}:{lineno}", "expansion record", exc) from exc
     return rows
@@ -288,7 +292,9 @@ def _ref_text(d: dict) -> tuple[str, str]:
     return market, text
 
 
-def _row_from_doc(doc: dict) -> ExpansionRow:
+def _row_from_doc(doc: dict, shared: Callable[[str, str], str]) -> ExpansionRow:
+    """The row of one parsed line; ``shared(text, text)`` maps each market
+    and text to the one str object of the load."""
     accepted = []
     for v in doc["variants"]:
         _, text = _ref_text(v["keyword"])
@@ -297,8 +303,8 @@ def _row_from_doc(doc: dict) -> ExpansionRow:
         if "filtered_reason" in v:
             FilterReason(v["filtered_reason"])
         else:
-            accepted.append((text, similarity))
+            accepted.append((shared(text, text), similarity))
     market, origin = _ref_text(doc["origin"])
     int(doc["cluster"])
     float(doc["tau_used"])
-    return market, origin, accepted
+    return shared(market, market), shared(origin, origin), accepted

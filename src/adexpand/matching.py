@@ -104,11 +104,15 @@ def broad_match(query_tokens: AbstractSet[str], keyword_tokens: AbstractSet[str]
 class _IndexEntry(NamedTuple):
     """One matchable expanded keyword and where it leads."""
 
-    tokens: frozenset[str]
     matched_text: str
     origin_text: str
     similarity: float
     ad_groups: tuple[AdGroup, ...]
+
+
+# The entries of one market whose matched text has this token set, in filing
+# order: one broad_match test admits or rejects them all.
+_TokenGroup = tuple[frozenset[str], list[_IndexEntry]]
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,9 @@ def match_record_to_doc(record: MatchRecord) -> dict:
 class Snapshot:
     """Immutable serving bundle; built once, swapped atomically.
 
-    ``_token_index`` (campaign market -> token -> entries) is the match index,
-    filed by build_snapshot from the campaigns and load_expansions' rows.
+    ``_token_index`` (campaign market -> token -> [(token set, entries)]) is
+    the match index, filed by build_snapshot from the campaigns and
+    load_expansions' rows.
     It depends only on the campaigns and expansions, so snapshots that differ
     in model, thresholds or version may share one, read-only
     (``dataclasses.replace``). Every campaign market must have a threshold,
@@ -154,13 +159,10 @@ class Snapshot:
     model: StackedModel
     market_thresholds: dict[str, float]
     extractor: FeatureExtractor
-    _token_index: dict[str, dict[str, list[_IndexEntry]]] = field(default_factory=dict, repr=False)
+    _token_index: dict[str, dict[str, list[_TokenGroup]]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         _check_thresholds(self._token_index, self.market_thresholds)
-
-    def entries_for(self, market: str, token: str) -> list[_IndexEntry]:
-        return self._token_index.get(market, {}).get(token, [])
 
 
 def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
@@ -188,10 +190,11 @@ def build_snapshot(
     ad-group keyword of its market. Every ad-group keyword is matchable as
     its own trivial expansion, so the system degrades to plain token matching
     when no expansions are supplied; an accepted variant is filed as one more
-    entry unless it has no tokens or is its origin's own text. Each entry is
-    filed under its rarest token (lowest document frequency, ties to the
-    lexicographically smallest), which bounds the candidate scan at query
-    time.
+    entry unless it has no tokens or is its origin's own text. The entries
+    whose texts have one token set form one group, in filing order, and the
+    group is filed under the set's rarest token (lowest document frequency
+    counted over entries, ties to the lexicographically smallest), which
+    bounds the candidate scan at query time to one test per token set.
     """
     extractor = extractor or FeatureExtractor()
     group_lists: dict[str, dict[str, list[AdGroup]]] = {}
@@ -206,8 +209,7 @@ def build_snapshot(
         for market, per_market in group_lists.items()
     }
 
-    # Each distinct text is tokenised once, and every entry with that text
-    # holds the same frozenset.
+    # Each distinct text is tokenised once, in whichever market it comes first.
     token_sets: dict[str, frozenset[str]] = {}
 
     def tokens_of(text: str) -> frozenset[str]:
@@ -216,39 +218,38 @@ def build_snapshot(
             tokens = token_sets[text] = frozenset(tokenize(text))
         return tokens
 
-    entries_by_market: dict[str, list[_IndexEntry]] = {m: [] for m in groups_by_keyword}
+    groups_by_set: dict[str, dict[frozenset[str], list[_IndexEntry]]] = {
+        m: {} for m in groups_by_keyword}
     for market in sorted(groups_by_keyword):
+        by_set = groups_by_set[market]
         for keyword, groups in sorted(groups_by_keyword[market].items()):
             tokens = tokens_of(keyword)
             if tokens:
-                entries_by_market[market].append(
-                    _IndexEntry(tokens, keyword, keyword, 1.0, groups))
+                by_set.setdefault(tokens, []).append(_IndexEntry(keyword, keyword, 1.0, groups))
     for market, origin, variants in expansions:
         groups = groups_by_keyword.get(market, {}).get(origin)
         if groups is None:
             raise DanglingReferenceError(
                 f"expansion origin {origin!r} ({market}) is not in any campaign"
             )
-        entries = entries_by_market[market]
+        by_set = groups_by_set[market]
         for text, similarity in variants:
             tokens = tokens_of(text)
             if tokens and text != origin:
-                entries.append(_IndexEntry(tokens, text, origin, similarity, groups))
+                by_set.setdefault(tokens, []).append(
+                    _IndexEntry(text, origin, similarity, groups))
 
-    token_index: dict[str, dict[str, list[_IndexEntry]]] = {}
-    for market, entries in entries_by_market.items():
+    token_index: dict[str, dict[str, list[_TokenGroup]]] = {}
+    for market, by_set in groups_by_set.items():
         # document frequency counts every entry, shared token sets included
-        entries_per_set = Counter(entry.tokens for entry in entries)
         df: Counter[str] = Counter()
-        for tokens, count in entries_per_set.items():
+        for tokens, entries in by_set.items():
             for token in tokens:
-                df[token] += count
-        rarest = {
-            tokens: min(tokens, key=lambda t: (df[t], t)) for tokens in entries_per_set
-        }
-        buckets: dict[str, list[_IndexEntry]] = {}
-        for entry in entries:
-            buckets.setdefault(rarest[entry.tokens], []).append(entry)
+                df[token] += len(entries)
+        buckets: dict[str, list[_TokenGroup]] = {}
+        for tokens, entries in by_set.items():
+            buckets.setdefault(min(tokens, key=lambda t: (df[t], t)), []).append(
+                (tokens, entries))
         token_index[market] = buckets
 
     return Snapshot(
@@ -272,11 +273,12 @@ def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord
         raise UnknownMarketError(f"unknown market {market!r}")
     threshold = snapshot.market_thresholds[market]
     query_tokens = set(tokenize(query))
+    buckets = snapshot._token_index.get(market, {})
     candidates: list[_IndexEntry] = []
     for token in sorted(query_tokens):
-        for entry in snapshot.entries_for(market, token):
-            if broad_match(query_tokens, entry.tokens):
-                candidates.append(entry)
+        for tokens, entries in buckets.get(token, ()):
+            if broad_match(query_tokens, tokens):
+                candidates.extend(entries)
 
     pairs: list[tuple[_IndexEntry, Item]] = []
     rows: list[np.ndarray] = []

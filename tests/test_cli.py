@@ -12,6 +12,7 @@ import pytest
 
 from adexpand.cli import build_parser, cli_dispatch
 from adexpand.config import PipelineConfig
+from adexpand.embeddings import MAX_DIM, MIN_DIM
 from adexpand.snapshot_store import load_runtime
 
 from conftest import CHAIN_OUTPUTS, FIXTURES_DIR, run_chain, single_thread_env
@@ -145,6 +146,56 @@ OUT_OF_RANGE = {
     "precision_target": (1.5, ["tune-threshold", "--model", "{chain}/stacked_model.json",
                                "--holdout", "{fixtures}/relevance_holdout.csv", "--market", "US"]),
 }
+
+
+# A flag that is not a PipelineConfig field, an argv that gives it a bad
+# value ({out} is the command's output) and the flag's name.
+BAD_FLAGS = {
+    "elbow-k-list-descending": (
+        ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--k-list", "16,8", "--out", "{out}"], "--k-list"),
+    "elbow-folds-0": (
+        ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--k-list", "1,2", "--folds", "0", "--out", "{out}"], "--folds"),
+    "stability-folds-1": (
+        ["stability", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--clusters", "2", "--folds", "1"], "--folds"),
+    "train-adjust-min-leaf-0": (
+        ["train-adjust", "--base", "{chain}/base_model.json",
+         "--dataset", "{fixtures}/relevance_new.csv", "--min-leaf", "0", "--out", "{out}"],
+        "--min-leaf"),
+    "sweep-tpr-p-list-empty": (
+        ["sweep-tpr", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--clustering", "{chain}/clustering_US.json", "--labels", "{fixtures}/labels.tsv",
+         "--p-list", ",", "--out", "{out}"], "--p-list"),
+    "build-snapshot-version-negative": (
+        [*BUILD_SNAPSHOT, "--version", "-5", "--out", "{out}"], "--version"),
+}
+
+
+class TestFlagChecks:
+    """Every flag outside PipelineConfig is checked before any work, and its
+    error names the flag."""
+
+    @pytest.mark.parametrize("case", BAD_FLAGS)
+    def test_bad_flag_is_data_error_naming_it(self, chain_dir, tmp_path, capsys, case):
+        argv, flag = BAD_FLAGS[case]
+        out = tmp_path / "out"
+        fill = {"chain": chain_dir, "fixtures": FIXTURES_DIR, "out": out}
+        assert cli_dispatch([arg.format(**fill) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_dim_above_bound_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "emb.tsv"
+        assert cli_dispatch([
+            "embed", "--keywords", os.path.join(FIXTURES_DIR, "keywords.tsv"),
+            "--dim", str(10**21), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: dim must be in [{MIN_DIM}, {MAX_DIM}]\n"
+        assert not out.exists()
 
 
 def _flag_dests():

@@ -281,3 +281,15 @@ class TestPersistence:
              [(v.keyword.text, v.similarity) for v in r.accepted_variants()])
             for r in records
         ]
+
+    def test_one_str_per_distinct_text(self, tmp_path):
+        emb = _fixture_corpus()
+        records = expand_all(_one_cluster_context(emb, tau=0.2))
+        path = str(tmp_path / "expansions.jsonl")
+        save_expansions(records, path)
+        rows = load_expansions(path)
+        strings = [s for market, origin, variants in rows
+                   for s in (market, origin, *(text for text, _ in variants))]
+        # texts recur across lines, yet each distinct one is one object
+        assert len(set(strings)) < len(strings)
+        assert len({id(s) for s in strings}) == len(set(strings))

@@ -5,13 +5,15 @@ moves: k-means casts its matrix once and sums with ``bincount``,
 ``assign_cluster`` reads cached centroid directions, the expansion filters
 memoise per text, the embeddings file is parsed by one ``np.loadtxt``
 call, ``fallback_embed`` hashes an ASCII text's n-grams in whole-array
-passes, and ``_best_split`` scores each feature's split positions as one
-vector. Each property below runs the earlier code path as the oracle and
+passes, ``_best_split`` scores each feature's split positions as one
+vector, and ``cosine_similarity`` clamps a Python float instead of calling
+``np.clip``. Each property below runs the earlier code path as the oracle and
 asks for equal results: ``array_equal`` or equal bytes on arrays and model
 files, the same exception type and message on failure.
 """
 
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -31,6 +33,7 @@ from adexpand.clustering import (
 from adexpand.embeddings import (
     EmbeddingSet,
     _normalize_rows,
+    cosine_similarity,
     fallback_embed,
     load_embedding_sets,
     normalize,
@@ -517,6 +520,77 @@ class TestFallbackEmbedFold:
         want = _outcome(_old_fallback_embed, text, dim)
         assert want == ("raised", ZeroVectorError, "n-gram signs cancelled to a zero vector")
         assert _outcome(fallback_embed, text, dim) == want
+
+
+# --------------------------------------------------------- cosine_similarity
+
+
+def _old_cosine_similarity(u, v):
+    return float(np.clip(np.dot(u, v), -1.0, 1.0))
+
+
+def _bits(x):
+    """A float's bytes: the sign of zero and a NaN's bits count."""
+    return struct.pack("<d", x)
+
+
+def _unit(values):
+    """A float32 vector over its float32 norm, taken in float64 so that large
+    entries do not overflow."""
+    u = np.asarray(values, dtype=np.float32)
+    return u / np.float32(np.linalg.norm(u.astype(np.float64)))
+
+
+_NEG_NAN = np.float32(-np.nan)
+# entries as embeddings hold them, plus the ones a clamp must pass through:
+# signed zeros, NaNs of either sign, infinities and magnitudes past 1
+_cosine_entry = st.one_of(
+    st.floats(-1.0, 1.0, width=32),
+    st.floats(width=32),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, _NEG_NAN, 7 ** -0.5]),
+)
+
+
+@st.composite
+def _cosine_case(draw):
+    n = draw(st.integers(1, 9))
+    u = np.array(draw(st.lists(_cosine_entry, min_size=n, max_size=n)), dtype=np.float32)
+    if draw(st.booleans()) and np.isfinite(u).all() and np.any(u):
+        u = _unit(u)  # a unit vector's dot with itself may round past 1
+    form = draw(st.sampled_from(["same", "negated", "other"]))
+    if form == "other":
+        v = np.array(draw(st.lists(_cosine_entry, min_size=n, max_size=n)), dtype=np.float32)
+    else:
+        v = u.copy() if form == "same" else -u
+    return u, v
+
+
+class TestCosineClamp:
+    @settings(max_examples=1000, deadline=None)
+    @given(_cosine_case())
+    def test_same_float_bits(self, case):
+        u, v = case
+        with np.errstate(all="ignore"):  # both sides run the same np.dot
+            got, want = cosine_similarity(u, v), _old_cosine_similarity(u, v)
+        assert type(got) is float
+        assert _bits(got) == _bits(want)
+
+    def test_edge_dots_reach_the_clamp(self):
+        u = _unit(np.ones(7))
+        assert np.dot(u, u) > 1.0 and np.dot(u, -u) < -1.0
+
+    @pytest.mark.parametrize("u, v", [
+        (_unit(np.ones(7)), _unit(np.ones(7))),  # the dot rounds to 1.0000001
+        (_unit(np.ones(7)), -_unit(np.ones(7))),
+        (np.eye(3, dtype=np.float32)[0], np.eye(3, dtype=np.float32)[0]),
+        (np.eye(3, dtype=np.float32)[0], -np.eye(3, dtype=np.float32)[0]),
+        (np.array([-0.0], dtype=np.float32), np.array([1.0], dtype=np.float32)),
+        (np.array([np.nan], dtype=np.float32), np.array([1.0], dtype=np.float32)),
+        (np.array([_NEG_NAN], dtype=np.float32), np.array([1.0], dtype=np.float32)),
+    ], ids=["past-1", "past-minus-1", "exact-1", "exact-minus-1", "minus-zero", "nan",
+            "negative-nan"])
+    def test_edge_dots(self, u, v):
+        assert _bits(cosine_similarity(u, v)) == _bits(_old_cosine_similarity(u, v))
 
 
 # --------------------------------------------------------------- _best_split

@@ -187,11 +187,13 @@ def shared_expansions():
 
 
 def _all_entries(snapshot):
+    """(market, token set, entry) for every entry of the index."""
     return [
-        (market, entry)
+        (market, tokens, entry)
         for market, buckets in snapshot._token_index.items()
         for bucket in buckets.values()
-        for entry in bucket
+        for tokens, entries in bucket
+        for entry in entries
     ]
 
 
@@ -213,8 +215,8 @@ class TestSharedTokenSets:
     def test_entries_with_one_text_share_one_token_set(self):
         snapshot = make_snapshot(expansions=shared_expansions())
         by_text = {}
-        for _, entry in _all_entries(snapshot):
-            by_text.setdefault(entry.matched_text, []).append(entry.tokens)
+        for _, tokens, entry in _all_entries(snapshot):
+            by_text.setdefault(entry.matched_text, []).append(tokens)
         shared = [sets for sets in by_text.values() if len(sets) > 1]
         assert len(shared) >= 3
         for sets in shared:
@@ -236,19 +238,27 @@ class TestSharedTokenSets:
             ]),
         ]
         snapshot = make_snapshot(expansions=expansions)
-        assert [e.matched_text for e in snapshot.entries_for("US", "lamp")].count("solar lamp") == 1
+        lamp = [e.matched_text for _, entries in snapshot._token_index["US"]["lamp"]
+                for e in entries]
+        assert lamp.count("solar lamp") == 1
         for market in ("US", "UK"):
-            placed = [(token, entry)
+            placed = [(token, tokens, len(entries))
                       for token, bucket in snapshot._token_index[market].items()
-                      for entry in bucket]
-            df = Counter(t for _, entry in placed for t in entry.tokens)
-            for token, entry in placed:
-                assert token == min(entry.tokens, key=lambda t: (df[t], t))
+                      for tokens, entries in bucket]
+            # each token set is filed once, under its rarest token by entry count
+            assert len({tokens for _, tokens, _ in placed}) == len(placed)
+            df = Counter()
+            for _, tokens, count in placed:
+                for t in tokens:
+                    df[t] += count
+            for token, tokens, _ in placed:
+                assert token == min(tokens, key=lambda t: (df[t], t))
 
-    def test_broad_match_hits_equal_candidate_entries(self, monkeypatch):
+    def test_broad_match_hits_equal_matched_token_sets(self, monkeypatch):
         # perfbench's tracer counts candidates per query as the broad_match
-        # calls inside match_query that succeed; that must stay the number of
-        # index entries whose keyword the query contains.
+        # calls inside match_query that succeed: match_query tests each token
+        # set of a scanned bucket once, so that count is the number of the
+        # market's token sets the query contains, not of their entries.
         snapshot = make_snapshot(expansions=shared_expansions())
         calls, hits = [], []
         real = matching.broad_match
@@ -261,6 +271,7 @@ class TestSharedTokenSets:
             return matched
 
         monkeypatch.setattr(matching, "broad_match", counted)
+        fewer = []
         for query, market in [
             ("solar led garden lights outdoor lighting", "US"),
             ("outdoor led lights", "US"),
@@ -272,10 +283,15 @@ class TestSharedTokenSets:
             hits.clear()
             match_query(query, market, snapshot)
             q = tokens(query)
-            entries = [e for m, e in _all_entries(snapshot) if m == market]
-            assert len(hits) == sum(e.tokens <= q for e in entries)
-            scanned = sum(len(snapshot.entries_for(market, t)) for t in q)
-            assert len(calls) == scanned
+            buckets = snapshot._token_index[market]
+            scanned = [ts for t in sorted(q) for ts, _ in buckets.get(t, [])]
+            assert calls == scanned
+            sets = {ts for m, ts, _ in _all_entries(snapshot) if m == market}
+            assert sorted(map(sorted, hits)) == sorted(sorted(ts) for ts in sets if ts <= q)
+            matched_entries = sum(m == market and ts <= q for m, ts, _ in _all_entries(snapshot))
+            fewer.append(len(hits) < matched_entries)
+        # some query matches a token set that several entries share
+        assert any(fewer)
 
 
 _WORDS = ["led", "garden", "lights", "iphone", "13", "men's", "mens"]
@@ -425,7 +441,7 @@ def _reference_index(campaigns, records):
     """The token index by the rule of expansion records: an entry for each
     campaign keyword and for each accepted variant that has tokens and is
     not its origin, filed under its token in the fewest entries (ties to the
-    smallest)."""
+    smallest), then grouped by token set within each bucket."""
     groups = {}
     for c in campaigns:
         for g in c.ad_groups:
@@ -450,8 +466,17 @@ def _reference_index(campaigns, records):
         buckets = {}
         for e in market_entries:
             buckets.setdefault(min(e[0], key=lambda t: (df[t], t)), []).append(e)
-        index[market] = buckets
+        index[market] = {token: _grouped(bucket) for token, bucket in buckets.items()}
     return index
+
+
+def _grouped(bucket):
+    """A bucket's entries grouped by token set: each set once, in the order
+    it is first filed, with its entries in filing order."""
+    groups = {}
+    for tokens, *entry in bucket:
+        groups.setdefault(tokens, []).append(tuple(entry))
+    return list(groups.items())
 
 
 class TestIndexFromLines:
@@ -459,7 +484,8 @@ class TestIndexFromLines:
     @given(_index_inputs())
     def test_equals_index_of_records(self, inputs):
         """The index filed from expansions.jsonl lines equals the one the
-        records give, bucket for bucket and entry for entry."""
+        records give, bucket for bucket, group for group and entry for
+        entry."""
         campaigns, records = inputs
         text = "".join(json.dumps(record_to_doc(r), sort_keys=True) + "\n" for r in records)
         rows = load_expansions("expansions.jsonl", io.StringIO(text))
