@@ -176,8 +176,18 @@ def _cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _cmd_elbow(args) -> int:
+def _load_fold_set(args) -> EmbeddingSet:
+    """The market's embeddings, with --folds checked against their count
+    before any k-means runs: each fold holds out at least one keyword."""
     embedding_set = load_embeddings(args.embeddings, args.market)
+    if args.folds > len(embedding_set):
+        raise ParseError(f"--folds must be at most {len(embedding_set)}, the keyword count of"
+                         f" market {args.market!r}, got {args.folds}")
+    return embedding_set
+
+
+def _cmd_elbow(args) -> int:
+    embedding_set = _load_fold_set(args)
     rows = clustering_mod.elbow_sweep(embedding_set, args.k_list, args.seed, folds=args.folds)
     lines = ["clusters,mean_wcss"] + [f"{m},{value!r}" for m, value in rows]
     output = "\n".join(lines) + "\n"
@@ -190,7 +200,7 @@ def _cmd_elbow(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    embedding_set = load_embeddings(args.embeddings, args.market)
+    embedding_set = _load_fold_set(args)
     report = clustering_mod.kfold_stability(embedding_set, args.clusters, args.folds, args.seed)
     doc = {
         "folds": report.folds,

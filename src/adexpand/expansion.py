@@ -75,11 +75,6 @@ def gender_class(text: str) -> GenderClass:
     return GenderClass.NEUTRAL
 
 
-def gender_consistent(a: str, b: str) -> bool:
-    """True unless the two texts carry opposite gender classes."""
-    return _genders_agree(gender_class(a), gender_class(b))
-
-
 def _genders_agree(ga: GenderClass, gb: GenderClass) -> bool:
     return ga == gb or GenderClass.NEUTRAL in (ga, gb)
 
@@ -95,15 +90,6 @@ def numeric_tokens(text: str) -> set[tuple[float, str]]:
         (float(value), unit)
         for value, unit in _NUMERIC_TOKEN_RE.findall(text.lower())
     }
-
-
-def numeric_consistent(original: str, candidate: str) -> bool:
-    """False only when a unit present on both sides carries different values.
-
-    A candidate with no numbers, or with numbers in units the original does
-    not mention, is accepted.
-    """
-    return _units_agree(_values_by_unit(original), _values_by_unit(candidate))
 
 
 @lru_cache(maxsize=65536)

@@ -2,17 +2,19 @@
 
 Endpoints: POST /expand, POST /match, POST /refresh, GET /healthz. A request
 reads the live snapshot reference once; /refresh is the only writer and
-replaces it under one lock.
+replaces it under one lock. Each connection is answered on a thread of its
+own, reused across connections (see _ReusingHTTPServer).
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import sys
 import threading
 import traceback
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .errors import AdexpandError, UnknownMarketError, VersionRegressionError
 from .expansion import ExpansionRecord, expand_text, record_to_doc
@@ -26,6 +28,11 @@ MAX_BODY_BYTES = 1 << 20
 # Longest wait, in seconds, on one read from or write to a client: a request
 # that stalls this long ends its exchange instead of holding a thread.
 REQUEST_TIMEOUT_S = 10.0
+# Most handler threads kept waiting for a connection: a thread that finishes
+# an exchange while this many wait ends instead.
+MAX_IDLE_THREADS = 8
+# Handed to an idle thread in place of a connection: end.
+_STOP = None
 
 
 class MatchService:
@@ -192,10 +199,71 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": str(exc)})
 
 
-def make_server(service: MatchService, port: int = 0) -> ThreadingHTTPServer:
-    """ThreadingHTTPServer bound to localhost; port 0 picks a free port."""
+class _ReusingHTTPServer(HTTPServer):
+    """An HTTPServer that answers each connection on a daemon thread of its
+    own, as ThreadingHTTPServer does, but reuses the threads.
+
+    A thread that finishes an exchange counts itself idle and waits on the
+    hand-off queue, unless MAX_IDLE_THREADS already wait; then it ends.
+    process_request hands a connection to an idle thread if there is one and
+    starts a new thread only when there is none, so any number of
+    connections are answered at once, and a stalled client holds only its
+    own thread, for up to REQUEST_TIMEOUT_S per read or write. server_close
+    wakes every idle thread and ends it.
+    """
+
+    def __init__(self, server_address, handler_class) -> None:
+        super().__init__(server_address, handler_class)
+        self._handoff = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0  # threads waiting on the hand-off queue, or about to
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            handed = self._idle > 0
+            if handed:
+                self._idle -= 1
+        if handed:
+            self._handoff.put((request, client_address))
+        else:
+            threading.Thread(target=self._answer_connections, args=(request, client_address),
+                             daemon=True).start()
+
+    def _answer_connections(self, request, client_address) -> None:
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - as socketserver's own threads do
+                self.handle_error(request, client_address)
+            # idle before the connection closes: a client that waits for the
+            # close finds this thread ready for its next connection
+            with self._lock:
+                stay = not self._closed and self._idle < MAX_IDLE_THREADS
+                if stay:
+                    self._idle += 1
+            self.shutdown_request(request)
+            if not stay:
+                return
+            handed = self._handoff.get()
+            if handed is _STOP:
+                return
+            request, client_address = handed
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put(_STOP)
+
+
+def make_server(service: MatchService, port: int = 0) -> HTTPServer:
+    """The threaded HTTP server bound to localhost; port 0 picks a free
+    port."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return _ReusingHTTPServer(("127.0.0.1", port), handler)
 
 
 def serve(snapshot_dir: str, port: int) -> None:

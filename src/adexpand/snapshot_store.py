@@ -42,6 +42,7 @@ import json
 import math
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from typing import NamedTuple, TextIO
 
@@ -117,19 +118,20 @@ def write_snapshot_dir(
 ) -> None:
     """Copy artifacts into a canonical directory layout and write meta.json.
 
-    The inputs are fully loaded and cross-validated (via load_runtime on the
-    assembled directory) before the function returns.
+    The files are written to a sibling temporary directory and loaded and
+    cross-validated there (via load_runtime). Only then is each moved over
+    its namesake in ``out_dir`` with os.replace, meta.json last; a build that
+    fails removes the temporary directory and leaves ``out_dir`` as it was.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    shutil.copyfile(embeddings_path, os.path.join(out_dir, EMBEDDINGS_FILE))
-    shutil.copyfile(campaigns_path, os.path.join(out_dir, CAMPAIGNS_FILE))
-    shutil.copyfile(expansions_path, os.path.join(out_dir, EXPANSIONS_FILE))
-    shutil.copyfile(model_path, os.path.join(out_dir, MODEL_FILE))
-    shutil.copyfile(market_thresholds_path, os.path.join(out_dir, MARKET_THRESHOLDS_FILE))
-    for market, path in clustering_paths.items():
-        shutil.copyfile(path, os.path.join(out_dir, f"clustering_{market}.json"))
-    for market, path in threshold_paths.items():
-        shutil.copyfile(path, os.path.join(out_dir, f"thresholds_{market}.jsonl"))
+    sources = {
+        EMBEDDINGS_FILE: embeddings_path,
+        CAMPAIGNS_FILE: campaigns_path,
+        EXPANSIONS_FILE: expansions_path,
+        MODEL_FILE: model_path,
+        MARKET_THRESHOLDS_FILE: market_thresholds_path,
+        **{f"clustering_{market}.json": path for market, path in clustering_paths.items()},
+        **{f"thresholds_{market}.jsonl": path for market, path in threshold_paths.items()},
+    }
     meta = {
         "version": version,
         "dim": dim,
@@ -138,10 +140,21 @@ def write_snapshot_dir(
         "filters_enabled": True,
         "markets": sorted(clustering_paths),
     }
-    with open(os.path.join(out_dir, META_FILE), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    load_runtime(out_dir)
+    parent, base = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    try:
+        for name, source in sources.items():
+            shutil.copyfile(source, os.path.join(staging, name))
+        with open(os.path.join(staging, META_FILE), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        load_runtime(staging)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in [*sources, META_FILE]:
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _meta_value(meta_path: str, meta: dict, key: str, expected: str):

@@ -26,8 +26,6 @@ from adexpand.expansion import (
     ExpansionContext,
     FilterReason,
     expand_all,
-    gender_consistent,
-    numeric_consistent,
 )
 from adexpand.flat_index import build_index, knn_search
 from adexpand.relevance import (
@@ -42,6 +40,7 @@ from adexpand.service import MatchService
 from adexpand.thresholds import build_threshold_table, quantile
 
 from conftest import CHAIN_OUTPUTS, price_step_model, run_chain, single_thread_env
+from test_expansion import gender_consistent, numeric_consistent
 from test_relevance import assert_same_tree, oracle_fit_tree
 from test_reports import sweep_corpus
 

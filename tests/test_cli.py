@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from adexpand import clustering as clustering_mod
 from adexpand.cli import build_parser, cli_dispatch
 from adexpand.config import PipelineConfig
 from adexpand.embeddings import MAX_DIM, MIN_DIM
@@ -196,6 +197,55 @@ class TestFlagChecks:
         ]) == 2
         assert capsys.readouterr().err == f"error: dim must be in [{MIN_DIM}, {MAX_DIM}]\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, rest", [
+        ("elbow", ["--k-list", "1,2"]),
+        ("stability", ["--clusters", "2"]),
+    ])
+    def test_folds_above_keyword_count_is_data_error(self, chain_dir, capsys, monkeypatch,
+                                                     command, rest):
+        """The fixture's UK market has 4 keywords: 5 folds are refused once
+        the embeddings load, before any k-means runs; 4 run."""
+        argv = [command, "--embeddings", os.path.join(chain_dir, "embeddings.tsv"),
+                "--market", "UK", *rest, "--seed", "7"]
+        kmeans = clustering_mod.kmeans
+        calls = []
+        monkeypatch.setattr(clustering_mod, "kmeans", lambda *a: calls.append(a) or kmeans(*a))
+        assert cli_dispatch(argv + ["--folds", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --folds must be at most 4, the keyword count of"
+                                " market 'UK', got 5\n")
+        assert captured.out == ""
+        assert calls == []
+        assert cli_dispatch(argv + ["--folds", "4"]) == 0
+        assert calls
+
+
+class TestSnapshotPublish:
+    """build-snapshot validates in a sibling temporary directory and moves
+    the files into --out only once the snapshot loads."""
+
+    def test_failed_build_leaves_target_as_it_was(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "snapshot"
+        argv = _chain_argv(BUILD_SNAPSHOT, chain_dir, out) + ["--dim", "64"]
+        assert cli_dispatch(argv) == 0
+        assert os.listdir(tmp_path) == ["snapshot"]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        # meta.json's dim must equal the embeddings' 64
+        assert cli_dispatch(argv + ["--version", "2", "--dim", "65"]) == 2
+        assert "'dim' must equal the dim of embeddings.tsv, 64, got 65" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert os.listdir(tmp_path) == ["snapshot"]
+        assert load_runtime(str(out)).version == 1
+        # a good build over it replaces every file; only meta.json changes
+        assert cli_dispatch(argv + ["--version", "2"]) == 0
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert os.listdir(tmp_path) == ["snapshot"]
+        assert after.keys() == before.keys()
+        assert {name for name in before if before[name] != after[name]} == {"meta.json"}
+        assert load_runtime(str(out)).version == 2
 
 
 def _flag_dests():

@@ -16,15 +16,37 @@ from adexpand.expansion import (
     expand_all,
     expand_keyword,
     gender_class,
-    gender_consistent,
     load_expansions,
-    numeric_consistent,
     numeric_tokens,
     save_expansions,
     tokenize,
 )
 from adexpand.flat_index import build_index
 from adexpand.thresholds import ThresholdRow, ThresholdTable, build_threshold_table
+
+
+# The filters' reference rules, written from the public classifiers alone:
+# the expected reason of every variant in these tests comes from them.
+
+def gender_consistent(a, b):
+    """True unless the two texts carry opposite gender classes."""
+    classes = {gender_class(a), gender_class(b)}
+    return len(classes) == 1 or GenderClass.NEUTRAL in classes
+
+
+def numeric_consistent(original, candidate):
+    """False only when a unit present on both sides carries different values:
+    a candidate with no numbers, or with numbers in units the original does
+    not mention, is accepted."""
+    def values_by_unit(text):
+        units = {}
+        for value, unit in numeric_tokens(text):
+            units.setdefault(unit, set()).add(value)
+        return units
+
+    theirs = values_by_unit(candidate)
+    return all(theirs.get(unit, values) == values
+               for unit, values in values_by_unit(original).items())
 
 
 class TestTokenize:

@@ -4,7 +4,9 @@ import json
 import os
 import shutil
 import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +14,13 @@ import pytest
 
 from adexpand.cli import cli_dispatch
 from adexpand.expansion import record_to_doc
-from adexpand.service import MAX_BODY_BYTES, MatchService, make_server
+from adexpand.service import (
+    MAX_BODY_BYTES,
+    MAX_IDLE_THREADS,
+    REQUEST_TIMEOUT_S,
+    MatchService,
+    make_server,
+)
 
 from test_snapshot_store import UNSERVABLE
 
@@ -45,8 +53,15 @@ def snapshot_copy(chain_dir, tmp_path):
     return dst
 
 
+def _threads_since(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
 @pytest.fixture
 def server(snapshot_copy):
+    """A served snapshot copy. Once shut down and closed, the server has no
+    thread left alive: an idle handler thread is woken and ends."""
+    before = set(threading.enumerate())
     service = MatchService(snapshot_copy)
     httpd = make_server(service, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -54,6 +69,10 @@ def server(snapshot_copy):
     yield httpd, service, snapshot_copy
     httpd.shutdown()
     httpd.server_close()
+    deadline = time.monotonic() + 5.0
+    for t in _threads_since(before):
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert _threads_since(before) == []
 
 
 def _bump_snapshot(snapshot_dir, version, threshold):
@@ -302,6 +321,85 @@ STDLIB_ERRORS = {
     "one-word": (b"GARBAGE\r\n\r\n", 400, False),
     "quoted-version": (b'GET /"\\ H"T\\TP\r\n\r\n', 400, False),
 }
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+_MATCH_BODY = b'{"query": "solar led garden lights outdoor", "market": "US"}'
+_MATCH = (b"POST /match HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+          % (len(_MATCH_BODY), _MATCH_BODY))
+
+
+def _status(response):
+    return int(response.split(b" ", 2)[1])
+
+
+class TestHandlerThreads:
+    """Each connection gets a thread of its own; a thread that finishes an
+    exchange waits for the next connection, up to MAX_IDLE_THREADS of them."""
+
+    def test_sequential_requests_start_no_thread(self, server, monkeypatch):
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        assert _status(_raw_exchange(port, _HEALTHZ)) == 200  # starts the one thread
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for i in range(50):
+            # _raw_exchange returns once the server closes the connection,
+            # and the thread counts itself idle before it closes
+            assert _status(_raw_exchange(port, _MATCH if i % 2 else _HEALTHZ)) == 200
+        assert started == []
+
+    def test_concurrent_clients_all_answered(self, server):
+        """16 clients at once, with threads switched as often as the
+        interpreter allows: a lost update of the idle count would hand a
+        connection to no thread (a client times out), or leave a waiting
+        thread unwoken by server_close (the fixture's check fails)."""
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        statuses = []
+
+        def client():
+            for i in range(25):
+                statuses.append(_status(_raw_exchange(port, _MATCH if i % 5 == 0 else _HEALTHZ)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(16)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in clients)
+        assert statuses == [200] * 16 * 25
+
+    def test_stalled_connections_leave_healthz_answering(self, server):
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        before = set(threading.enumerate())
+        stalled = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                   for _ in range(MAX_IDLE_THREADS + 2)]
+        try:
+            started = time.monotonic()
+            assert _get(port, "/healthz")[0] == 200
+            assert time.monotonic() - started < REQUEST_TIMEOUT_S / 5
+        finally:
+            for sock in stalled:
+                sock.close()
+        # each stalled thread reads EOF and ends its exchange; all but
+        # MAX_IDLE_THREADS of the threads then end
+        deadline = time.monotonic() + 5.0
+        while len(_threads_since(before)) > MAX_IDLE_THREADS and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(_threads_since(before)) == MAX_IDLE_THREADS
 
 
 class TestStdlibErrorsAnswerJson:

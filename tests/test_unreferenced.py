@@ -21,10 +21,9 @@ README = os.path.join(_ROOT, "README.md")
 
 # name -> why it stays without a caller in the program
 ALLOWED = {
-    "gender_consistent": "the tests' reference rule for the gender filter",
-    "numeric_consistent": "the tests' reference rule for the numeric filter",
     "log_message": "BaseHTTPRequestHandler calls it",
     "send_error": "BaseHTTPRequestHandler calls it on a request it cannot parse",
+    "process_request": "socketserver calls it for each accepted connection",
     "error": "argparse calls it; the CLI's override turns usage errors into exit 1",
 }
 # "name(parameters)" -> why those defaulted parameters stay though no call
