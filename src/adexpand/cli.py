@@ -2,7 +2,8 @@
 (embed -> cluster -> thresholds -> expand -> train-base -> train-adjust ->
 tune-threshold -> build-snapshot) plus match and serve for the runtime side.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (an AdexpandError or an
+OSError), 3 internal error: any other exception is a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -539,11 +540,11 @@ def cli_dispatch(argv: list[str]) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
-    except (AdexpandError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (AdexpandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

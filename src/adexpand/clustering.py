@@ -30,10 +30,10 @@ from .errors import (
 )
 from .rng import SplitMix64
 
-DEFAULT_MAX_ITER = 100
-# Lloyd iterations stop once WCSS improves by less than this fraction
+# Lloyd iterations stop after this many, or once WCSS improves by less than
+# the fraction TOL
+MAX_ITER = 100
 TOL = 1e-6
-DEFAULT_FOLDS = 5
 
 
 @dataclass
@@ -154,16 +154,11 @@ def _wcss_of(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum(diffs))
 
 
-def kmeans(
-    embedding_set: EmbeddingSet,
-    cluster_count: int,
-    seed: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding.
+def kmeans(embedding_set: EmbeddingSet, cluster_count: int, seed: int) -> Clustering:
+    """Lloyd's algorithm with k-means++ seeding; cluster_count is at least 1.
 
     Stops when the relative WCSS improvement drops below TOL, assignments
-    stop changing, or max_iter is reached. The recorded wcss_history holds
+    stop changing, or MAX_ITER is reached. The recorded wcss_history holds
     one value per iteration, measured after the means update.
     """
     n = len(embedding_set)
@@ -171,10 +166,6 @@ def kmeans(
         raise EmptySetError("cannot cluster an empty set")
     if cluster_count > n:
         raise TooManyClustersError(f"{cluster_count} clusters for {n} points")
-    if cluster_count < 1:
-        raise ValueError("cluster_count must be at least 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
 
     X = embedding_set.matrix.astype(np.float64)
     columns = np.ascontiguousarray(X.T)
@@ -183,7 +174,7 @@ def kmeans(
 
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_labels, _ = _assign_all(X, _normalized_rows(centroids))
         new_labels = _repair_empty_clusters(X, centroids, new_labels)
         unchanged = bool(np.array_equal(new_labels, labels))
@@ -250,34 +241,21 @@ def _fold_splits(
 
 
 def elbow_sweep(
-    embedding_set: EmbeddingSet,
-    k_list: list[int],
-    seed: int,
-    folds: int = DEFAULT_FOLDS,
+    embedding_set: EmbeddingSet, k_list: list[int], seed: int, folds: int
 ) -> list[tuple[int, float]]:
     """Mean held-in WCSS per candidate cluster count, for the elbow plot.
 
     With folds=1 the whole set is trained on once and the value equals the
-    plain WCSS of that clustering.
+    plain WCSS of that clustering. The folds are the outer loop, so one
+    held-in set is alive while k-means runs; each count still gets its
+    values in fold order.
     """
-    if not k_list:
-        raise ValueError("k_list must be non-empty")
-    if list(k_list) != sorted(k_list):
-        raise ValueError("k_list must be ascending")
-    if folds < 1:
-        raise ValueError("folds must be at least 1")
-    if folds == 1:
-        held_in_sets = [embedding_set]
-    else:
-        held_in_sets = [held_in for _, held_in in _fold_splits(embedding_set, folds)]
-    rows: list[tuple[int, float]] = []
-    for m in k_list:
-        values = []
-        for sub in held_in_sets:
-            model = kmeans(sub, m, seed)
-            values.append(wcss(model, sub))
-        rows.append((m, float(np.mean(values))))
-    return rows
+    splits = _fold_splits(embedding_set, folds) if folds > 1 else [([], embedding_set)]
+    values: list[list[float]] = [[] for _ in k_list]
+    for _, sub in splits:
+        for m, row in zip(k_list, values):
+            row.append(wcss(kmeans(sub, m, seed), sub))
+    return [(m, float(np.mean(row))) for m, row in zip(k_list, values)]
 
 
 def _pairs_within(counts: np.ndarray) -> int:
@@ -305,7 +283,7 @@ def kfold_stability(
     folds: int,
     seed: int,
 ) -> StabilityReport:
-    """Cross-fold agreement of the induced partitions.
+    """Cross-fold agreement of the induced partitions, over at least 2 folds.
 
     Each fold trains on its held-in points and labels the full corpus by
     nearest centroid. Consistency is the average, over fold pairs, of the
@@ -313,8 +291,6 @@ def kfold_stability(
     not) agrees between the two labelings; compactness is the mean cosine
     distance of held-out points to their assigned centroid direction.
     """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
     X = embedding_set.matrix.astype(np.float64)
     labelings: list[np.ndarray] = []
     compactness: list[float] = []

@@ -31,7 +31,6 @@ _MASK64 = (1 << 64) - 1
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 
 NGRAM_SIZES = (3, 4, 5)
-DEFAULT_DIM = 256
 # the smallest dim fallback_embed accepts
 MIN_DIM = 16
 # the largest dim a config accepts, well above any real encoder's
@@ -94,7 +93,7 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return min(max(float(np.dot(u, v)), -1.0), 1.0)
 
 
-def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
+def fallback_embed(text: str, dim: int) -> np.ndarray:
     """Deterministic embedding from hashed character n-grams.
 
     The lowercased, trimmed text is padded with '#' boundaries and decomposed
@@ -116,7 +115,8 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     byte length, is hashed n-gram by n-gram.
     """
     if dim < MIN_DIM:
-        raise ValueError(f"dim must be at least {MIN_DIM}")
+        raise DimensionMismatchError(f"the fallback embedder needs dim at least {MIN_DIM},"
+                                     f" got {dim}")
     trimmed = text.strip().lower()
     if not trimmed:
         raise ZeroVectorError("text produces no n-grams")

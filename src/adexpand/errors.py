@@ -27,7 +27,7 @@ class NonFiniteError(AdexpandError):
 
 
 class DimensionMismatchError(AdexpandError):
-    """Vector dimensions disagree."""
+    """Vector dimensions disagree, or a dim is below what an operation needs."""
 
 
 class ParseError(AdexpandError):

@@ -25,7 +25,7 @@ import numpy as np
 from .clustering import Clustering, assign_cluster
 from .embeddings import EmbeddingSet, KeywordRef, fallback_embed
 from .errors import MALFORMED, malformed, reading
-from .flat_index import DEFAULT_K, FlatIndex, knn_search
+from .flat_index import FlatIndex, knn_search
 from .thresholds import ThresholdTable
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -148,7 +148,7 @@ def expand_keyword(
     context: ExpansionContext,
     origin: KeywordRef,
     vector: np.ndarray,
-    k_neighbors: int = DEFAULT_K,
+    k_neighbors: int,
 ) -> ExpansionRecord:
     """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
     then apply gender and numeric filters (first failing filter wins)."""
@@ -181,9 +181,7 @@ def expand_keyword(
     return ExpansionRecord(origin=origin, cluster=cluster, tau_used=tau, variants=variants)
 
 
-def expand_text(
-    context: ExpansionContext, text: str, k_neighbors: int = DEFAULT_K
-) -> ExpansionRecord:
+def expand_text(context: ExpansionContext, text: str, k_neighbors: int) -> ExpansionRecord:
     """Expand a keyword given as text, stripped as keyword files are. A
     keyword of the market's set keeps its stored vector and id; any other is
     embedded with fallback_embed and gets id -1."""
@@ -198,7 +196,7 @@ def expand_text(
     return expand_keyword(context, ref, vector, k_neighbors)
 
 
-def expand_all(context: ExpansionContext, k_neighbors: int = DEFAULT_K) -> list[ExpansionRecord]:
+def expand_all(context: ExpansionContext, k_neighbors: int) -> list[ExpansionRecord]:
     """Expand every keyword of the context's set, in ascending-id order."""
     embedding_set = context.embedding_set
     return [

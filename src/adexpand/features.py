@@ -47,7 +47,7 @@ FEATURE_NAMES = [
 class FeatureExtractor:
     """Stateless extractor; embed_dim controls the hashing embedder."""
 
-    embed_dim: int = 256
+    embed_dim: int
 
     def extract(
         self,

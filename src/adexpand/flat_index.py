@@ -20,8 +20,6 @@ import numpy as np
 from .embeddings import EmbeddingSet, KeywordRef
 from .errors import DimensionMismatchError, EmptySetError
 
-DEFAULT_K = 100
-
 
 @dataclass(frozen=True)
 class Neighbor:
@@ -55,15 +53,13 @@ def build_index(embedding_set: EmbeddingSet) -> FlatIndex:
 def knn_search(
     index: FlatIndex,
     query: np.ndarray,
-    k: int = DEFAULT_K,
+    k: int,
     exclude_id: int | None = None,
 ) -> list[Neighbor]:
-    """Exact k smallest cosine distances, ties broken by ascending id.
+    """Exact k >= 1 smallest cosine distances, ties broken by ascending id.
 
     The excluded id (normally the query keyword itself) never appears.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if query.shape != (index.dim,):
         raise DimensionMismatchError(
             f"query dim {query.shape} does not match index dim {index.dim}"

@@ -11,7 +11,6 @@ versions.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, NamedTuple, TextIO
@@ -20,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DanglingReferenceError,
-    NonFiniteError,
     ParseError,
     UnknownMarketError,
     parse_json,
@@ -151,8 +149,8 @@ class Snapshot:
     load_expansions' rows.
     It depends only on the campaigns and expansions, so snapshots that differ
     in model, thresholds or version may share one, read-only
-    (``dataclasses.replace``). Every campaign market must have a threshold,
-    and every threshold must be a finite number.
+    (``dataclasses.replace``). Every campaign market must have a threshold;
+    each threshold is a finite number, as load_market_thresholds reads it.
     """
 
     version: int
@@ -166,11 +164,7 @@ class Snapshot:
 
 
 def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
-    """NonFiniteError unless every threshold is a finite number, and
-    UnknownMarketError unless every campaign market has one."""
-    for market, threshold in sorted(market_thresholds.items()):
-        if not math.isfinite(threshold):
-            raise NonFiniteError(f"relevance threshold {threshold!r} for market {market!r}")
+    """UnknownMarketError unless every campaign market has a threshold."""
     for market in sorted(campaign_markets):
         if market not in market_thresholds:
             raise UnknownMarketError(f"no relevance threshold for market {market!r}")
@@ -182,7 +176,7 @@ def build_snapshot(
     model: StackedModel,
     market_thresholds: dict[str, float],
     version: int,
-    extractor: FeatureExtractor | None = None,
+    extractor: FeatureExtractor,
 ) -> Snapshot:
     """Validate cross-references and build the reverse token index.
 
@@ -196,7 +190,6 @@ def build_snapshot(
     counted over entries, ties to the lexicographically smallest), which
     bounds the candidate scan at query time to one test per token set.
     """
-    extractor = extractor or FeatureExtractor()
     group_lists: dict[str, dict[str, list[AdGroup]]] = {}
     for campaign in campaigns:
         per_market = group_lists.setdefault(campaign.market, {})

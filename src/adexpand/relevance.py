@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConstraintViolationError,
     EmptyDatasetError,
+    NonFiniteError,
     ParseError,
     SchemaMismatchError,
     parse_json,
@@ -102,15 +103,14 @@ def fit_tree(
     max_depth: int,
     min_leaf: int = 1,
 ) -> RegressionTree:
-    """Greedy CART regression tree; leaves predict the target mean."""
+    """Greedy CART regression tree, at least min_leaf >= 1 rows per leaf;
+    leaves predict the target mean."""
     X = np.asarray(X, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot fit a tree on an empty dataset")
     if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be at least 1")
+        raise NonFiniteError("tree targets must be finite: a label or residual is NaN or infinite")
     nodes: list[TreeNode] = []
 
     def build(idx: np.ndarray, depth: int) -> int:
@@ -172,8 +172,9 @@ def train_base(
     learning_rate: float = 0.1,
     feature_names: list[str] | None = None,
 ) -> GbdtModel:
-    """Least-squares boosting: each stage fits a tree of depth BASE_DEPTH,
-    with at least BASE_MIN_LEAF rows per leaf, to current residuals.
+    """Least-squares boosting: each of tree_count >= 1 stages fits a tree of
+    depth BASE_DEPTH, with at least BASE_MIN_LEAF rows per leaf, to current
+    residuals.
 
     Training is fully deterministic (exhaustive split search, no
     subsampling), so it takes no seed. The per-stage training RMSE is
@@ -183,8 +184,6 @@ def train_base(
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
-    if tree_count < 1:
-        raise ValueError("tree_count must be at least 1")
     base_score = float(y.mean())
     trees: list[RegressionTree] = []
     train_rmse: list[float] = []
@@ -257,8 +256,8 @@ def train_adjustment(
     max_depth: int = MAX_ADJUSTMENT_DEPTH,
     min_leaf: int = 20,
 ) -> StackedModel:
-    """Fit shallow trees on the new dataset's residuals, added at rate 1.0;
-    the base stays frozen.
+    """Fit adjustment_trees >= 1 shallow trees on the new dataset's
+    residuals, added at rate 1.0; the base stays frozen.
 
     The tree-count and depth caps (2 and 5) guard the stability argument for
     incremental updates and have no override.
@@ -269,8 +268,6 @@ def train_adjustment(
         )
     if max_depth > MAX_ADJUSTMENT_DEPTH:
         raise ConstraintViolationError(f"max_depth={max_depth} exceeds {MAX_ADJUSTMENT_DEPTH}")
-    if adjustment_trees < 1:
-        raise ValueError("adjustment_trees must be at least 1")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
@@ -318,7 +315,8 @@ def tune_market_threshold(
     market: str,
     precision_target: float,
 ) -> ThresholdDecision:
-    """Smallest score cutoff whose pass set reaches the precision target.
+    """Smallest score cutoff whose pass set reaches the precision target, a
+    fraction in (0, 1].
 
     An item is relevant when its grade is Good or better (>= 3). Candidates
     are the distinct prediction values; choosing the smallest qualifying one
@@ -330,8 +328,6 @@ def tune_market_threshold(
     grades = np.asarray(grades, dtype=np.float64)
     if predictions.size == 0 or predictions.size != grades.size:
         raise EmptyDatasetError("predictions and grades must be non-empty and aligned")
-    if not 0.0 < precision_target <= 1.0:
-        raise ValueError("precision_target must be in (0, 1]")
     relevant = grades >= RELEVANT_GRADE
     total_relevant = int(relevant.sum())
     order = np.argsort(predictions, kind="stable")

@@ -22,12 +22,7 @@ from .errors import (
 from .expansion import ExpansionContext, expand_keyword
 from .flat_index import build_index, knn_search
 from .relevance import GbdtModel, StackedModel, rmse_by_label
-from .thresholds import (
-    DEFAULT_MIN_CLUSTER_SIZE,
-    ThresholdTable,
-    build_threshold_table,
-    threshold_size_correlation,
-)
+from .thresholds import ThresholdTable, build_threshold_table, threshold_size_correlation
 
 TPR_DENOMINATOR_NOTE = (
     "TPR denominator: label-positive pairs among retrieved nearest-neighbor candidates"
@@ -70,8 +65,8 @@ def tpr_sweep(
     clustering: Clustering,
     labels: list[LabeledPair],
     p_list: list[float],
-    k_neighbors: int = 100,
-    min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+    k_neighbors: int,
+    min_cluster_size: int,
 ) -> list[TprRow]:
     """True-positive rate of expansion, before and after consistency filters.
 
@@ -79,10 +74,8 @@ def tpr_sweep(
     label-positive pairs among accepted variants over label-positive pairs
     among the retrieved nearest-neighbor candidates (fixed across p). The
     normalized column scales filtered TPR so the largest quantile of the
-    sweep reads exactly 100.
+    sweep reads exactly 100. p_list holds at least one quantile.
     """
-    if not p_list:
-        raise ValueError("p_list must be non-empty")
     index = build_index(embedding_set)
     origins = sorted({pair.origin for pair in labels})
     refs = {}

@@ -29,9 +29,10 @@ holds, as is and read-only, and builds and checks every other part afresh.
 The key is the file bytes, not size or mtime, so a publish that copies every
 file anew still reuses. meta.json, model.json and market_thresholds.json are
 read on every load, and so are the checks that meta.json's ``dim`` is the
-embeddings' dim and that each campaign market has a threshold. A reload is
-refused from meta.json alone: a version that does not exceed the replaced
-bundle's raises before any other file is opened.
+embeddings' dim, that the model reads the six features a match is scored on
+and that each campaign market has a threshold. A reload is refused from
+meta.json alone: a version that does not exceed the replaced bundle's raises
+before any other file is opened.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     parse_json,
 )
 from .expansion import ExpansionContext, load_expansions
-from .features import FeatureExtractor
+from .features import FEATURE_NAMES, FeatureExtractor
 from .flat_index import build_index
 from .matching import Snapshot, build_snapshot, load_campaigns
 from .relevance import as_stacked, load_model
@@ -179,8 +180,9 @@ def load_clustering_for(
     embedding_set: EmbeddingSet, path: str, fh: TextIO | None = None
 ) -> Clustering:
     """The clustering at ``path``, checked against ``embedding_set``: it
-    belongs to the set's market and has one centroid of the set's dim per
-    cluster. ParseError names the file."""
+    belongs to the set's market, has one centroid of the set's dim per
+    cluster, and assigns keywords to those clusters only. ParseError names
+    the file."""
     clustering = load_clustering(path, fh)
     check_market(path, clustering.market, embedding_set.market)
     expected_shape = (clustering.cluster_count, embedding_set.dim)
@@ -189,6 +191,10 @@ def load_clustering_for(
             f"{path}: centroids must have shape {expected_shape}"
             f" (clusters, embedding dim), got {clustering.centroids.shape}"
         )
+    for label in clustering.assignments.values():
+        if not 0 <= label < clustering.cluster_count:
+            raise ParseError(f"{path}: assignment to cluster {label}, not one of the"
+                             f" {clustering.cluster_count} clusters")
     return clustering
 
 
@@ -272,7 +278,11 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
             fh.seek(0)
             return _Input(path, fh, sha256)
 
-        model = as_stacked(load_model(os.path.join(snapshot_dir, MODEL_FILE)))
+        model_path = os.path.join(snapshot_dir, MODEL_FILE)
+        model = as_stacked(load_model(model_path))
+        if model.base.n_features != len(FEATURE_NAMES):
+            raise ParseError(f"{model_path}: 'n_features' must be {len(FEATURE_NAMES)}, the"
+                             f" features a match is scored on, got {model.base.n_features}")
         thresholds = load_market_thresholds(os.path.join(snapshot_dir, MARKET_THRESHOLDS_FILE))
         extractor = FeatureExtractor(embed_dim=dim)
 

@@ -9,6 +9,7 @@ distribution instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -25,8 +26,6 @@ from .errors import (
     malformed,
     reading,
 )
-
-DEFAULT_MIN_CLUSTER_SIZE = 10
 
 
 def quantile(values, p: float) -> float:
@@ -93,7 +92,7 @@ def build_threshold_table(
     clustering: Clustering,
     embedding_set: EmbeddingSet,
     p: float,
-    min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+    min_cluster_size: int,
 ) -> ThresholdTable:
     """Quantile cutoff per cluster; small clusters take the pooled quantile."""
     if not 0.0 < p <= 1.0:
@@ -164,6 +163,15 @@ def save_threshold_table(table: ThresholdTable, path: str) -> None:
             fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+def _finite(doc: dict, key: str) -> float:
+    """doc[key] as a float, which must be finite: a NaN or infinite cutoff
+    would admit every neighbour, and a negative infinite one none."""
+    value = float(doc[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value!r}")
+    return value
+
+
 def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
     with reading(path, fh) as fh:
         lines = [line for line in fh if line.strip()]
@@ -178,15 +186,15 @@ def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
             market = doc["market"]
             rows[int(doc["cluster_id"])] = ThresholdRow(
                 size=int(doc["size"]),
-                tau_distance=float(doc["tau_distance"]),
-                tau_similarity=float(doc["tau_similarity"]),
+                tau_distance=_finite(doc, "tau_distance"),
+                tau_similarity=_finite(doc, "tau_similarity"),
                 fallback=bool(doc["fallback"]),
             )
         return ThresholdTable(
             market=market,
-            p=float(header["p"]),
+            p=_finite(header, "p"),
             min_cluster_size=int(header["min_cluster_size"]),
-            fallback_tau=float(header["fallback_tau"]),
+            fallback_tau=_finite(header, "fallback_tau"),
             rows=rows,
         )
     except MALFORMED as exc:

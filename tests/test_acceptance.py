@@ -190,7 +190,7 @@ def test_criterion_3_quantiles_and_thresholds():
         previous_tau = taus
         accepted = {
             record.origin.text: {v.keyword.text for v in record.variants}
-            for record in expand_all(ExpansionContext(emb, index, clustering, table))
+            for record in expand_all(ExpansionContext(emb, index, clustering, table), 100)
         }
         if previous_accepted is not None:
             for origin, variants in previous_accepted.items():
@@ -228,7 +228,7 @@ def test_criterion_4_filter_fidelity():
     # widen the gate so every neighbor is threshold-eligible
     table.rows[0].tau_distance = 2.0
     context = ExpansionContext(emb, build_index(emb), clustering, table)
-    records = {r.origin.text: r for r in expand_all(context)}
+    records = {r.origin.text: r for r in expand_all(context, 100)}
     shoes = {v.keyword.text: v for v in records["men's shoes"].variants}
     assert shoes["women's sandals"].filtered_reason is FilterReason.GENDER
     phone = {v.keyword.text: v for v in records["iphone 13 case"].variants}

@@ -8,12 +8,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from adexpand import cli
 from adexpand import clustering as clustering_mod
 from adexpand.cli import build_parser, cli_dispatch
 from adexpand.config import PipelineConfig
-from adexpand.embeddings import MAX_DIM, MIN_DIM
+from adexpand.embeddings import MAX_DIM, MIN_DIM, EmbeddingSet, save_embeddings
 from adexpand.snapshot_store import load_runtime
 
 from conftest import CHAIN_OUTPUTS, FIXTURES_DIR, run_chain, single_thread_env
@@ -86,6 +88,18 @@ class TestExitCodes:
         ]) == 2
         assert capsys.readouterr().err == f"error: --port must be in 0..65535, got {port}\n"
 
+    @pytest.mark.parametrize("exc", [ValueError("a bug"), json.JSONDecodeError("a bug", "{", 0)],
+                             ids=["value-error", "json-decode-error"])
+    def test_untyped_error_is_internal_error(self, tmp_path, capsys, monkeypatch, exc):
+        """Bad input ends as an AdexpandError or an OSError, exit 2; any other
+        exception a command raises is a bug, exit 3."""
+        def load(path):
+            raise exc
+        monkeypatch.setattr(cli, "load_threshold_table", load)
+        assert cli_dispatch(["threshold-report", "--thresholds", str(tmp_path / "t.jsonl"),
+                             "--out", str(tmp_path / "report.csv")]) == 3
+        assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
+
 
 class TestConfigDefaults:
     def test_config_supplies_parameters(self, tmp_path, capsys):
@@ -134,18 +148,22 @@ BUILD_SNAPSHOT = [
 US_FILES = ["--embeddings", "{chain}/embeddings.tsv", "--market", "US",
             "--clustering", "{chain}/clustering_US.json"]
 
-# A value outside each range-checked parameter's range, and a subcommand
-# that takes the parameter (argv without it and without --out).
+# Values outside each range-checked parameter's range, and a subcommand
+# that takes the parameter (argv without it and without --out). The library
+# functions do not check these again.
 OUT_OF_RANGE = {
-    "learning_rate": (5, ["train-base", "--dataset", "{fixtures}/relevance_base.csv"]),
-    "adjustment_depth": (0, TRAIN_ADJUST),
-    "adjustment_trees": (3, TRAIN_ADJUST),
-    "dim": (8, BUILD_SNAPSHOT),
-    "k_neighbors": (0, ["expand", *US_FILES, "--thresholds", "{chain}/thresholds_US.jsonl"]),
-    "seed": (-1, ["cluster", "--embeddings", "{chain}/embeddings.tsv", "--market", "US"]),
-    "min_cluster_size": (-1, ["thresholds", *US_FILES]),
-    "precision_target": (1.5, ["tune-threshold", "--model", "{chain}/stacked_model.json",
-                               "--holdout", "{fixtures}/relevance_holdout.csv", "--market", "US"]),
+    "learning_rate": ([5], ["train-base", "--dataset", "{fixtures}/relevance_base.csv"]),
+    "adjustment_depth": ([0], TRAIN_ADJUST),
+    "adjustment_trees": ([3, 0], TRAIN_ADJUST),
+    "dim": ([8], BUILD_SNAPSHOT),
+    "k_neighbors": ([0], ["expand", *US_FILES, "--thresholds", "{chain}/thresholds_US.jsonl"]),
+    "seed": ([-1], ["cluster", "--embeddings", "{chain}/embeddings.tsv", "--market", "US"]),
+    "min_cluster_size": ([-1], ["thresholds", *US_FILES]),
+    "precision_target": ([1.5, 0], ["tune-threshold", "--model", "{chain}/stacked_model.json",
+                                    "--holdout", "{fixtures}/relevance_holdout.csv",
+                                    "--market", "US"]),
+    "clusters": ([0], ["cluster", "--embeddings", "{chain}/embeddings.tsv", "--market", "US"]),
+    "trees": ([0], ["train-base", "--dataset", "{fixtures}/relevance_base.csv"]),
 }
 
 
@@ -155,6 +173,12 @@ BAD_FLAGS = {
     "elbow-k-list-descending": (
         ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
          "--k-list", "16,8", "--out", "{out}"], "--k-list"),
+    "elbow-k-list-empty": (
+        ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--k-list", ",", "--out", "{out}"], "--k-list"),
+    "elbow-k-list-zero": (
+        ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--k-list", "0,2", "--out", "{out}"], "--k-list"),
     "elbow-folds-0": (
         ["elbow", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
          "--k-list", "1,2", "--folds", "0", "--out", "{out}"], "--folds"),
@@ -247,6 +271,111 @@ class TestSnapshotPublish:
         assert {name for name in before if before[name] != after[name]} == {"meta.json"}
         assert load_runtime(str(out)).version == 2
 
+    def test_wrong_width_model_leaves_target_as_it_was(self, chain_dir, tmp_path, capsys):
+        """A model that reads 7 features would fail every scored query: the
+        build refuses it, naming model.json."""
+        out = tmp_path / "snapshot"
+        argv = _chain_argv(BUILD_SNAPSHOT, chain_dir, out) + ["--dim", "64"]
+        assert cli_dispatch(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        doc = json.loads(before["model.json"])
+        doc["base"]["n_features"] = 7
+        model = tmp_path / "wide_model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--version", "2", "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(
+            "model.json: 'n_features' must be 6, the features a match is scored on, got 7\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["snapshot", "wide_model.json"]
+
+
+def _narrow_embeddings(path):
+    """An 8-dim embeddings file for market US: a width the fallback embedder
+    cannot make, so an unseen keyword cannot be expanded over it."""
+    rng = np.random.default_rng(3)
+    pairs = [(f"keyword {i}", rng.normal(size=8)) for i in range(12)]
+    save_embeddings(EmbeddingSet.from_pairs("US", pairs), str(path))
+
+
+class TestInputErrorsAreTyped:
+    """Input that a library function used to refuse with a bare ValueError,
+    or that numpy refused deep inside a report, is an AdexpandError: exit 2."""
+
+    def test_unseen_keyword_over_narrow_embeddings(self, tmp_path, capsys):
+        emb, clustering, table = (str(tmp_path / name) for name in
+                                  ("emb.tsv", "clustering.json", "thresholds.jsonl"))
+        _narrow_embeddings(emb)
+        files = ["--embeddings", emb, "--market", "US"]
+        assert cli_dispatch(["cluster", *files, "--clusters", "2", "--out", clustering]) == 0
+        assert cli_dispatch(["thresholds", *files, "--clustering", clustering,
+                             "--out", table]) == 0
+        expand = ["expand", *files, "--clustering", clustering, "--thresholds", table]
+        capsys.readouterr()
+        assert cli_dispatch(expand + ["--keyword", "keyword 3"]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(expand + ["--keyword", "brand new words"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the fallback embedder needs dim at least 16, got 8\n")
+
+    def test_overflowing_residuals(self, chain_dir, tmp_path):
+        """Leaves of 1e308 sum past the float range, so every residual is
+        infinite. The sum warns (RuntimeWarning), which this suite's warning
+        filter would make an error, so the command runs in a child."""
+        with open(os.path.join(chain_dir, "base_model.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for tree in doc["trees"]:
+            for node in tree["nodes"]:
+                node[4] = 1e308
+        base = tmp_path / "base_model.json"
+        base.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "stacked.json"
+        child = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "adexpand.cli", "train-adjust",
+             "--base", str(base), "--dataset", os.path.join(FIXTURES_DIR, "relevance_new.csv"),
+             "--out", str(out)],
+            env=single_thread_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.splitlines()[-1] == (
+            "error: tree targets must be finite: a label or residual is NaN or infinite")
+        assert not out.exists()
+
+    def test_assignment_to_no_cluster(self, chain_dir, tmp_path, capsys):
+        """A clustering that assigns a keyword to a cluster it does not have
+        is refused when it is checked against the embeddings, not met as an
+        IndexError while the cutoffs are computed."""
+        with open(os.path.join(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["assignments"]["0"] = 5
+        clustering = tmp_path / "clustering_US.json"
+        clustering.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "thresholds.jsonl"
+        assert cli_dispatch(["thresholds",
+                             "--embeddings", os.path.join(chain_dir, "embeddings.tsv"),
+                             "--market", "US", "--clustering", str(clustering),
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {clustering}: assignment to cluster 5, not one of the 2 clusters\n")
+        assert not out.exists()
+
+    def test_infinite_cutoff_in_table(self, chain_dir, tmp_path, capsys):
+        with open(os.path.join(chain_dir, "thresholds_US.jsonl"), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        row = json.loads(lines[1])
+        row["tau_similarity"] = float("-inf")
+        lines[1] = json.dumps(row).replace("-Infinity", "-1e999") + "\n"
+        table = tmp_path / "thresholds_US.jsonl"
+        table.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert cli_dispatch(["threshold-report", "--thresholds", str(table),
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: malformed threshold table: ValueError:"
+            " 'tau_similarity' must be finite, got -inf\n")
+        assert not out.exists()
+
 
 def _flag_dests():
     """The dest of every flag of every subcommand."""
@@ -261,17 +390,18 @@ class TestOneCheckPerParameter:
 
     @pytest.mark.parametrize("name", OUT_OF_RANGE)
     def test_flag_and_config_value_fail_alike(self, chain_dir, tmp_path, capsys, name):
-        value, argv = OUT_OF_RANGE[name]
+        values, argv = OUT_OF_RANGE[name]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"parameters": {name: value}}), encoding="utf-8")
         out = tmp_path / "out"
-        errors = []
-        for given in ([f"--{name.replace('_', '-')}={value}"], ["--config", str(config)]):
-            assert cli_dispatch(_chain_argv(argv, chain_dir, out) + given) == 2
-            errors.append(capsys.readouterr().err)
-            assert not out.exists()
-        assert errors[0] == errors[1]
-        assert errors[0].startswith(f"error: {name} must be")
+        for value in values:
+            config.write_text(json.dumps({"parameters": {name: value}}), encoding="utf-8")
+            errors = []
+            for given in ([f"--{name.replace('_', '-')}={value}"], ["--config", str(config)]):
+                assert cli_dispatch(_chain_argv(argv, chain_dir, out) + given) == 2
+                errors.append(capsys.readouterr().err)
+                assert not out.exists()
+            assert errors[0] == errors[1]
+            assert errors[0].startswith(f"error: {name} must be")
 
     @pytest.mark.parametrize("doc, key", [
         ({"paths": {"keywords": "fixtures/keywords.tsv"}}, "paths"),

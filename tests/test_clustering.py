@@ -1,5 +1,7 @@
 """k-means training, diagnostics, and persistence."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,35 @@ class TestElbowSweep:
         rows = elbow_sweep(emb, [1, 2, 3], seed=4, folds=2)
         assert [m for m, _ in rows] == [1, 2, 3]
 
+    def test_one_held_in_set_alive_at_a_time(self, monkeypatch):
+        """The folds are the outer loop: each k-means runs while exactly one
+        held-in set is alive, and each count's mean has the bits of the mean
+        over its folds in fold order."""
+        emb = random_unit_set(np.random.default_rng(12), 40, 8)
+        k_list, folds = [1, 2, 2, 3], 5
+        want = [
+            (m, float(np.mean([wcss(kmeans(sub, m, 4), sub)
+                               for _, sub in clustering_mod._fold_splits(emb, folds)])))
+            for m in k_list
+        ]
+        made = []  # a weak reference to each held-in set
+        subset, fit = clustering_mod._subset, clustering_mod.kmeans
+        alive_at_fit = []
+
+        def tracked_subset(*args):
+            held_in = subset(*args)
+            made.append(weakref.ref(held_in))
+            return held_in
+
+        def counted_kmeans(*args):
+            alive_at_fit.append(sum(ref() is not None for ref in made))
+            return fit(*args)
+
+        monkeypatch.setattr(clustering_mod, "_subset", tracked_subset)
+        monkeypatch.setattr(clustering_mod, "kmeans", counted_kmeans)
+        assert elbow_sweep(emb, k_list, seed=4, folds=folds) == want
+        assert alive_at_fit == [1] * (folds * len(k_list))
+
 
 def _pairwise_agreement(a, b):
     """The n x n co-assignment comparison over every pair i < j."""
@@ -252,12 +283,6 @@ class TestKfoldStability:
         report = kfold_stability(emb, 4, folds=4, seed=3)
         monkeypatch.setattr(clustering_mod, "_co_assignment_agreement", _pairwise_agreement)
         assert kfold_stability(emb, 4, folds=4, seed=3) == report
-
-    def test_single_fold_rejected(self):
-        rng = np.random.default_rng(14)
-        emb = random_unit_set(rng, 20, 8)
-        with pytest.raises(ValueError):
-            kfold_stability(emb, 2, folds=1, seed=0)
 
 
 class TestPersistence:

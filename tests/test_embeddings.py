@@ -143,7 +143,7 @@ class TestFallbackEmbed:
             fallback_embed("   ", 256)
 
     def test_small_dim_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError, match="at least 16, got 8"):
             fallback_embed("iphone case", 8)
 
     def test_fnv1a_known_values(self):

@@ -24,6 +24,8 @@ from adexpand.expansion import (
 from adexpand.flat_index import build_index
 from adexpand.thresholds import ThresholdRow, ThresholdTable, build_threshold_table
 
+# neighbours retrieved per keyword, the k_neighbors default of the CLI
+K = 100
 
 # The filters' reference rules, written from the public classifiers alone:
 # the expected reason of every variant in these tests comes from them.
@@ -175,14 +177,14 @@ class TestExpandKeyword:
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.0)
         ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(context, ref, emb.vector(ref))
+        record = expand_keyword(context, ref, emb.vector(ref), K)
         assert record.accepted_variants() == []
 
     def test_near_neighbors_within_tau_accepted(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(context, ref, emb.vector(ref))
+        record = expand_keyword(context, ref, emb.vector(ref), K)
         accepted = {v.keyword.text for v in record.accepted_variants()}
         assert accepted == {"outdoor led lights", "garden lighting"}
         for v in record.accepted_variants():
@@ -193,14 +195,14 @@ class TestExpandKeyword:
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=2.0)
         for ref in emb.refs:
-            record = expand_keyword(context, ref, emb.vector(ref))
+            record = expand_keyword(context, ref, emb.vector(ref), K)
             assert all(v.keyword.id != ref.id for v in record.variants)
 
     def test_gender_filter_records_reason(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("mens shoes")
-        record = expand_keyword(context, ref, emb.vector(ref))
+        record = expand_keyword(context, ref, emb.vector(ref), K)
         by_text = {v.keyword.text: v for v in record.variants}
         assert by_text["womens sandals"].filtered_reason is FilterReason.GENDER
         assert "womens sandals" not in {v.keyword.text for v in record.accepted_variants()}
@@ -209,14 +211,14 @@ class TestExpandKeyword:
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
         ref = emb.ref_by_text("iphone 13 case")
-        record = expand_keyword(context, ref, emb.vector(ref))
+        record = expand_keyword(context, ref, emb.vector(ref), K)
         by_text = {v.keyword.text: v for v in record.variants}
         assert by_text["iphone 12 accessories"].filtered_reason is FilterReason.NUMERIC
 
     def test_filter_soundness(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=2.0)
-        for record in expand_all(context):
+        for record in expand_all(context, K):
             for v in record.variants:
                 if v.filtered_reason is FilterReason.GENDER:
                     assert not gender_consistent(record.origin.text, v.keyword.text)
@@ -234,7 +236,7 @@ class TestExpandKeyword:
         )
         context = _one_cluster_context(emb, tau=2.0)
         ref = emb.refs[0]
-        record = expand_keyword(context, ref, emb.vector(ref))
+        record = expand_keyword(context, ref, emb.vector(ref), K)
         keys = [(v.distance, v.keyword.id) for v in record.variants]
         assert keys == sorted(keys)
 
@@ -250,7 +252,7 @@ class TestExpandKeyword:
             table = build_threshold_table(clustering, emb, p, min_cluster_size=0)
             accepted = {}
             context = ExpansionContext(emb, index, clustering, table)
-            for record in expand_all(context):
+            for record in expand_all(context, K):
                 # every variant inside the cutoff, filtered or not
                 accepted[record.origin.text] = {v.keyword.text for v in record.variants}
             if previous is not None:
@@ -277,7 +279,7 @@ class TestFilterReasons:
         emb = EmbeddingSet.from_pairs("US", [(t, rng.normal(size=8)) for t in texts])
         context = _one_cluster_context(emb, tau=2.0)
         for ref in emb.refs:
-            record = expand_keyword(context, ref, emb.vector(ref))
+            record = expand_keyword(context, ref, emb.vector(ref), K)
             assert len(record.variants) == len(emb) - 1
             for v in record.variants:
                 expected = None
@@ -292,7 +294,7 @@ class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.2)
-        records = expand_all(context)
+        records = expand_all(context, K)
         path = str(tmp_path / "expansions.jsonl")
         save_expansions(records, path)
         # the reader keeps each origin and its accepted variants' text and
@@ -306,7 +308,7 @@ class TestPersistence:
 
     def test_one_str_per_distinct_text(self, tmp_path):
         emb = _fixture_corpus()
-        records = expand_all(_one_cluster_context(emb, tau=0.2))
+        records = expand_all(_one_cluster_context(emb, tau=0.2), K)
         path = str(tmp_path / "expansions.jsonl")
         save_expansions(records, path)
         rows = load_expansions(path)

@@ -184,7 +184,8 @@ class TestKmeansAgainstPerIterationCast:
     @given(_kmeans_case())
     def test_same_clustering(self, case):
         emb, clusters, seed, max_iter = case
-        got = _outcome(kmeans, emb, clusters, seed, max_iter)
+        with mock.patch("adexpand.clustering.MAX_ITER", max_iter):
+            got = _outcome(kmeans, emb, clusters, seed)
         want = _outcome(_old_kmeans, emb, clusters, seed, max_iter)
         if want[0] == "ok":
             assert got[0] == "ok", got
@@ -535,9 +536,11 @@ def _bits(x):
 
 
 def _unit(values):
-    """A float32 vector over its float32 norm, taken in float64 so that large
-    entries do not overflow."""
+    """A float32 vector over its float32 norm. The vector is first scaled by
+    its largest magnitude, so that the norm, taken in float64, is at most 3
+    for the 9 entries a case draws and its cast to float32 cannot overflow."""
     u = np.asarray(values, dtype=np.float32)
+    u = u / np.abs(u).max()
     return u / np.float32(np.linalg.norm(u.astype(np.float64)))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from adexpand import matching
 
 from adexpand.embeddings import KeywordRef
-from adexpand.errors import DanglingReferenceError, NonFiniteError, UnknownMarketError
+from adexpand.errors import DanglingReferenceError, ParseError, UnknownMarketError
 from adexpand.expansion import (
     ExpansionRecord,
     FilterReason,
@@ -32,8 +32,12 @@ from adexpand.matching import (
     match_query,
 )
 from adexpand.relevance import GbdtModel, StackedModel, as_stacked, fit_tree
+from adexpand.snapshot_store import load_market_thresholds
 
 from conftest import golden_campaigns, price_step_model
+
+# the feature extractor of a snapshot whose embeddings are 256-dim
+EXTRACTOR = FeatureExtractor(embed_dim=256)
 
 
 # A market threshold is a finite number; this one is below every score the
@@ -118,6 +122,7 @@ def make_snapshot(version=1, thresholds=None, model=None, expansions=None):
         model=model or price_step_model(),
         market_thresholds=thresholds or {"US": FLOOR, "UK": FLOOR},
         version=version,
+        extractor=EXTRACTOR,
     )
 
 
@@ -129,6 +134,7 @@ class TestBuildSnapshot:
             model=as_stacked(GbdtModel(base_score=3.0, learning_rate=1.0, n_features=6)),
             market_thresholds={"US": 0.0},
             version=1,
+            extractor=EXTRACTOR,
         )
         assert snapshot.version == 1
         assert match_query("anything at all", "US", snapshot) == []
@@ -147,12 +153,18 @@ class TestBuildSnapshot:
                 model=price_step_model(),
                 market_thresholds={"US": 0.0},  # UK campaigns exist
                 version=1,
+                extractor=EXTRACTOR,
             )
 
     @pytest.mark.parametrize("threshold", [float("-inf"), float("inf"), float("nan")])
-    def test_non_finite_threshold(self, threshold):
-        with pytest.raises(NonFiniteError, match="'UK'"):
-            make_snapshot(thresholds={"US": 2.5, "UK": threshold})
+    def test_non_finite_threshold(self, tmp_path, threshold):
+        """A snapshot's thresholds come from load_market_thresholds, which
+        refuses a non-finite one, naming the file and the market."""
+        path = tmp_path / "market_thresholds.json"
+        path.write_text(json.dumps({"US": 2.5, "UK": threshold}), encoding="utf-8")
+        with pytest.raises(ParseError, match="'UK'") as info:
+            load_market_thresholds(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_rebuild_equivalence_on_probe_queries(self):
         a = make_snapshot(version=1)
@@ -359,7 +371,6 @@ def _brute_force_match(query, market, campaigns, expansions, model, threshold):
                     entries.append((v.keyword.text, r.origin.text, v.similarity,
                                     groups_by_keyword[r.origin.text]))
     q = set(tokenize(query))
-    extractor = FeatureExtractor()
     found = []
     for matched, origin, similarity, groups in entries:
         kw_tokens = set(tokenize(matched))
@@ -367,7 +378,7 @@ def _brute_force_match(query, market, campaigns, expansions, model, threshold):
             continue
         for g in groups:
             for item in g.items:
-                x = extractor.extract(query, item.title, item.price, matched, similarity)
+                x = EXTRACTOR.extract(query, item.title, item.price, matched, similarity)
                 base, adjustment = model.predict_one(x)
                 score = base + adjustment
                 if score >= threshold:
@@ -395,7 +406,7 @@ class TestMatchQueryEquivalence:
         campaigns, expansions, threshold, queries = inputs
         model = _keyword_sensitive_model()
         snapshot = build_snapshot(campaigns, _rows(expansions), model,
-                                  {"US": threshold, "UK": threshold}, version=1)
+                                  {"US": threshold, "UK": threshold}, 1, EXTRACTOR)
         for query, market in queries:
             expected = _brute_force_match(query, market, campaigns, expansions, model, threshold)
             assert match_query(query, market, snapshot) == expected
@@ -490,7 +501,7 @@ class TestIndexFromLines:
         text = "".join(json.dumps(record_to_doc(r), sort_keys=True) + "\n" for r in records)
         rows = load_expansions("expansions.jsonl", io.StringIO(text))
         snapshot = build_snapshot(campaigns, rows, price_step_model(),
-                                  {"US": FLOOR, "UK": FLOOR}, version=1)
+                                  {"US": FLOOR, "UK": FLOOR}, 1, EXTRACTOR)
         assert snapshot._token_index == _reference_index(campaigns, records)
 
 

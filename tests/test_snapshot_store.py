@@ -285,6 +285,20 @@ BAD_FILES = [
                  id="thresholds-row-no-tau"),
     pytest.param("thresholds_US.jsonl", load_threshold_table, _overwrite("\n"), "empty",
                  id="thresholds-empty"),
+    # a NaN or infinite cutoff would admit every neighbour
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(tau_distance=float("nan"))),
+                 "'tau_distance' must be finite, got nan", id="thresholds-tau-distance-nan"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 3, lambda d: d.update(tau_similarity=-float("inf"))),
+                 "'tau_similarity' must be finite, got -inf",
+                 id="thresholds-tau-similarity-infinity"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d.update(p=float("inf"))),
+                 "'p' must be finite, got inf", id="thresholds-p-infinity"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d.update(fallback_tau=float("nan"))),
+                 "'fallback_tau' must be finite, got nan", id="thresholds-fallback-nan"),
     pytest.param("market_thresholds.json", load_market_thresholds, _overwrite("[2.5]"),
                  "AttributeError", id="market-thresholds-list"),
     pytest.param("market_thresholds.json", load_market_thresholds,
@@ -344,7 +358,8 @@ def _halve_centroids(doc):
     doc["dim"] = len(doc["centroids"][0])
 
 
-# Snapshots whose files each parse, but which could not answer /expand:
+# Snapshots whose files each parse, but which could not answer /expand or
+# /match:
 # (file, how it is broken, what the error must name)
 UNSERVABLE = [
     pytest.param("thresholds_US.jsonl", _header_only, "cluster", id="thresholds-header-only"),
@@ -354,6 +369,10 @@ UNSERVABLE = [
                  "k_neighbors", id="k-neighbors-0"),
     pytest.param(META_FILE, lambda p: _edit_json(p, lambda d: d.update(dim=8)),
                  "'dim'", id="dim-8"),
+    # every query with a candidate would fail: the extractor makes 6 features
+    pytest.param("model.json", lambda p: _edit_json(p, lambda d: d["base"].update(n_features=7)),
+                 "'n_features' must be 6, the features a match is scored on, got 7",
+                 id="model-n-features-7"),
 ]
 
 

@@ -170,7 +170,7 @@ class TestBuildThresholdTable:
             "US", [(f"kw-{i}", rng.normal(size=8)) for i in range(50)]
         )
         model = kmeans(emb, 7, seed=4)
-        table = build_threshold_table(model, emb, p=0.999999)
+        table = build_threshold_table(model, emb, p=0.999999, min_cluster_size=10)
         assert set(table.rows) == set(range(7))
         for row in table.rows.values():
             assert math.isfinite(row.tau_distance)

@@ -30,7 +30,6 @@ ALLOWED = {
 # in the program passes them
 ALLOWED_PARAMETERS = {
     "send_error(message, explain)": "the stdlib signature BaseHTTPRequestHandler calls",
-    "kmeans(max_iter)": "tests/test_kernel_oracles.py truncates k-means against its oracle",
 }
 # "subcommand --flag", or "* --flag" for every subcommand -> why the flag
 # stays though no argv and no README command passes it
