@@ -23,7 +23,7 @@ from .embeddings import (
     read_tsv,
     save_embeddings,
 )
-from .errors import AdexpandError, ParseError
+from .errors import AdexpandError, DegenerateInputError, ParseError
 from .expansion import (
     expand_all,
     expand_text,
@@ -329,7 +329,10 @@ def _cmd_threshold_report(args) -> int:
     table = load_threshold_table(args.thresholds)
     if not table.rows:
         raise ParseError(f"{args.thresholds}: no cluster rows, only a header")
-    report = reports_mod.threshold_report(table)
+    try:
+        report = reports_mod.threshold_report(table)
+    except DegenerateInputError as exc:
+        raise ParseError(f"{args.thresholds}: {exc}") from exc
     reports_mod.write_threshold_report_csv(report, args.out)
     print(
         json.dumps(

@@ -334,9 +334,12 @@ def load_clustering(path: str, fh: TextIO | None = None) -> Clustering:
 
 
 def _clustering_from_doc(doc: dict) -> Clustering:
+    centroids = np.array(doc["centroids"], dtype=np.float64)
+    if not np.all(np.isfinite(centroids)):  # argmin would pick a NaN distance
+        raise ValueError("'centroids' must be finite")
     return Clustering(
         market=doc["market"],
         cluster_count=int(doc["M"]),
-        centroids=np.array(doc["centroids"], dtype=np.float64),
+        centroids=centroids,
         assignments={int(k): int(v) for k, v in doc["assignments"].items()},
     )

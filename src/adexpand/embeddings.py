@@ -75,8 +75,8 @@ def normalize(values) -> np.ndarray:
 
 def _normalize_rows(vectors: list[np.ndarray]) -> np.ndarray:
     """normalize() of each of some finite, equal-length vectors whose norms
-    are clear of zero, stacked, bit for bit: the same dot product for each
-    norm, the same division, the same cast."""
+    are finite and clear of zero, stacked, bit for bit: the same dot product
+    for each norm, the same division, the same cast."""
     rows = np.array(vectors, dtype=np.float64)
     rows /= np.sqrt(np.array([row.dot(row) for row in rows]))[:, None]
     return rows.astype(np.float32)
@@ -263,8 +263,11 @@ def _parse_all_vectors(
     if matrix.shape[0] != len(records) or not np.all(np.isfinite(matrix)):
         return None
     # These row norms sum in another order than the per-record check's, so
-    # only norms well clear of the limit are taken as passing it.
-    if np.any(np.linalg.norm(matrix, axis=1) <= 10 * _MIN_NORM):
+    # only norms well clear of its limits are taken as passing it: zero, and
+    # the float range, which a norm near 1.34e154 leaves when squared.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    if not np.all((norms > 10 * _MIN_NORM) & (norms < 1e154)):
         return None
     return records, matrix
 
@@ -304,8 +307,12 @@ def _read_rows(
                 raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
             if not np.all(np.isfinite(vec)):
                 raise ParseError(f"{path}:{lineno}: non-finite vector entry")
-            if float(np.linalg.norm(vec)) <= _MIN_NORM:
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(vec))
+            if norm <= _MIN_NORM:
                 raise ParseError(f"{path}:{lineno}: zero vector")
+            if norm == np.inf:  # it would scale the row to zero
+                raise ParseError(f"{path}:{lineno}: vector norm overflows")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

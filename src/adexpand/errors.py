@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from typing import Callable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
@@ -77,6 +78,16 @@ def parse_json(
         return build(json.loads(text))
     except MALFORMED as exc:
         raise malformed(path, what, exc) from exc
+
+
+def finite(doc: dict, key: str) -> float:
+    """doc[key] as a float, which must be finite: JSON parses NaN, Infinity
+    and 1e999 to floats, and a NaN passes every check that refuses by a
+    comparison (``nan < 0`` is false)."""
+    value = float(doc[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value!r}")
+    return value
 
 
 def check_market(where: str, found: str, expected: str) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import Clustering, assign_cluster
 from .embeddings import EmbeddingSet, KeywordRef, fallback_embed
-from .errors import MALFORMED, malformed, reading
+from .errors import MALFORMED, finite, malformed, reading
 from .flat_index import FlatIndex, knn_search
 from .thresholds import ThresholdTable
 
@@ -283,11 +283,11 @@ def _row_from_doc(doc: dict, shared: Callable[[str, str], str]) -> ExpansionRow:
     for v in doc["variants"]:
         _, text = _ref_text(v["keyword"])
         float(v["distance"])
-        similarity = float(v["similarity"])
         if "filtered_reason" in v:
             FilterReason(v["filtered_reason"])
-        else:
-            accepted.append((shared(text, text), similarity))
+            float(v["similarity"])
+        else:  # the similarity is a scored feature of every match on the variant
+            accepted.append((shared(text, text), finite(v, "similarity")))
     market, origin = _ref_text(doc["origin"])
     int(doc["cluster"])
     float(doc["tau_used"])

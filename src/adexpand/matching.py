@@ -21,6 +21,7 @@ from .errors import (
     DanglingReferenceError,
     ParseError,
     UnknownMarketError,
+    finite,
     parse_json,
 )
 from .expansion import ExpansionRow, tokenize
@@ -33,7 +34,6 @@ class Item:
     id: int
     title: str
     price: float
-    market: str
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,7 @@ def _campaigns_from_doc(doc: dict) -> list[Campaign]:
         for g in c.get("ad_groups", []):
             items = []
             for it in g.get("items", []):
-                item = Item(
-                    id=int(it["id"]),
-                    title=str(it["title"]),
-                    price=float(it["price"]),
-                    market=market,
-                )
+                item = Item(id=int(it["id"]), title=str(it["title"]), price=finite(it, "price"))
                 if not item.title.strip():
                     raise ParseError(f"item {item.id} in campaign {cid!r} has an empty title")
                 if item.price < 0:
@@ -140,45 +135,35 @@ def match_record_to_doc(record: MatchRecord) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
     """Immutable serving bundle; built once, swapped atomically.
 
     ``_token_index`` (campaign market -> token -> [(token set, entries)]) is
-    the match index, filed by build_snapshot from the campaigns and
-    load_expansions' rows.
-    It depends only on the campaigns and expansions, so snapshots that differ
-    in model, thresholds or version may share one, read-only
-    (``dataclasses.replace``). Every campaign market must have a threshold;
-    each threshold is a finite number, as load_market_thresholds reads it.
+    the match index build_snapshot files from the campaigns and
+    load_expansions' rows. It depends on nothing else, so snapshots that
+    differ in model, thresholds or version may share one, read-only. Every
+    campaign market must have a threshold; each threshold is a finite number,
+    as load_market_thresholds reads it.
     """
 
     version: int
     model: StackedModel
     market_thresholds: dict[str, float]
     extractor: FeatureExtractor
-    _token_index: dict[str, dict[str, list[_TokenGroup]]] = field(default_factory=dict, repr=False)
+    _token_index: dict[str, dict[str, list[_TokenGroup]]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_thresholds(self._token_index, self.market_thresholds)
-
-
-def _check_thresholds(campaign_markets: Iterable[str], market_thresholds: dict[str, float]) -> None:
-    """UnknownMarketError unless every campaign market has a threshold."""
-    for market in sorted(campaign_markets):
-        if market not in market_thresholds:
-            raise UnknownMarketError(f"no relevance threshold for market {market!r}")
+        for market in sorted(self._token_index):
+            if market not in self.market_thresholds:
+                raise UnknownMarketError(f"no relevance threshold for market {market!r}")
 
 
 def build_snapshot(
-    campaigns: list[Campaign],
-    expansions: Iterable[ExpansionRow],
-    model: StackedModel,
-    market_thresholds: dict[str, float],
-    version: int,
-    extractor: FeatureExtractor,
-) -> Snapshot:
-    """Validate cross-references and build the reverse token index.
+    campaigns: list[Campaign], expansions: Iterable[ExpansionRow]
+) -> dict[str, dict[str, list[_TokenGroup]]]:
+    """File a snapshot's token index: the reverse index over the campaign
+    keywords and their accepted expansions, cross-references checked.
 
     ``expansions`` holds load_expansions' rows, and every origin must be an
     ad-group keyword of its market. Every ad-group keyword is matchable as
@@ -244,14 +229,7 @@ def build_snapshot(
             buckets.setdefault(min(tokens, key=lambda t: (df[t], t)), []).append(
                 (tokens, entries))
         token_index[market] = buckets
-
-    return Snapshot(
-        version=version,
-        model=model,
-        market_thresholds=dict(market_thresholds),
-        extractor=extractor,
-        _token_index=token_index,
-    )
+    return token_index
 
 
 def match_query(query: str, market: str, snapshot: Snapshot) -> list[MatchRecord]:

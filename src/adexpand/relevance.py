@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
     SchemaMismatchError,
+    finite,
     parse_json,
     reading,
 )
@@ -431,8 +432,8 @@ def gbdt_to_doc(model: GbdtModel) -> dict:
 
 def gbdt_from_doc(doc: dict) -> GbdtModel:
     return GbdtModel(
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
+        base_score=finite(doc, "base_score"),
+        learning_rate=finite(doc, "learning_rate"),
         n_features=int(doc["n_features"]),
         feature_names=doc.get("feature_names"),
         train_rmse=[float(x) for x in doc.get("train_rmse", [])],
@@ -452,7 +453,7 @@ def stacked_to_doc(model: StackedModel) -> dict:
 def stacked_from_doc(doc: dict) -> StackedModel:
     return StackedModel(
         base=gbdt_from_doc(doc["base"]),
-        adjustment_rate=float(doc["adjustment_rate"]),
+        adjustment_rate=finite(doc, "adjustment_rate"),
         adjustment=[_tree_from_doc(t) for t in doc["adjustment"]],
     )
 

@@ -159,9 +159,21 @@ def threshold_report(table: ThresholdTable) -> ThresholdReport:
 
     The size-threshold correlation is a diagnostic; with constant sizes or
     constant cutoffs it is reported as degenerate (None) rather than raised.
+    DegenerateInputError when the cutoffs do not part into bins.
     """
     sims = np.array([row.tau_similarity for row in table.rows.values()], dtype=np.float64)
-    counts, edges = np.histogram(sims, bins=HISTOGRAM_BINS)
+    lo, hi = float(sims.min()), float(sims.max())
+    # Cutoffs too close for np.histogram's finite bins are binned over the
+    # span widened by 0.5 each way, as it bins equal ones.
+    for span in ((lo, hi), (lo - 0.5, hi + 0.5)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = np.linspace(*span, HISTOGRAM_BINS + 1)
+        if np.all(np.isfinite(bounds)) and np.all(bounds[:-1] < bounds[1:]):
+            break
+    else:  # a span past the float range, or 0.5 below the cutoffs' precision
+        raise DegenerateInputError(
+            f"cutoffs from {lo!r} to {hi!r} do not part into {HISTOGRAM_BINS} finite bins")
+    counts, edges = np.histogram(sims, bins=HISTOGRAM_BINS, range=span)
     try:
         r: float | None = threshold_size_correlation(table)
     except DegenerateInputError:

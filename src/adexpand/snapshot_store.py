@@ -21,8 +21,7 @@ from, and load_runtime keeps the parts it used on the bundle:
   market in meta.json's ``markets``;
 - ``("context", market, embeddings key, clustering_<m>.json,
   thresholds_<m>.jsonl)``: a market's expansion context;
-- ``("index", campaigns.json, expansions.jsonl)``: the match index, held as
-  the snapshot it was first built in.
+- ``("index", campaigns.json, expansions.jsonl)``: the token index.
 
 Given the bundle it replaces, a load shares each part whose key that bundle
 holds, as is and read-only, and builds and checks every other part afresh.
@@ -44,7 +43,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .clustering import Clustering, load_clustering
@@ -71,7 +70,7 @@ MODEL_FILE = "model.json"
 MARKET_THRESHOLDS_FILE = "market_thresholds.json"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeBundle:
     snapshot: Snapshot
     contexts: dict[str, ExpansionContext]
@@ -310,18 +309,11 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
         try:
             index = part(("index", campaigns.sha256, expansions.sha256), lambda: build_snapshot(
                 load_campaigns(campaigns.path, campaigns.fh),
-                load_expansions(expansions.path, expansions.fh),
-                model, thresholds, version, extractor,
-            ))
+                load_expansions(expansions.path, expansions.fh)))
         except DanglingReferenceError as exc:
             raise DanglingReferenceError(
                 f"{expansions.path}: {exc} of {campaigns.path}"
             ) from exc
 
-    return RuntimeBundle(
-        snapshot=replace(index, version=version, model=model, market_thresholds=thresholds,
-                         extractor=extractor),
-        contexts=contexts,
-        k_neighbors=k_neighbors,
-        parts=parts,
-    )
+    return RuntimeBundle(Snapshot(version, model, thresholds, extractor, index), contexts,
+                         k_neighbors, parts)

@@ -9,7 +9,6 @@ distribution instead.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -23,6 +22,7 @@ from .errors import (
     EmptyInputError,
     InvalidQuantileError,
     ParseError,
+    finite,
     malformed,
     reading,
 )
@@ -163,15 +163,6 @@ def save_threshold_table(table: ThresholdTable, path: str) -> None:
             fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
-def _finite(doc: dict, key: str) -> float:
-    """doc[key] as a float, which must be finite: a NaN or infinite cutoff
-    would admit every neighbour, and a negative infinite one none."""
-    value = float(doc[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key!r} must be finite, got {value!r}")
-    return value
-
-
 def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
     with reading(path, fh) as fh:
         lines = [line for line in fh if line.strip()]
@@ -186,15 +177,15 @@ def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
             market = doc["market"]
             rows[int(doc["cluster_id"])] = ThresholdRow(
                 size=int(doc["size"]),
-                tau_distance=_finite(doc, "tau_distance"),
-                tau_similarity=_finite(doc, "tau_similarity"),
+                tau_distance=finite(doc, "tau_distance"),
+                tau_similarity=finite(doc, "tau_similarity"),
                 fallback=bool(doc["fallback"]),
             )
         return ThresholdTable(
             market=market,
-            p=_finite(header, "p"),
+            p=finite(header, "p"),
             min_cluster_size=int(header["min_cluster_size"]),
-            fallback_tau=_finite(header, "fallback_tau"),
+            fallback_tau=finite(header, "fallback_tau"),
             rows=rows,
         )
     except MALFORMED as exc:

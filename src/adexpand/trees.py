@@ -86,8 +86,8 @@ def pack_trees(trees: Sequence[RegressionTree], n_features: int) -> PackedTrees:
         # the loop reaches i.
         level = [0] * n
         for i, node in enumerate(nodes):
-            if not math.isfinite(node.value):
-                raise ParseError(f"tree {t} node {i}: value is not finite")
+            if not (math.isfinite(node.value) and math.isfinite(node.threshold)):
+                raise ParseError(f"tree {t} node {i}: value or threshold is not finite")
             if node.feature < 0:
                 feature.append(0)
                 left.append(offset + i)

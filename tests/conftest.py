@@ -88,9 +88,6 @@ def golden_embedding_set(market: str) -> EmbeddingSet:
 
 
 def golden_campaigns() -> list[Campaign]:
-    def item(i, title, price, market):
-        return Item(id=i, title=title, price=price, market=market)
-
     return [
         Campaign(
             id="us-lights-1",
@@ -99,8 +96,8 @@ def golden_campaigns() -> list[Campaign]:
                 AdGroup(
                     keywords=("led garden lights",),
                     items=(
-                        item(101, "Solar LED Garden Lights 8 Pack Outdoor", 24.99, "US"),
-                        item(102, "LED Landscape Light Low Voltage", 59.5, "US"),
+                        Item(101, "Solar LED Garden Lights 8 Pack Outdoor", 24.99),
+                        Item(102, "LED Landscape Light Low Voltage", 59.5),
                     ),
                 ),
             ),
@@ -111,7 +108,7 @@ def golden_campaigns() -> list[Campaign]:
             ad_groups=(
                 AdGroup(
                     keywords=("garden lighting", "outdoor led lights"),
-                    items=(item(103, "Outdoor String Lights for Garden Patio", 18.0, "US"),),
+                    items=(Item(103, "Outdoor String Lights for Garden Patio", 18.0),),
                 ),
             ),
         ),
@@ -122,8 +119,8 @@ def golden_campaigns() -> list[Campaign]:
                 AdGroup(
                     keywords=("iphone 13 case",),
                     items=(
-                        item(104, "Clear Case for iPhone 13 Shockproof", 9.99, "US"),
-                        item(105, "iPhone 13 Leather Cover Magsafe", 39.0, "US"),
+                        Item(104, "Clear Case for iPhone 13 Shockproof", 9.99),
+                        Item(105, "iPhone 13 Leather Cover Magsafe", 39.0),
                     ),
                 ),
             ),
@@ -134,7 +131,7 @@ def golden_campaigns() -> list[Campaign]:
             ad_groups=(
                 AdGroup(
                     keywords=("mens running shoes", "running shoes"),
-                    items=(item(106, "Mens Lightweight Running Shoes Breathable", 74.95, "US"),),
+                    items=(Item(106, "Mens Lightweight Running Shoes Breathable", 74.95),),
                 ),
             ),
         ),
@@ -145,8 +142,8 @@ def golden_campaigns() -> list[Campaign]:
                 AdGroup(
                     keywords=("ladies winter jumpers",),
                     items=(
-                        item(201, "Womens Chunky Knit Winter Jumper Warm", 32.0, "UK"),
-                        item(202, "Ladies Cable Knit Sweater Crew Neck", 27.5, "UK"),
+                        Item(201, "Womens Chunky Knit Winter Jumper Warm", 32.0),
+                        Item(202, "Ladies Cable Knit Sweater Crew Neck", 27.5),
                     ),
                 ),
             ),
@@ -157,7 +154,7 @@ def golden_campaigns() -> list[Campaign]:
             ad_groups=(
                 AdGroup(
                     keywords=("solar garden light",),
-                    items=(item(203, "Solar Garden Light Stainless Steel 6 Pack", 15.0, "UK"),),
+                    items=(Item(203, "Solar Garden Light Stainless Steel 6 Pack", 15.0),),
                 ),
             ),
         ),

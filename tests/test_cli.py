@@ -299,6 +299,16 @@ def _narrow_embeddings(path):
     save_embeddings(EmbeddingSet.from_pairs("US", pairs), str(path))
 
 
+def _threshold_table(tmp_path, sims):
+    """A cutoff table with one cluster row per similarity cutoff."""
+    path = tmp_path / "thresholds_US.jsonl"
+    header = {"p": 0.9, "min_cluster_size": 1, "fallback_tau": 0.5}
+    rows = [{"market": "US", "cluster_id": i, "size": 3 + i, "tau_distance": 1 - sim,
+             "tau_similarity": sim, "fallback": False} for i, sim in enumerate(sims)]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *rows]), encoding="utf-8")
+    return path
+
+
 class TestInputErrorsAreTyped:
     """Input that a library function used to refuse with a bare ValueError,
     or that numpy refused deep inside a report, is an AdexpandError: exit 2."""
@@ -340,6 +350,38 @@ class TestInputErrorsAreTyped:
         assert child.returncode == 2, child.stderr
         assert child.stderr.splitlines()[-1] == (
             "error: tree targets must be finite: a label or residual is NaN or infinite")
+        assert not out.exists()
+
+    def test_overflowing_embedding_norm(self, tmp_path, capsys):
+        """A row whose norm is past the float range would scale to a zero
+        vector, with two RuntimeWarnings on the way."""
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("US\ta\t1e200 1e200 0\nUS\tb\t1 2 3\n", encoding="utf-8")
+        out = tmp_path / "clustering.json"
+        assert cli_dispatch(["cluster", "--embeddings", str(emb), "--market", "US",
+                             "--clusters", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {emb}:1: vector norm overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sims", [[0.42, float(np.nextafter(0.42, 1))], [0.42, 0.42 + 1e-15]])
+    def test_threshold_report_on_near_equal_cutoffs(self, tmp_path, capsys, sims):
+        """np.histogram cannot part cutoffs a few ulps apart into 20 bins;
+        they are binned over the unit-wide range it gives equal ones."""
+        table = _threshold_table(tmp_path, sims)
+        out = tmp_path / "report.csv"
+        assert cli_dispatch(["threshold-report", "--thresholds", str(table),
+                             "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").split("\n\n")[0].splitlines()[1:]
+        assert len(rows) == 20
+        assert sum(int(row.split(",")[2]) for row in rows) == len(sims)
+
+    def test_threshold_report_on_a_span_past_the_float_range(self, tmp_path, capsys):
+        table = _threshold_table(tmp_path, [1e308, -1e308])
+        out = tmp_path / "report.csv"
+        assert cli_dispatch(["threshold-report", "--thresholds", str(table),
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: cutoffs from -1e+308 to 1e+308 do not part into 20 finite bins\n")
         assert not out.exists()
 
     def test_assignment_to_no_cluster(self, chain_dir, tmp_path, capsys):

@@ -214,6 +214,21 @@ class TestTsvRoundTrip:
         with pytest.raises(ParseError, match=":2"):
             load_embeddings(str(path), "US")
 
+    # the second file's "1_0" is a float to float() but not to np.loadtxt,
+    # so the whole file is parsed record by record
+    @pytest.mark.parametrize("ordinary", ["1 2 3", "1_0 2 3"], ids=["bulk", "per-record"])
+    def test_overflowing_norm_reports_line(self, tmp_path, ordinary):
+        """A norm past the float range would scale the row to zero; a large
+        row whose norm is finite loads as normalize() scales it."""
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"US\talpha\t{ordinary}\nUS\tbig\t1e153 1e153 0\n", encoding="utf-8")
+        big = load_embeddings(str(path), "US").matrix[1]
+        assert big.tobytes() == normalize([1e153, 1e153, 0]).tobytes()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("US\thuge\t1e200 1e200 0\n")
+        with pytest.raises(ParseError, match=":3: vector norm overflows"):
+            load_embeddings(str(path), "US")
+
     def test_unknown_market_is_empty(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("US\talpha\t1 0\n", encoding="utf-8")

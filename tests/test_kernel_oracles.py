@@ -342,8 +342,12 @@ def _old_load_embedding_sets(path, markets):
             raise ParseError(f"{path}:{lineno}: bad float: {exc}") from exc
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{path}:{lineno}: non-finite vector entry")
-        if float(np.linalg.norm(vec)) <= 1e-12:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if norm <= 1e-12:
             raise ParseError(f"{path}:{lineno}: zero vector")
+        if norm == np.inf:
+            raise ParseError(f"{path}:{lineno}: vector norm overflows")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -370,7 +374,7 @@ _good_value = st.one_of(
 )
 _odd_value = st.sampled_from([
     "1_000", "nan", "NaN", "inf", "-inf", "1e400", "1e-400", "abc", "0x10", ".5", "5.",
-    "+1", "１", "1,5", "0", "-0", "1e-200", "#1",
+    "+1", "１", "1,5", "0", "-0", "1e-200", "#1", "1e200", "-1.3e154", "1.3e154",
 ])
 
 
@@ -434,6 +438,7 @@ class TestBulkEmbeddingsParse:
         ("0 0", "zero vector"),
         ("1 x", "bad float"),
         ("1 2 3", "dim 3, expected 2"),
+        ("1e200 1", "vector norm overflows"),
     ])
     def test_bulk_failure_reports_the_first_bad_line(self, tmp_path, value, message):
         path = tmp_path / "embeddings.tsv"

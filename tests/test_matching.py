@@ -27,6 +27,7 @@ from adexpand.matching import (
     Campaign,
     Item,
     MatchRecord,
+    Snapshot,
     broad_match,
     build_snapshot,
     match_query,
@@ -116,25 +117,24 @@ def golden_expansions():
 
 
 def make_snapshot(version=1, thresholds=None, model=None, expansions=None):
-    return build_snapshot(
-        campaigns=golden_campaigns(),
-        expansions=_rows(golden_expansions() if expansions is None else expansions),
+    return Snapshot(
+        version=version,
         model=model or price_step_model(),
         market_thresholds=thresholds or {"US": FLOOR, "UK": FLOOR},
-        version=version,
         extractor=EXTRACTOR,
+        _token_index=build_snapshot(
+            golden_campaigns(), _rows(golden_expansions() if expansions is None else expansions)),
     )
 
 
 class TestBuildSnapshot:
     def test_empty_inputs_valid(self):
-        snapshot = build_snapshot(
-            campaigns=[],
-            expansions=[],
+        snapshot = Snapshot(
+            version=1,
             model=as_stacked(GbdtModel(base_score=3.0, learning_rate=1.0, n_features=6)),
             market_thresholds={"US": 0.0},
-            version=1,
             extractor=EXTRACTOR,
+            _token_index=build_snapshot([], []),
         )
         assert snapshot.version == 1
         assert match_query("anything at all", "US", snapshot) == []
@@ -147,13 +147,12 @@ class TestBuildSnapshot:
 
     def test_missing_market_threshold(self):
         with pytest.raises(UnknownMarketError):
-            build_snapshot(
-                campaigns=golden_campaigns(),
-                expansions=[],
+            Snapshot(
+                version=1,
                 model=price_step_model(),
                 market_thresholds={"US": 0.0},  # UK campaigns exist
-                version=1,
                 extractor=EXTRACTOR,
+                _token_index=build_snapshot(golden_campaigns(), []),
             )
 
     @pytest.mark.parametrize("threshold", [float("-inf"), float("inf"), float("nan")])
@@ -321,8 +320,7 @@ def _matching_inputs(draw):
                     keywords=tuple(draw(st.lists(_TEXT, min_size=0, max_size=3))),
                     items=tuple(
                         Item(id=next(item_ids), title=draw(_TEXT) or "plain",
-                             price=draw(st.sampled_from([5.0, 49.0, 51.0, 120.0])),
-                             market=market)
+                             price=draw(st.sampled_from([5.0, 49.0, 51.0, 120.0])))
                         for _ in range(draw(st.integers(0, 3)))
                     ),
                 )
@@ -405,8 +403,8 @@ class TestMatchQueryEquivalence:
     def test_equals_brute_force_scan(self, inputs):
         campaigns, expansions, threshold, queries = inputs
         model = _keyword_sensitive_model()
-        snapshot = build_snapshot(campaigns, _rows(expansions), model,
-                                  {"US": threshold, "UK": threshold}, 1, EXTRACTOR)
+        snapshot = Snapshot(1, model, {"US": threshold, "UK": threshold}, EXTRACTOR,
+                            build_snapshot(campaigns, _rows(expansions)))
         for query, market in queries:
             expected = _brute_force_match(query, market, campaigns, expansions, model, threshold)
             assert match_query(query, market, snapshot) == expected
@@ -424,7 +422,7 @@ def _index_inputs(draw):
     campaigns = [
         Campaign(id=f"{market}-{c}", market=market, ad_groups=(AdGroup(
             keywords=tuple(draw(st.lists(_INDEX_TEXT, min_size=1, max_size=4))),
-            items=(Item(id=1, title="plain", price=5.0, market=market),),
+            items=(Item(id=1, title="plain", price=5.0),),
         ),))
         for market in ("US", "UK")
         for c in range(draw(st.integers(0, 2)))
@@ -500,9 +498,7 @@ class TestIndexFromLines:
         campaigns, records = inputs
         text = "".join(json.dumps(record_to_doc(r), sort_keys=True) + "\n" for r in records)
         rows = load_expansions("expansions.jsonl", io.StringIO(text))
-        snapshot = build_snapshot(campaigns, rows, price_step_model(),
-                                  {"US": FLOOR, "UK": FLOOR}, 1, EXTRACTOR)
-        assert snapshot._token_index == _reference_index(campaigns, records)
+        assert build_snapshot(campaigns, rows) == _reference_index(campaigns, records)
 
 
 class TestMatchQuery:

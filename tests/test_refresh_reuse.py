@@ -9,11 +9,13 @@ live bundle as ``previous``.
 
 import builtins
 import contextlib
+import dataclasses
 import json
 import os
 import shutil
 import tempfile
 import threading
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from adexpand import snapshot_store
 from adexpand.errors import AdexpandError, VersionRegressionError
 from adexpand.expansion import record_to_doc
-from adexpand.matching import match_record_to_doc
+from adexpand.matching import Item, Snapshot, match_record_to_doc
 from adexpand.service import MatchService, make_server
 from adexpand.snapshot_store import load_runtime
 
@@ -507,3 +509,60 @@ class TestCrossFileRefusals:
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+
+class TestOneSnapshotPerLoad:
+    """A load makes the one Snapshot it serves, and checks threshold
+    coverage once; a reload that keeps campaigns.json and expansions.jsonl
+    shares the replaced bundle's token index itself."""
+
+    def _load_counted(self, monkeypatch, snapshot_dir, previous=None):
+        made = []
+        check = Snapshot.__post_init__
+
+        def counted(snapshot):
+            made.append(snapshot)
+            check(snapshot)
+
+        monkeypatch.setattr(Snapshot, "__post_init__", counted)
+        bundle = load_runtime(snapshot_dir, previous=previous)
+        monkeypatch.undo()
+        assert len(made) == 1 and made[0] is bundle.snapshot
+        return bundle
+
+    def test_cold_load(self, snapshot_copy, monkeypatch):
+        self._load_counted(monkeypatch, snapshot_copy)
+
+    def test_reload_keeping_the_index_files(self, snapshot_copy, monkeypatch):
+        old = load_runtime(snapshot_copy)
+        _apply(snapshot_copy, {"model": "alter", "market_thresholds": "alter"})
+        _bump_version(snapshot_copy, old)
+        bundle = self._load_counted(monkeypatch, snapshot_copy, old)
+        assert bundle.snapshot._token_index is old.snapshot._token_index
+        assert bundle.snapshot.version == 2
+
+
+class TestFrozenServingState:
+    """Request threads read the live bundle without a lock: no field of it
+    can be reassigned."""
+
+    def test_snapshot_and_bundle_refuse_assignment(self, previous):
+        bundle = previous.bundle
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundle.snapshot.market_thresholds = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundle.snapshot = None
+
+    def test_item_has_no_market(self):
+        assert [f.name for f in dataclasses.fields(Item)] == ["id", "title", "price"]
+
+
+class TestReplacedSnapshotIsFreed:
+    def test_weak_reference_dies_after_refresh(self, snapshot_copy):
+        """Reference counting frees the replaced Snapshot at the swap, with
+        no collection run."""
+        service = MatchService(snapshot_copy)
+        replaced = weakref.ref(service.current().snapshot)
+        _bump_version(snapshot_copy, service.current())
+        assert service.refresh() == (1, 2)
+        assert replaced() is None

@@ -173,6 +173,22 @@ class TestThresholdReport:
         assert report.variance_similarity == pytest.approx(float(np.var(sims)), abs=1e-9)
         assert sum(report.counts) == len(sims)
         assert len(report.counts) == 20
+        # the bins np.histogram gives the cutoffs on its own
+        counts, edges = np.histogram(sims, bins=20)
+        assert (report.counts, report.bin_edges) == (counts.tolist(), edges.tolist())
+
+    def test_cutoffs_ulps_apart_are_binned(self):
+        """np.histogram cannot part them into 20 bins; they get the range
+        it gives equal cutoffs, widened by 0.5 each way."""
+        sims = [0.42] * 5 + [float(np.nextafter(0.42, 1))]
+        table = ThresholdTable(market="US", p=0.99, min_cluster_size=0, fallback_tau=0.58, rows={
+            i: ThresholdRow(size=10 + i, tau_distance=1 - sim, tau_similarity=sim, fallback=False)
+            for i, sim in enumerate(sims)
+        })
+        report = threshold_report(table)
+        assert sum(report.counts) == 6
+        assert report.bin_edges[0] == -0.08000000000000002
+        assert report.bin_edges[-1] == 0.92
 
     def test_csv_contains_degenerate_marker(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -11,6 +11,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adexpand.cli import cli_dispatch
 from adexpand.expansion import record_to_doc
@@ -22,7 +24,7 @@ from adexpand.service import (
     make_server,
 )
 
-from test_snapshot_store import UNSERVABLE
+from test_snapshot_store import NON_FINITE, UNSERVABLE
 
 
 def _post(port, path, payload=None, raw=None):
@@ -218,7 +220,11 @@ class TestRefresh:
         assert status == 200
         assert doc["snapshot_version"] == 1
 
-    @pytest.mark.parametrize("name, damage, named", UNSERVABLE)
+    @pytest.mark.parametrize("name, damage, named", [
+        *UNSERVABLE,
+        # the file, its damage and what the error names, without the loader
+        *(pytest.param(case.values[0], *case.values[2:], id=case.id) for case in NON_FINITE),
+    ])
     def test_refresh_to_unservable_snapshot_is_500_and_keeps_serving(
         self, server, name, damage, named
     ):
@@ -439,6 +445,86 @@ class TestStalledBody:
         assert head.split(b" ", 2)[1] == b"400"
         assert json.loads(body.decode("utf-8")) == {"error": "timed out reading a 100-byte body"}
         assert _get(port, "/healthz")[0] == 200
+
+
+_METHODS = [b"GET", b"POST", b"HEAD", b"PUT", b"post", b"GET\x00"]
+_PATHS = [b"/match", b"/expand", b"/healthz", b"/refresh", b"/", b"/match?q=1", b"*", b"/\xff"]
+_VERSIONS = [b"HTTP/1.1", b"HTTP/1.0", b"HTTP/0.9", b"HTTP/2.0", b"HTTP/1.1 x", b"http/1.1"]
+_LENGTHS = [b"", b"-1", b"0", b"5", b"40", b"1000", b"abc", b"1e3", b" 7 ", b"+5", b"5, 5",
+            b"99999999999999999999999", str(MAX_BODY_BYTES + 1).encode()]
+_HEADERS = [b"Host: x", b"Transfer-Encoding: chunked", b"Expect: 100-continue",
+            b"Connection: keep-alive", b"Connection: close", b"Content-Type: text/plain",
+            b"X", b": no name", b" folded", b"X-\xff: \xfe"]
+_BODIES = [b'{"query": "solar led garden lights outdoor", "market": "US"}',
+           b'{"keyword": "garden lights", "market": "US"}', b'{"market": "US"}',
+           b'{"query": 5, "market": "AU"}', b"[]", b"{", b"\xff\xfe", b""]
+
+
+@st.composite
+def _raw_requests(draw):
+    """A request line, headers and a body, each well-formed, odd or
+    arbitrary bytes; Content-Length values that lie; the whole cut short at
+    any byte."""
+    line = draw(st.one_of(
+        st.tuples(*(st.sampled_from(parts) for parts in (_METHODS, _PATHS, _VERSIONS)))
+        .map(b" ".join),
+        st.binary(max_size=40),
+    ))
+    headers = draw(st.lists(st.one_of(
+        st.sampled_from(_LENGTHS).map(lambda value: b"Content-Length: " + value),
+        st.sampled_from(_HEADERS),
+        st.binary(max_size=30),
+    ), max_size=4))
+    body = draw(st.one_of(st.sampled_from(_BODIES), st.binary(max_size=60)))
+    request = line + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+    return request[:draw(st.integers(0, len(request)))] if draw(st.booleans()) else request
+
+
+def _check_replies(response, request):
+    """Each reply is a status line and headers, then the JSON object its
+    Content-Length gives, or an interim 1xx reply; a HEAD request's reply
+    has no body. A last reply with no status line is the JSON body the
+    stdlib sends alone to a request line it reads as HTTP/0.9."""
+    while response:
+        if not response.startswith(b"HTTP/1."):
+            assert isinstance(json.loads(response.decode("utf-8")), dict)
+            return
+        head, ended, response = response.partition(b"\r\n\r\n")
+        assert ended, head
+        status_line, *header_lines = head.decode("iso-8859-1").split("\r\n")
+        if status_line.split(" ", 2)[1].startswith("1"):
+            continue
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert headers["Content-Type"] == "application/json"
+        length = int(headers["Content-Length"])
+        if not response and b"HEAD" in request:
+            return
+        body, response = response[:length], response[length:]
+        assert isinstance(json.loads(body.decode("utf-8")), dict)
+
+
+class TestHostileRawRequests:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_raw_requests(), half_close=st.booleans())
+    def test_answered_or_closed(self, server, monkeypatch, raw, half_close):
+        """Whatever bytes arrive, the connection ends in JSON replies or in a
+        close with none, and the server goes on answering; the fixture then
+        finds no handler thread left alive. A client that stops sending
+        without closing has its exchange ended by the handler's read
+        timeout."""
+        httpd, _, _ = server
+        monkeypatch.setattr(httpd.RequestHandlerClass, "timeout", 0.1)
+        port = httpd.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(raw)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        _check_replies(response, raw)
+        assert _raw_exchange(port, _HEALTHZ).startswith(b"HTTP/1.0 200 ")
 
 
 class TestUnexpectedErrors:

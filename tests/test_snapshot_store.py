@@ -320,6 +320,54 @@ BAD_FILES = [
 ]
 
 
+def _set(path, value):
+    """An edit that sets the value at ``path``, a list of keys and indices."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _accepted_similarity_nan(doc):
+    variant = doc["variants"][0]
+    assert "filtered_reason" not in variant
+    variant["similarity"] = float("nan")
+
+
+# Numbers JSON parses to floats that are not finite (NaN, Infinity, 1e999):
+# each would pass the loader's other checks and then give NaN scores, send
+# every keyword to one cluster or every row down one branch.
+# (file, loader, how the file is broken, what the error must name)
+NON_FINITE = [
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, _set(["campaigns", 0, "ad_groups", 0, "items", 0,
+                                               "price"], float("nan"))),
+                 "'price' must be finite, got nan", id="campaigns-price-nan"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "base_score"], float("nan"))),
+                 "'base_score' must be finite, got nan", id="model-base-score-nan"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "learning_rate"], float("inf"))),
+                 "'learning_rate' must be finite, got inf", id="model-learning-rate-infinity"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["adjustment_rate"], -float("inf"))),
+                 "'adjustment_rate' must be finite, got -inf", id="model-adjustment-rate-infinity"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "trees", 0, "nodes", 0, 1], float("nan"))),
+                 "tree 0 node 0: value or threshold is not finite", id="model-split-threshold-nan"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 lambda p: _edit_jsonl(p, 1, _accepted_similarity_nan),
+                 "expansions.jsonl:1: malformed expansion record:"
+                 " ValueError: 'similarity' must be finite, got nan",
+                 id="expansions-accepted-similarity-nan"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, _set(["centroids", 1, 0], float("nan"))),
+                 "'centroids' must be finite", id="clustering-centroid-nan"),
+]
+BAD_FILES += NON_FINITE
+
+
 class TestBadArtifactFiles:
     """A missing key, a wrong type or an empty file is a ParseError naming
     the file, never a bare KeyError or IndexError."""
