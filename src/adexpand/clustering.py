@@ -14,7 +14,7 @@ is reproducible from (set, cluster count, seed) alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, TextIO
 
@@ -24,7 +24,6 @@ from .embeddings import EmbeddingSet
 from .errors import (
     EmptySetError,
     TooManyClustersError,
-    UnassignedKeywordError,
     ZeroVectorError,
     parse_json,
 )
@@ -38,17 +37,13 @@ TOL = 1e-6
 
 @dataclass
 class Clustering:
-    """Trained partition: mean centroids plus keyword-id assignments."""
+    """Trained partition: mean centroids plus each keyword's cluster, by row."""
 
     market: str
     cluster_count: int
     centroids: np.ndarray
-    assignments: dict[int, int]
+    labels: np.ndarray
     wcss_history: list[float] = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -198,33 +193,22 @@ def kmeans(embedding_set: EmbeddingSet, cluster_count: int, seed: int) -> Cluste
         market=embedding_set.market,
         cluster_count=cluster_count,
         centroids=centroids,
-        assignments=dict(enumerate(labels.tolist())),
+        labels=labels,
         wcss_history=history,
     )
 
 
-def assigned_labels(clustering: Clustering, embedding_set: EmbeddingSet) -> np.ndarray:
-    """Each keyword's assigned cluster, in row (= id) order."""
-    try:
-        return np.array(
-            [clustering.assignments[i] for i in range(len(embedding_set))], dtype=np.int64
-        )
-    except KeyError as exc:
-        raise UnassignedKeywordError(f"keyword id {exc.args[0]} has no assignment") from None
-
-
 def wcss(clustering: Clustering, embedding_set: EmbeddingSet) -> float:
     """Sum of squared Euclidean distances to each point's assigned mean."""
-    labels = assigned_labels(clustering, embedding_set)
-    return _wcss_of(embedding_set.matrix.astype(np.float64), clustering.centroids, labels)
+    X = embedding_set.matrix.astype(np.float64)
+    return _wcss_of(X, clustering.centroids, clustering.labels)
 
 
 def _subset(embedding_set: EmbeddingSet, keep: list[int]) -> EmbeddingSet:
     """The selected rows as a set of their own, renumbered 0..len(keep)-1."""
     return EmbeddingSet(
         market=embedding_set.market,
-        dim=embedding_set.dim,
-        refs=[replace(embedding_set.refs[i], id=row) for row, i in enumerate(keep)],
+        texts=[embedding_set.texts[i] for i in keep],
         matrix=embedding_set.matrix[keep],
     )
 
@@ -320,9 +304,9 @@ def save_clustering(clustering: Clustering, path: str) -> None:
     doc = {
         "market": clustering.market,
         "M": clustering.cluster_count,
-        "dim": clustering.dim,
+        "dim": clustering.centroids.shape[1],
         "centroids": [[_round9(float(x)) for x in row] for row in clustering.centroids],
-        "assignments": {str(k): v for k, v in sorted(clustering.assignments.items())},
+        "assignments": {str(i): label for i, label in enumerate(clustering.labels.tolist())},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
@@ -337,9 +321,14 @@ def _clustering_from_doc(doc: dict) -> Clustering:
     centroids = np.array(doc["centroids"], dtype=np.float64)
     if not np.all(np.isfinite(centroids)):  # argmin would pick a NaN distance
         raise ValueError("'centroids' must be finite")
+    rows = [int(k) for k in doc["assignments"]]
+    if sorted(rows) != list(range(len(rows))):  # "1" and "01" are one row
+        raise ValueError("'assignments' must name the rows 0, 1, 2, ... once each")
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[rows] = [int(v) for v in doc["assignments"].values()]
     return Clustering(
         market=doc["market"],
         cluster_count=int(doc["M"]),
         centroids=centroids,
-        assignments={int(k): int(v) for k, v in doc["assignments"].items()},
+        labels=labels,
     )

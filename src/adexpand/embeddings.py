@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -36,15 +37,6 @@ MIN_DIM = 16
 # the largest dim a config accepts, well above any real encoder's
 MAX_DIM = 65536
 _MIN_NORM = 1e-12  # a vector whose L2 norm is at or below this is zero
-
-
-@dataclass(frozen=True, order=True)
-class KeywordRef:
-    """Identity of one keyword within a market."""
-
-    market: str
-    text: str
-    id: int
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -148,18 +140,11 @@ def fallback_embed(text: str, dim: int) -> np.ndarray:
 @dataclass
 class EmbeddingSet:
     """All keyword vectors for one market; a keyword's id is its row number
-    in both refs and matrix."""
+    in both texts and matrix."""
 
     market: str
-    dim: int
-    refs: list[KeywordRef]
+    texts: list[str]
     matrix: np.ndarray
-    _by_text: dict[str, KeywordRef] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if any(r.id != row for row, r in enumerate(self.refs)):
-            raise ValueError("keyword ids must be the row numbers 0..n-1")
-        self._by_text = {r.text: r for r in self.refs}
 
     @classmethod
     def from_pairs(cls, market: str, pairs: list[tuple[str, np.ndarray]]) -> "EmbeddingSet":
@@ -170,7 +155,7 @@ class EmbeddingSet:
         if not pairs:
             raise EmptySetError(f"no keywords for market {market!r}")
         dim = len(pairs[0][1])
-        refs: list[KeywordRef] = []
+        texts: list[str] = []
         rows = []
         seen: set[str] = set()
         for i, (text, vec) in enumerate(pairs):
@@ -184,18 +169,24 @@ class EmbeddingSet:
                 raise DimensionMismatchError(
                     f"keyword {text!r} has dim {len(vec)}, expected {dim}"
                 )
-            refs.append(KeywordRef(market=market, text=text, id=i))
+            texts.append(text)
             rows.append(normalize(vec))
-        return cls(market=market, dim=dim, refs=refs, matrix=np.vstack(rows))
+        return cls(market=market, texts=texts, matrix=np.vstack(rows))
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.texts)
 
-    def vector(self, ref: KeywordRef) -> np.ndarray:
-        return self.matrix[ref.id]
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
-    def ref_by_text(self, text: str) -> KeywordRef | None:
-        return self._by_text.get(text)
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {text: row for row, text in enumerate(self.texts)}
+
+    def row_of(self, text: str) -> int | None:
+        """The keyword's id (= row), or None for a keyword outside the set."""
+        return self._rows.get(text)
 
 
 def read_tsv(
@@ -274,9 +265,9 @@ def _parse_all_vectors(
 
 def _read_rows(
     path: str, markets: list[str], fh: TextIO
-) -> tuple[dict[str, list[tuple[str, np.ndarray]]], int | None]:
+) -> dict[str, list[tuple[str, np.ndarray]]]:
     """Every row of the embeddings file checked, and the requested markets'
-    (keyword, raw vector) pairs in file order, with the shared dimension."""
+    (keyword, raw vector) pairs in file order."""
     # Each row's last item is its parsed vector, or on the per-record path
     # the raw field, parsed after the keyword checks as errors are ordered.
     parsed = _parse_all_vectors(path, fh)
@@ -321,7 +312,7 @@ def _read_rows(
             )
         if row_market in markets:
             by_market.setdefault(row_market, []).append((keyword, vec))
-    return by_market, dim
+    return by_market
 
 
 def load_embedding_sets(
@@ -337,7 +328,7 @@ def load_embedding_sets(
     file is read twice.
     """
     with reading(path, fh) as fh:
-        by_market, dim = _read_rows(path, markets, fh)
+        by_market = _read_rows(path, markets, fh)
     sets: dict[str, EmbeddingSet] = {}
     for market in markets:
         pairs = by_market.get(market)
@@ -347,8 +338,7 @@ def load_embedding_sets(
         # is left, done for all rows at once
         sets[market] = EmbeddingSet(
             market=market,
-            dim=dim,
-            refs=[KeywordRef(market=market, text=text, id=i) for i, (text, _) in enumerate(pairs)],
+            texts=[text for text, _ in pairs],
             matrix=_normalize_rows([vec for _, vec in pairs]),
         )
     return sets
@@ -363,6 +353,6 @@ def save_embeddings(embedding_set: EmbeddingSet, path: str, append: bool = False
     """Write a set in the TSV format with 9-significant-digit floats."""
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as fh:
-        for ref, row in zip(embedding_set.refs, embedding_set.matrix):
+        for text, row in zip(embedding_set.texts, embedding_set.matrix):
             values = " ".join(f"{float(x):.9g}" for x in row)
-            fh.write(f"{embedding_set.market}\t{ref.text}\t{values}\n")
+            fh.write(f"{embedding_set.market}\t{text}\t{values}\n")

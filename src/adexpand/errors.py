@@ -109,10 +109,6 @@ class TooManyClustersError(AdexpandError):
     """Requested more clusters than there are points."""
 
 
-class UnassignedKeywordError(AdexpandError):
-    """A keyword in the embedding set has no cluster assignment."""
-
-
 class EmptyInputError(AdexpandError):
     """A numeric computation received no values."""
 

@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from .clustering import Clustering, assign_cluster
-from .embeddings import EmbeddingSet, KeywordRef, fallback_embed
+from .embeddings import EmbeddingSet, fallback_embed
 from .errors import MALFORMED, finite, malformed, reading
 from .flat_index import FlatIndex, knn_search
 from .thresholds import ThresholdTable
@@ -112,7 +112,8 @@ def _units_agree(a: Mapping[str, frozenset[float]], b: Mapping[str, frozenset[fl
 
 @dataclass
 class Variant:
-    keyword: KeywordRef
+    text: str
+    id: int
     distance: float
     similarity: float
     filtered_reason: FilterReason | None = None
@@ -124,7 +125,9 @@ class Variant:
 
 @dataclass
 class ExpansionRecord:
-    origin: KeywordRef
+    market: str
+    origin: str
+    origin_id: int  # -1 for a keyword outside the market's set
     cluster: int
     tau_used: float
     variants: list[Variant] = field(default_factory=list)
@@ -146,39 +149,43 @@ class ExpansionContext:
 
 def expand_keyword(
     context: ExpansionContext,
-    origin: KeywordRef,
+    origin: str,
+    origin_id: int,
     vector: np.ndarray,
     k_neighbors: int,
 ) -> ExpansionRecord:
     """Alg.: assign cluster, retrieve neighbors, gate by the cluster cutoff,
     then apply gender and numeric filters (first failing filter wins)."""
-    index = context.index
+    texts = context.embedding_set.texts
     cluster, _ = assign_cluster(context.clustering, vector)
     tau = context.table.tau_for(cluster)
     # an unseen origin has id -1, for which knn_search excludes no row
-    neighbors = knn_search(index, vector, k=k_neighbors, exclude_id=origin.id)
+    neighbors = knn_search(context.index, vector, k=k_neighbors, exclude_id=origin_id)
     # the origin's side of both filters, derived once for all neighbors
-    origin_gender = gender_class(origin.text)
-    origin_units = _values_by_unit(origin.text)
+    origin_gender = gender_class(origin)
+    origin_units = _values_by_unit(origin)
     variants: list[Variant] = []
     for nb in neighbors:
         if nb.distance > tau:
             continue
-        ref = index.refs[nb.id]
+        text = texts[nb.id]
         reason: FilterReason | None = None
-        if not _genders_agree(origin_gender, gender_class(ref.text)):
+        if not _genders_agree(origin_gender, gender_class(text)):
             reason = FilterReason.GENDER
-        elif not _units_agree(origin_units, _values_by_unit(ref.text)):
+        elif not _units_agree(origin_units, _values_by_unit(text)):
             reason = FilterReason.NUMERIC
         variants.append(
             Variant(
-                keyword=ref,
+                text=text,
+                id=nb.id,
                 distance=nb.distance,
                 similarity=1.0 - nb.distance,
                 filtered_reason=reason,
             )
         )
-    return ExpansionRecord(origin=origin, cluster=cluster, tau_used=tau, variants=variants)
+    return ExpansionRecord(market=context.embedding_set.market, origin=origin,
+                           origin_id=origin_id, cluster=cluster, tau_used=tau,
+                           variants=variants)
 
 
 def expand_text(context: ExpansionContext, text: str, k_neighbors: int) -> ExpansionRecord:
@@ -187,36 +194,32 @@ def expand_text(context: ExpansionContext, text: str, k_neighbors: int) -> Expan
     embedded with fallback_embed and gets id -1."""
     text = text.strip()
     embedding_set = context.embedding_set
-    ref = embedding_set.ref_by_text(text)
-    if ref is not None:
-        vector = embedding_set.vector(ref)
+    row = embedding_set.row_of(text)
+    if row is None:
+        row, vector = -1, fallback_embed(text, embedding_set.dim)
     else:
-        ref = KeywordRef(market=embedding_set.market, text=text, id=-1)
-        vector = fallback_embed(text, embedding_set.dim)
-    return expand_keyword(context, ref, vector, k_neighbors)
+        vector = embedding_set.matrix[row]
+    return expand_keyword(context, text, row, vector, k_neighbors)
 
 
 def expand_all(context: ExpansionContext, k_neighbors: int) -> list[ExpansionRecord]:
     """Expand every keyword of the context's set, in ascending-id order."""
     embedding_set = context.embedding_set
     return [
-        expand_keyword(context, ref, vector, k_neighbors)
-        for ref, vector in zip(embedding_set.refs, embedding_set.matrix)
+        expand_keyword(context, text, row, vector, k_neighbors)
+        for row, (text, vector) in enumerate(zip(embedding_set.texts, embedding_set.matrix))
     ]
 
 
-def _ref_doc(ref: KeywordRef) -> dict:
-    return {"market": ref.market, "text": ref.text, "id": ref.id}
-
-
 def record_to_doc(record: ExpansionRecord) -> dict:
+    market = record.market
     return {
-        "origin": _ref_doc(record.origin),
+        "origin": {"market": market, "text": record.origin, "id": record.origin_id},
         "cluster": record.cluster,
         "tau_used": record.tau_used,
         "variants": [
             {
-                "keyword": _ref_doc(v.keyword),
+                "keyword": {"market": market, "text": v.text, "id": v.id},
                 "distance": v.distance,
                 "similarity": v.similarity,
                 **(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, KeywordRef
+from .embeddings import EmbeddingSet
 from .errors import DimensionMismatchError, EmptySetError
 
 
@@ -31,23 +31,17 @@ class Neighbor:
 class FlatIndex:
     """Immutable row-major matrix of unit vectors; row i is keyword id i."""
 
-    dim: int
-    refs: list[KeywordRef]
     matrix: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.matrix)
 
 
 def build_index(embedding_set: EmbeddingSet) -> FlatIndex:
-    """An index over an embedding set, sharing its refs and matrix."""
+    """An index over an embedding set, sharing its matrix."""
     if len(embedding_set) == 0:
         raise EmptySetError("cannot index an empty embedding set")
-    return FlatIndex(
-        dim=embedding_set.dim,
-        refs=embedding_set.refs,
-        matrix=embedding_set.matrix,
-    )
+    return FlatIndex(embedding_set.matrix)
 
 
 def knn_search(
@@ -60,9 +54,9 @@ def knn_search(
 
     The excluded id (normally the query keyword itself) never appears.
     """
-    if query.shape != (index.dim,):
+    if query.shape != index.matrix.shape[1:]:
         raise DimensionMismatchError(
-            f"query dim {query.shape} does not match index dim {index.dim}"
+            f"query dim {query.shape} does not match index dim {index.matrix.shape[1]}"
         )
     # Per-row float32 dot products; matvec keeps the reduction order fixed
     # regardless of BLAS thread count.

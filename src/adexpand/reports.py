@@ -78,17 +78,16 @@ def tpr_sweep(
     """
     index = build_index(embedding_set)
     origins = sorted({pair.origin for pair in labels})
-    refs = {}
+    origin_rows = {}
     for origin in origins:
-        ref = embedding_set.ref_by_text(origin)
-        if ref is None:
+        row = embedding_set.row_of(origin)
+        if row is None:
             raise DanglingReferenceError(f"label origin {origin!r} has no embedding")
-        refs[origin] = ref
+        origin_rows[origin] = row
     retrieved: dict[str, set[str]] = {}
-    for origin in origins:
-        ref = refs[origin]
-        neighbors = knn_search(index, embedding_set.vector(ref), k=k_neighbors, exclude_id=ref.id)
-        retrieved[origin] = {index.refs[nb.id].text for nb in neighbors}
+    for origin, row in origin_rows.items():
+        neighbors = knn_search(index, embedding_set.matrix[row], k=k_neighbors, exclude_id=row)
+        retrieved[origin] = {embedding_set.texts[nb.id] for nb in neighbors}
 
     positives = [
         pair for pair in labels if pair.label == 1 and pair.variant in retrieved[pair.origin]
@@ -106,11 +105,10 @@ def tpr_sweep(
         filtered_hits = 0
         accepted_raw: dict[str, set[str]] = {}
         accepted_filtered: dict[str, set[str]] = {}
-        for origin in origins:
-            ref = refs[origin]
-            record = expand_keyword(context, ref, embedding_set.vector(ref), k_neighbors)
-            accepted_raw[origin] = {v.keyword.text for v in record.variants}
-            accepted_filtered[origin] = {v.keyword.text for v in record.accepted_variants()}
+        for origin, row in origin_rows.items():
+            record = expand_keyword(context, origin, row, embedding_set.matrix[row], k_neighbors)
+            accepted_raw[origin] = {v.text for v in record.variants}
+            accepted_filtered[origin] = {v.text for v in record.accepted_variants()}
         for pair in positives:
             if pair.variant in accepted_raw[pair.origin]:
                 raw_hits += 1

@@ -106,14 +106,19 @@ class _Handler(BaseHTTPRequestHandler):
 
         The length is checked before any byte is read: a negative one would
         make rfile.read wait for EOF and hold this thread. A body shorter
-        than its length times out, and the connection is closed.
+        than its length times out, and the connection is closed. As RFC 9112
+        section 6.3 reads it, the length is ASCII digits, in one header or in
+        several that agree; int() would also take "+5" or "1_0".
         """
+        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
+        value = values.pop() if len(values) == 1 else ""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
+            length = int(value) if value.isascii() and value.isdigit() else -1
+        except ValueError:  # more digits than int() converts
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            self._send(400, {"error": f"Content-Length must be in [0, {MAX_BODY_BYTES}]"})
+            self._send(400, {"error": "Content-Length must be one run of digits,"
+                                      f" in [0, {MAX_BODY_BYTES}]"})
             return None
         try:
             body = self.rfile.read(length)

@@ -180,8 +180,8 @@ def load_clustering_for(
 ) -> Clustering:
     """The clustering at ``path``, checked against ``embedding_set``: it
     belongs to the set's market, has one centroid of the set's dim per
-    cluster, and assigns keywords to those clusters only. ParseError names
-    the file."""
+    cluster, and assigns each keyword of the set, once, to one of those
+    clusters. ParseError names the file."""
     clustering = load_clustering(path, fh)
     check_market(path, clustering.market, embedding_set.market)
     expected_shape = (clustering.cluster_count, embedding_set.dim)
@@ -190,7 +190,10 @@ def load_clustering_for(
             f"{path}: centroids must have shape {expected_shape}"
             f" (clusters, embedding dim), got {clustering.centroids.shape}"
         )
-    for label in clustering.assignments.values():
+    if len(clustering.labels) != len(embedding_set):
+        raise ParseError(f"{path}: assigns {len(clustering.labels)} keywords, market"
+                         f" {embedding_set.market!r} has {len(embedding_set)}")
+    for label in clustering.labels.tolist():
         if not 0 <= label < clustering.cluster_count:
             raise ParseError(f"{path}: assignment to cluster {label}, not one of the"
                              f" {clustering.cluster_count} clusters")

@@ -14,7 +14,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .clustering import Clustering, assigned_labels
+from .clustering import Clustering
 from .embeddings import EmbeddingSet
 from .errors import (
     MALFORMED,
@@ -55,12 +55,10 @@ def intra_cluster_distances(
     clustering: Clustering, embedding_set: EmbeddingSet
 ) -> dict[int, list[float]]:
     """Member-to-centroid cosine distances per cluster, in ascending-id order."""
-    labels = assigned_labels(clustering, embedding_set)
-    directions = clustering.directions
     rows = embedding_set.matrix.astype(np.float64)
-    dists = 1.0 - np.sum(rows * directions[labels], axis=1)
+    dists = 1.0 - np.sum(rows * clustering.directions[clustering.labels], axis=1)
     out: dict[int, list[float]] = {m: [] for m in range(clustering.cluster_count)}
-    for label, dist in zip(labels.tolist(), dists.tolist()):
+    for label, dist in zip(clustering.labels.tolist(), dists.tolist()):
         out[label].append(dist)
     return out
 
@@ -122,6 +120,15 @@ def build_threshold_table(
     )
 
 
+def _centred(values: np.ndarray) -> np.ndarray:
+    """Values that are not all equal, centred on their mean after scaling
+    onto [0, 1]: the difference of two nearby floats is exact, so values a
+    few ulps apart keep their order, and tiny ones do not square to zero."""
+    shifted = values - values.min()
+    scaled = shifted / shifted.max()
+    return scaled - scaled.mean()
+
+
 def threshold_size_correlation(table: ThresholdTable) -> float:
     """Pearson correlation between cluster size and distance cutoff.
 
@@ -134,8 +141,8 @@ def threshold_size_correlation(table: ThresholdTable) -> float:
     taus = np.array([r.tau_distance for r in table.rows.values()], dtype=np.float64)
     if np.ptp(sizes) == 0.0 or np.ptp(taus) == 0.0:
         raise DegenerateInputError("zero variance in sizes or thresholds")
-    sx = sizes - sizes.mean()
-    sy = taus - taus.mean()
+    sx = _centred(sizes)
+    sy = _centred(taus)
     vx = float(np.sum(sx * sx))
     vy = float(np.sum(sy * sy))
     return float(np.sum(sx * sy) / np.sqrt(vx * vy))
@@ -174,8 +181,13 @@ def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
         market = ""
         for line in lines[1:]:
             doc = json.loads(line)
+            if rows and doc["market"] != market:
+                raise ValueError(f"a row of market {doc['market']!r} after rows of {market!r}")
             market = doc["market"]
-            rows[int(doc["cluster_id"])] = ThresholdRow(
+            cluster = int(doc["cluster_id"])
+            if cluster in rows:
+                raise ValueError(f"cluster {cluster} has two rows")
+            rows[cluster] = ThresholdRow(
                 size=int(doc["size"]),
                 tau_distance=finite(doc, "tau_distance"),
                 tau_similarity=finite(doc, "tau_similarity"),

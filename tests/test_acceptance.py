@@ -81,7 +81,7 @@ def test_criterion_1_knn_oracle():
 
     # Independent oracle: float64 arithmetic, lexicographic full sort.
     matrix64 = index.matrix.astype(np.float64)
-    ids = np.array([ref.id for ref in index.refs])
+    ids = np.arange(len(index))
     for q in queries:
         got = knn_search(index, q, k=50)
         distances = 1.0 - matrix64 @ q.astype(np.float64)
@@ -189,7 +189,7 @@ def test_criterion_3_quantiles_and_thresholds():
                 assert old <= new + 1e-12
         previous_tau = taus
         accepted = {
-            record.origin.text: {v.keyword.text for v in record.variants}
+            record.origin: {v.text for v in record.variants}
             for record in expand_all(ExpansionContext(emb, index, clustering, table), 100)
         }
         if previous_accepted is not None:
@@ -228,12 +228,12 @@ def test_criterion_4_filter_fidelity():
     # widen the gate so every neighbor is threshold-eligible
     table.rows[0].tau_distance = 2.0
     context = ExpansionContext(emb, build_index(emb), clustering, table)
-    records = {r.origin.text: r for r in expand_all(context, 100)}
-    shoes = {v.keyword.text: v for v in records["men's shoes"].variants}
+    records = {r.origin: r for r in expand_all(context, 100)}
+    shoes = {v.text: v for v in records["men's shoes"].variants}
     assert shoes["women's sandals"].filtered_reason is FilterReason.GENDER
-    phone = {v.keyword.text: v for v in records["iphone 13 case"].variants}
+    phone = {v.text: v for v in records["iphone 13 case"].variants}
     assert phone["iphone 12 accessories"].filtered_reason is FilterReason.NUMERIC
-    charger = {v.keyword.text: v for v in records["65w usb-c gan charger"].variants}
+    charger = {v.text: v for v in records["65w usb-c gan charger"].variants}
     assert charger["usb-c gan power adapter 65w"].filtered_reason is None
 
 

@@ -19,7 +19,7 @@ from adexpand.clustering import (
     wcss,
 )
 from adexpand.embeddings import EmbeddingSet, cosine_similarity, normalize
-from adexpand.errors import TooManyClustersError, UnassignedKeywordError
+from adexpand.errors import TooManyClustersError
 
 
 def two_group_set(rng, per_group=50, dim=16, sigma=0.02, market="US"):
@@ -53,8 +53,8 @@ class TestKmeans:
             assert dists[best] < 0.05
             matched.add(best)
         assert matched == {0, 1}
-        first_group = {model.assignments[r.id] for r in emb.refs[:50]}
-        second_group = {model.assignments[r.id] for r in emb.refs[50:]}
+        first_group = set(model.labels[:50].tolist())
+        second_group = set(model.labels[50:].tolist())
         assert len(first_group) == 1 and len(second_group) == 1
         assert first_group != second_group
 
@@ -62,7 +62,7 @@ class TestKmeans:
         rng = np.random.default_rng(1)
         emb = random_unit_set(rng, 8, 8)
         model = kmeans(emb, 8, seed=3)
-        assert sorted(model.assignments.values()) == list(range(8))
+        assert sorted(model.labels.tolist()) == list(range(8))
         assert wcss(model, emb) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_cluster_is_global_mean(self):
@@ -94,29 +94,29 @@ class TestKmeans:
         emb = random_unit_set(rng, 120, 8)
         a = kmeans(emb, 6, seed=11)
         b = kmeans(emb, 6, seed=11)
-        assert a.assignments == b.assignments
+        assert a.labels.tolist() == b.labels.tolist()
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
     def test_training_assignment_matches_assign_cluster(self):
         rng = np.random.default_rng(5)
         emb = two_group_set(rng, per_group=30)
         model = kmeans(emb, 2, seed=9)
-        for ref in emb.refs:
-            cluster, _ = assign_cluster(model, emb.vector(ref))
-            assert cluster == model.assignments[ref.id]
+        for row, vector in enumerate(emb.matrix):
+            cluster, _ = assign_cluster(model, vector)
+            assert cluster == model.labels[row]
 
     def test_no_empty_clusters(self):
         rng = np.random.default_rng(6)
         emb = random_unit_set(rng, 60, 8)
         model = kmeans(emb, 12, seed=2)
-        sizes = np.bincount(list(model.assignments.values()), minlength=12)
+        sizes = np.bincount(model.labels, minlength=12)
         assert all(size > 0 for size in sizes)
 
 
 def centroids_only(centroids):
     """A clustering of the given centroids, with no keyword assigned."""
     return Clustering(market="US", cluster_count=len(centroids), centroids=centroids,
-                      assignments={})
+                      labels=np.zeros(0, dtype=np.int64))
 
 
 class TestAssignCluster:
@@ -152,7 +152,7 @@ class TestWcss:
             market="US",
             cluster_count=2,
             centroids=emb.matrix.astype(np.float64),
-            assignments={0: 0, 1: 1},
+            labels=np.array([0, 1]),
         )
         assert wcss(model, emb) == pytest.approx(0.0, abs=1e-12)
 
@@ -163,7 +163,7 @@ class TestWcss:
             market="US",
             cluster_count=1,
             centroids=np.zeros((1, 2)),
-            assignments={0: 0, 1: 0},
+            labels=np.array([0, 0]),
         )
         assert wcss(model, emb) == pytest.approx(2.0, abs=1e-9)
 
@@ -172,18 +172,11 @@ class TestWcss:
         emb = random_unit_set(rng, 80, 8)
         model = kmeans(emb, 5, seed=1)
         naive = 0.0
-        for ref in emb.refs:
-            diff = emb.vector(ref).astype(np.float64) - model.centroids[model.assignments[ref.id]]
+        for row, vector in enumerate(emb.matrix):
+            diff = vector.astype(np.float64) - model.centroids[model.labels[row]]
             naive += float(diff @ diff)
         assert wcss(model, emb) == pytest.approx(naive, abs=1e-5)
 
-    def test_unassigned_keyword(self):
-        emb = EmbeddingSet.from_pairs("US", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        model = Clustering(
-            market="US", cluster_count=1, centroids=np.eye(1, 2), assignments={0: 0}
-        )
-        with pytest.raises(UnassignedKeywordError):
-            wcss(model, emb)
 
 
 class TestElbowSweep:
@@ -251,10 +244,9 @@ class TestKfoldStability:
         rng = np.random.default_rng(12)
         base = two_group_set(rng, per_group=20)
         pairs = []
-        for ref in base.refs:
-            vec = base.vector(ref)
-            pairs.append((f"{ref.text}-a", vec))
-            pairs.append((f"{ref.text}-b", vec))
+        for text, vec in zip(base.texts, base.matrix):
+            pairs.append((f"{text}-a", vec))
+            pairs.append((f"{text}-b", vec))
         doubled = EmbeddingSet.from_pairs("US", pairs)
         for folds in (2, 5):
             report = kfold_stability(doubled, 2, folds=folds, seed=6)
@@ -295,5 +287,5 @@ class TestPersistence:
         loaded = load_clustering(path)
         assert loaded.market == model.market
         assert loaded.cluster_count == model.cluster_count
-        assert loaded.assignments == model.assignments
+        assert loaded.labels.tolist() == model.labels.tolist()
         np.testing.assert_allclose(loaded.centroids, model.centroids, atol=1e-6)

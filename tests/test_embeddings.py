@@ -11,7 +11,6 @@ import pytest
 from adexpand.cli import _read_keyword_list, build_parser
 from adexpand.embeddings import (
     EmbeddingSet,
-    KeywordRef,
     cosine_similarity,
     fallback_embed,
     fnv1a_64,
@@ -152,14 +151,6 @@ class TestFallbackEmbed:
         assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
 
 
-class TestIdIsRow:
-    @pytest.mark.parametrize("ids", [[1, 0], [1, 2], [0, 0], [0, 2], [-1, 0]])
-    def test_other_ids_rejected(self, ids):
-        refs = [KeywordRef(market="US", text=f"k{i}", id=kid) for i, kid in enumerate(ids)]
-        with pytest.raises(ValueError, match="row numbers"):
-            EmbeddingSet(market="US", dim=2, refs=refs, matrix=np.eye(2, dtype=np.float32))
-
-
 class TestTsvRoundTrip:
     def _random_set(self, rng, market="US", n=100, dim=16):
         pairs = [(f"kw {i} {rng.integers(0, 1e9)}", rng.normal(size=dim)) for i in range(n)]
@@ -172,9 +163,9 @@ class TestTsvRoundTrip:
         save_embeddings(original, path)
         loaded = load_embeddings(path, "US")
         assert len(loaded) == len(original)
-        for ref in original.refs:
+        for row, text in enumerate(original.texts):
             np.testing.assert_allclose(
-                loaded.vector(loaded.ref_by_text(ref.text)), original.vector(ref), atol=1e-6
+                loaded.matrix[loaded.row_of(text)], original.matrix[row], atol=1e-6
             )
 
     def test_three_rows_dim_four(self, tmp_path):
@@ -240,8 +231,8 @@ class TestTsvRoundTrip:
         path.write_text("US\talpha\t1 0\nUK\tbravo\t0 1\n", encoding="utf-8")
         us = load_embeddings(str(path), "US")
         uk = load_embeddings(str(path), "UK")
-        assert [r.text for r in us.refs] == ["alpha"]
-        assert [r.text for r in uk.refs] == ["bravo"]
+        assert us.texts == ["alpha"]
+        assert uk.texts == ["bravo"]
         # one set per requested market, in the order asked for
         assert list(load_embedding_sets(str(path), ["UK", "US"])) == ["UK", "US"]
 
@@ -261,7 +252,7 @@ def _read_queries(path, request):
 # reader makes of it). Each reader keeps its own per-field handling.
 TSV_INPUTS = {
     "embeddings": (
-        lambda path, _: [r.text for r in load_embeddings(path, "US").refs],
+        lambda path, _: load_embeddings(path, "US").texts,
         "US\talpha \t1 0",
         ["alpha"],
     ),

@@ -160,7 +160,7 @@ def _one_cluster_context(emb, tau):
         market="US",
         cluster_count=1,
         centroids=np.ones((1, emb.dim)),
-        assignments={r.id: 0 for r in emb.refs},
+        labels=np.zeros(len(emb), dtype=np.int64),
     )
     table = ThresholdTable(
         market="US",
@@ -176,16 +176,16 @@ class TestExpandKeyword:
     def test_zero_threshold_accepts_nothing(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.0)
-        ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(context, ref, emb.vector(ref), K)
+        row = emb.row_of("led garden lights")
+        record = expand_keyword(context, emb.texts[row], row, emb.matrix[row], K)
         assert record.accepted_variants() == []
 
     def test_near_neighbors_within_tau_accepted(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
-        ref = emb.ref_by_text("led garden lights")
-        record = expand_keyword(context, ref, emb.vector(ref), K)
-        accepted = {v.keyword.text for v in record.accepted_variants()}
+        row = emb.row_of("led garden lights")
+        record = expand_keyword(context, emb.texts[row], row, emb.matrix[row], K)
+        accepted = {v.text for v in record.accepted_variants()}
         assert accepted == {"outdoor led lights", "garden lighting"}
         for v in record.accepted_variants():
             assert v.distance <= record.tau_used
@@ -194,25 +194,25 @@ class TestExpandKeyword:
     def test_origin_never_among_variants(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=2.0)
-        for ref in emb.refs:
-            record = expand_keyword(context, ref, emb.vector(ref), K)
-            assert all(v.keyword.id != ref.id for v in record.variants)
+        for row, text in enumerate(emb.texts):
+            record = expand_keyword(context, text, row, emb.matrix[row], K)
+            assert all(v.id != row for v in record.variants)
 
     def test_gender_filter_records_reason(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
-        ref = emb.ref_by_text("mens shoes")
-        record = expand_keyword(context, ref, emb.vector(ref), K)
-        by_text = {v.keyword.text: v for v in record.variants}
+        row = emb.row_of("mens shoes")
+        record = expand_keyword(context, emb.texts[row], row, emb.matrix[row], K)
+        by_text = {v.text: v for v in record.variants}
         assert by_text["womens sandals"].filtered_reason is FilterReason.GENDER
-        assert "womens sandals" not in {v.keyword.text for v in record.accepted_variants()}
+        assert "womens sandals" not in {v.text for v in record.accepted_variants()}
 
     def test_numeric_filter_records_reason(self):
         emb = _fixture_corpus()
         context = _one_cluster_context(emb, tau=0.05)
-        ref = emb.ref_by_text("iphone 13 case")
-        record = expand_keyword(context, ref, emb.vector(ref), K)
-        by_text = {v.keyword.text: v for v in record.variants}
+        row = emb.row_of("iphone 13 case")
+        record = expand_keyword(context, emb.texts[row], row, emb.matrix[row], K)
+        by_text = {v.text: v for v in record.variants}
         assert by_text["iphone 12 accessories"].filtered_reason is FilterReason.NUMERIC
 
     def test_filter_soundness(self):
@@ -221,13 +221,13 @@ class TestExpandKeyword:
         for record in expand_all(context, K):
             for v in record.variants:
                 if v.filtered_reason is FilterReason.GENDER:
-                    assert not gender_consistent(record.origin.text, v.keyword.text)
+                    assert not gender_consistent(record.origin, v.text)
                 elif v.filtered_reason is FilterReason.NUMERIC:
-                    assert gender_consistent(record.origin.text, v.keyword.text)
-                    assert not numeric_consistent(record.origin.text, v.keyword.text)
+                    assert gender_consistent(record.origin, v.text)
+                    assert not numeric_consistent(record.origin, v.text)
                 else:
-                    assert gender_consistent(record.origin.text, v.keyword.text)
-                    assert numeric_consistent(record.origin.text, v.keyword.text)
+                    assert gender_consistent(record.origin, v.text)
+                    assert numeric_consistent(record.origin, v.text)
 
     def test_variants_sorted_by_distance_then_id(self):
         rng = np.random.default_rng(21)
@@ -235,9 +235,9 @@ class TestExpandKeyword:
             "US", [(f"kw-{i}", rng.normal(size=8)) for i in range(40)]
         )
         context = _one_cluster_context(emb, tau=2.0)
-        ref = emb.refs[0]
-        record = expand_keyword(context, ref, emb.vector(ref), K)
-        keys = [(v.distance, v.keyword.id) for v in record.variants]
+        row = 0
+        record = expand_keyword(context, emb.texts[row], row, emb.matrix[row], K)
+        keys = [(v.distance, v.id) for v in record.variants]
         assert keys == sorted(keys)
 
     def test_accepted_set_grows_with_p(self):
@@ -254,7 +254,7 @@ class TestExpandKeyword:
             context = ExpansionContext(emb, index, clustering, table)
             for record in expand_all(context, K):
                 # every variant inside the cutoff, filtered or not
-                accepted[record.origin.text] = {v.keyword.text for v in record.variants}
+                accepted[record.origin] = {v.text for v in record.variants}
             if previous is not None:
                 for origin, variants in previous.items():
                     assert variants <= accepted[origin]
@@ -278,16 +278,16 @@ class TestFilterReasons:
         rng = np.random.default_rng(seed)
         emb = EmbeddingSet.from_pairs("US", [(t, rng.normal(size=8)) for t in texts])
         context = _one_cluster_context(emb, tau=2.0)
-        for ref in emb.refs:
-            record = expand_keyword(context, ref, emb.vector(ref), K)
+        for row, text in enumerate(emb.texts):
+            record = expand_keyword(context, text, row, emb.matrix[row], K)
             assert len(record.variants) == len(emb) - 1
             for v in record.variants:
                 expected = None
-                if not gender_consistent(ref.text, v.keyword.text):
+                if not gender_consistent(text, v.text):
                     expected = FilterReason.GENDER
-                elif not numeric_consistent(ref.text, v.keyword.text):
+                elif not numeric_consistent(text, v.text):
                     expected = FilterReason.NUMERIC
-                assert v.filtered_reason is expected, (ref.text, v.keyword.text)
+                assert v.filtered_reason is expected, (text, v.text)
 
 
 class TestPersistence:
@@ -301,8 +301,8 @@ class TestPersistence:
         # similarity, rejected variants checked and dropped
         assert any(not v.accepted for r in records for v in r.variants)
         assert load_expansions(path) == [
-            (r.origin.market, r.origin.text,
-             [(v.keyword.text, v.similarity) for v in r.accepted_variants()])
+            (r.market, r.origin,
+             [(v.text, v.similarity) for v in r.accepted_variants()])
             for r in records
         ]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adexpand.embeddings import EmbeddingSet, KeywordRef
+from adexpand.embeddings import EmbeddingSet
 from adexpand.errors import DimensionMismatchError, EmptySetError
 from adexpand.flat_index import FlatIndex, build_index, knn_search
 
@@ -21,10 +21,10 @@ def oracle_knn(index, query, k, exclude_id=None):
     """Full scan in float64, full sort by (distance, id)."""
     rows = []
     q = query.astype(np.float64)
-    for ref, row in zip(index.refs, index.matrix):
-        if exclude_id is not None and ref.id == exclude_id:
+    for kid, row in enumerate(index.matrix):
+        if exclude_id is not None and kid == exclude_id:
             continue
-        rows.append((1.0 - float(row.astype(np.float64) @ q), ref.id))
+        rows.append((1.0 - float(row.astype(np.float64) @ q), kid))
     rows.sort()
     return rows[:k]
 
@@ -40,14 +40,13 @@ class TestBuildIndex:
         emb = random_set(rng, 5000, 16)
         index = build_index(emb)
         assert len(index) == 5000
-        assert index.dim == 16
-        assert [r.id for r in index.refs] == list(range(5000))
+        assert index.matrix.shape[1] == 16
+        assert index.matrix is emb.matrix
         for i in (0, 17, 4999):
-            ref = index.refs[i]
-            np.testing.assert_array_equal(index.matrix[i], emb.vector(ref))
+            np.testing.assert_array_equal(index.matrix[i], emb.matrix[i])
 
     def test_empty_set_rejected(self):
-        emb = EmbeddingSet(market="US", dim=4, refs=[], matrix=np.zeros((0, 4), np.float32))
+        emb = EmbeddingSet(market="US", texts=[], matrix=np.zeros((0, 4), np.float32))
         with pytest.raises(EmptySetError):
             build_index(emb)
 
@@ -57,19 +56,19 @@ class TestKnnSearch:
         rng = np.random.default_rng(2)
         emb = random_set(rng, 50, 8)
         index = build_index(emb)
-        ref = emb.refs[13]
-        result = knn_search(index, emb.vector(ref), k=1)
-        assert result[0].id == ref.id
+        row = 13
+        result = knn_search(index, emb.matrix[row], k=1)
+        assert result[0].id == row
         assert result[0].distance == pytest.approx(0.0, abs=1e-6)
 
     def test_exclusion_returns_nearest_other(self):
         rng = np.random.default_rng(3)
         emb = random_set(rng, 50, 8)
         index = build_index(emb)
-        ref = emb.refs[13]
-        result = knn_search(index, emb.vector(ref), k=1, exclude_id=ref.id)
-        assert result[0].id != ref.id
-        expected = oracle_knn(index, emb.vector(ref), 1, exclude_id=ref.id)
+        row = 13
+        result = knn_search(index, emb.matrix[row], k=1, exclude_id=row)
+        assert result[0].id != row
+        expected = oracle_knn(index, emb.matrix[row], 1, exclude_id=row)
         assert result[0].id == expected[0][1]
 
     def test_oracle_equivalence_5000(self):
@@ -193,8 +192,7 @@ class TestKnnOracleProperty:
     @given(_partition_case())
     def test_equals_full_stable_argsort(self, case):
         matrix, query, k, exclude_id = case
-        refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
-        index = FlatIndex(dim=matrix.shape[1], refs=refs, matrix=matrix)
+        index = FlatIndex(matrix=matrix)
         got = knn_search(index, query, k=k, exclude_id=exclude_id)
         assert [(nb.id, repr(nb.distance)) for nb in got] == _full_sort_knn(
             index, query, k, exclude_id
@@ -204,8 +202,7 @@ class TestKnnOracleProperty:
         # rows 1..5 tie with each other; k = 3 cuts inside the run
         matrix = np.array([[1, 0], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [-1, 0]],
                           dtype=np.float32)
-        refs = [KeywordRef(market="US", text=f"k{i}", id=i) for i in range(len(matrix))]
-        index = FlatIndex(dim=2, refs=refs, matrix=matrix)
+        index = FlatIndex(matrix=matrix)
         query = np.array([0.6, 0.8], dtype=np.float32)
         got = knn_search(index, query, k=3, exclude_id=2)
         assert [nb.id for nb in got] == [1, 3, 4]

@@ -153,14 +153,14 @@ def _old_kmeans(embedding_set, cluster_count, seed, max_iter=100, tol=1e-6):
         market=embedding_set.market,
         cluster_count=cluster_count,
         centroids=centroids,
-        assignments=dict(enumerate(labels.tolist())),
+        labels=labels,
         wcss_history=history,
     )
 
 
 def _clustering_key(model):
     return (model.market, model.cluster_count, model.centroids.tobytes(),
-            model.centroids.shape, model.assignments, model.wcss_history)
+            model.centroids.shape, model.labels.tolist(), model.wcss_history)
 
 
 # Components in {-1, 0, 1} or small floats: duplicates, equidistant rows,
@@ -248,7 +248,7 @@ class TestAssignClusterCachedDirections:
     def test_cached_equals_fresh(self, case):
         centroids, v = case
         model = Clustering(market="US", cluster_count=len(centroids), centroids=centroids,
-                           assignments={})
+                           labels=np.zeros(0, dtype=np.int64))
         want = _old_assign_cluster(centroids, v)
         assert assign_cluster(model, v) == want
         # the second call reads the cached directions
@@ -256,14 +256,14 @@ class TestAssignClusterCachedDirections:
 
     def test_directions_are_computed_once_and_read_only(self):
         model = Clustering(market="US", cluster_count=2,
-                           centroids=np.array([[3.0, 4.0], [0.0, 2.0]]), assignments={})
+                           centroids=np.array([[3.0, 4.0], [0.0, 2.0]]), labels=np.zeros(0, dtype=np.int64))
         assert model.directions is model.directions
         with pytest.raises(ValueError):
             model.directions[0, 0] = 1.0
 
     def test_zero_centroid_still_raises(self):
         model = Clustering(market="US", cluster_count=1, centroids=np.zeros((1, 2)),
-                           assignments={})
+                           labels=np.zeros(0, dtype=np.int64))
         with pytest.raises(ZeroVectorError):
             assign_cluster(model, np.array([1.0, 0.0], dtype=np.float32))
 
@@ -364,7 +364,7 @@ def _old_load_embedding_sets(path, markets):
 
 
 def _sets_key(sets):
-    return [(m, s.dim, s.refs, s.matrix.dtype, s.matrix.tobytes()) for m, s in sets.items()]
+    return [(m, s.dim, s.texts, s.matrix.dtype, s.matrix.tobytes()) for m, s in sets.items()]
 
 
 _good_value = st.one_of(

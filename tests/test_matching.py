@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from adexpand import matching
 
-from adexpand.embeddings import KeywordRef
 from adexpand.errors import DanglingReferenceError, ParseError, UnknownMarketError
 from adexpand.expansion import (
     ExpansionRecord,
@@ -74,9 +73,10 @@ class TestBroadMatch:
                 assert broad_match(q, k)
 
 
-def _variant(market, text, kw_id, distance):
+def _variant(text, kw_id, distance):
     return Variant(
-        keyword=KeywordRef(market=market, text=text, id=kw_id),
+        text=text,
+        id=kw_id,
         distance=distance,
         similarity=1.0 - distance,
     )
@@ -84,7 +84,9 @@ def _variant(market, text, kw_id, distance):
 
 def _expansion(market, origin_text, origin_id, variants):
     return ExpansionRecord(
-        origin=KeywordRef(market=market, text=origin_text, id=origin_id),
+        market=market,
+        origin=origin_text,
+        origin_id=origin_id,
         cluster=0,
         tau_used=0.5,
         variants=variants,
@@ -95,8 +97,8 @@ def _rows(records):
     """load_expansions' rows for expansion records: each origin, and the
     text and similarity of each accepted variant."""
     return [
-        (r.origin.market, r.origin.text,
-         [(v.keyword.text, v.similarity) for v in r.accepted_variants()])
+        (r.market, r.origin,
+         [(v.text, v.similarity) for v in r.accepted_variants()])
         for r in records
     ]
 
@@ -104,14 +106,14 @@ def _rows(records):
 def golden_expansions():
     return [
         _expansion("US", "led garden lights", 0, [
-            _variant("US", "outdoor led lights", 1, 0.02),
-            _variant("US", "garden lighting", 2, 0.03),
+            _variant("outdoor led lights", 1, 0.02),
+            _variant("garden lighting", 2, 0.03),
         ]),
         _expansion("US", "iphone 13 case", 3, [
-            _variant("US", "iphone 13 cover", 4, 0.05),
+            _variant("iphone 13 cover", 4, 0.05),
         ]),
         _expansion("UK", "ladies winter jumpers", 8, [
-            _variant("UK", "womens winter sweaters", 9, 0.04),
+            _variant("womens winter sweaters", 9, 0.04),
         ]),
     ]
 
@@ -185,14 +187,14 @@ def shared_expansions():
     campaign keyword, as expansion output files them."""
     return golden_expansions() + [
         _expansion("US", "garden lighting", 2, [
-            _variant("US", "outdoor led lights", 1, 0.01),
-            _variant("US", "led garden lights", 0, 0.03),
+            _variant("outdoor led lights", 1, 0.01),
+            _variant("led garden lights", 0, 0.03),
         ]),
         _expansion("US", "outdoor led lights", 1, [
-            _variant("US", "garden lighting", 2, 0.02),
+            _variant("garden lighting", 2, 0.02),
         ]),
         _expansion("UK", "solar garden light", 11, [
-            _variant("UK", "garden lighting", 12, 0.04),
+            _variant("garden lighting", 12, 0.04),
         ]),
     ]
 
@@ -220,7 +222,7 @@ class TestSharedTokenSets:
         expansions = shared_expansions()
         make_snapshot(expansions=expansions)
         texts = {kw for c in golden_campaigns() for g in c.ad_groups for kw in g.keywords}
-        texts |= {v.keyword.text for r in expansions for v in r.accepted_variants()}
+        texts |= {v.text for r in expansions for v in r.accepted_variants()}
         assert Counter(calls) == Counter(texts)
 
     def test_entries_with_one_text_share_one_token_set(self):
@@ -239,13 +241,13 @@ class TestSharedTokenSets:
         origins = ["led garden lights", "garden lighting", "outdoor led lights",
                    "iphone 13 case", "running shoes"]
         expansions = shared_expansions() + [
-            _expansion("US", origin, i, [_variant("US", "solar panel", 50, 0.05)])
+            _expansion("US", origin, i, [_variant("solar panel", 50, 0.05)])
             for i, origin in enumerate(origins)
         ] + [
             _expansion("US", "mens running shoes", 7, [
-                _variant("US", "solar lamp", 51, 0.05),
-                _variant("US", "lamp post", 52, 0.05),
-                _variant("US", "desk lamp", 53, 0.05),
+                _variant("solar lamp", 51, 0.05),
+                _variant("lamp post", 52, 0.05),
+                _variant("desk lamp", 53, 0.05),
             ]),
         ]
         snapshot = make_snapshot(expansions=expansions)
@@ -334,7 +336,8 @@ def _matching_inputs(draw):
                 if draw(st.booleans()):
                     variants = [
                         Variant(
-                            keyword=KeywordRef(market=campaign.market, text=draw(_TEXT), id=i),
+                            text=draw(_TEXT),
+                            id=i,
                             distance=draw(st.sampled_from([0.0, 0.01, 0.1, 0.25])),
                             similarity=0.0,
                             filtered_reason=draw(st.sampled_from([None, FilterReason.GENDER])),
@@ -363,11 +366,11 @@ def _brute_force_match(query, market, campaigns, expansions, model, threshold):
                     groups_by_keyword.setdefault(kw, []).append(g)
     entries = [(kw, kw, 1.0, groups) for kw, groups in groups_by_keyword.items()]
     for r in expansions:
-        if r.origin.market == market:
+        if r.market == market:
             for v in r.accepted_variants():
-                if v.keyword.text != r.origin.text:
-                    entries.append((v.keyword.text, r.origin.text, v.similarity,
-                                    groups_by_keyword[r.origin.text]))
+                if v.text != r.origin:
+                    entries.append((v.text, r.origin, v.similarity,
+                                    groups_by_keyword[r.origin]))
     q = set(tokenize(query))
     found = []
     for matched, origin, similarity, groups in entries:
@@ -433,15 +436,15 @@ def _index_inputs(draw):
                                if origins else st.just([])):
         variants = [
             Variant(
-                keyword=KeywordRef(market=draw(st.sampled_from(["US", "UK"])),
-                                   text=draw(st.just(origin) | _INDEX_TEXT), id=i),
+                text=draw(st.just(origin) | _INDEX_TEXT),
+                id=i,
                 distance=distance,
                 similarity=1.0 - distance,
                 filtered_reason=draw(st.sampled_from([None, None, *FilterReason])),
             )
             for i, distance in enumerate(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
         ]
-        records.append(ExpansionRecord(origin=KeywordRef(market=market, text=origin, id=99),
+        records.append(ExpansionRecord(market=market, origin=origin, origin_id=99,
                                        cluster=0, tau_used=0.5, variants=variants))
     return campaigns, records
 
@@ -464,10 +467,10 @@ def _reference_index(campaigns, records):
                     (frozenset(tokenize(kw)), kw, kw, 1.0, tuple(groups[market][kw])))
     for r in records:
         for v in r.accepted_variants():
-            if tokenize(v.keyword.text) and v.keyword.text != r.origin.text:
-                entries[r.origin.market].append((
-                    frozenset(tokenize(v.keyword.text)), v.keyword.text, r.origin.text,
-                    v.similarity, tuple(groups[r.origin.market][r.origin.text]),
+            if tokenize(v.text) and v.text != r.origin:
+                entries[r.market].append((
+                    frozenset(tokenize(v.text)), v.text, r.origin,
+                    v.similarity, tuple(groups[r.market][r.origin]),
                 ))
     index = {}
     for market, market_entries in entries.items():

@@ -49,7 +49,7 @@ def sweep_corpus():
         market="US",
         cluster_count=1,
         centroids=np.ones((1, dim)) / np.sqrt(dim),
-        assignments={r.id: 0 for r in emb.refs},
+        labels=np.zeros(len(emb), dtype=np.int64),
     )
     return emb, clustering
 

@@ -24,7 +24,7 @@ from adexpand.service import (
     make_server,
 )
 
-from test_snapshot_store import NON_FINITE, UNSERVABLE
+from test_snapshot_store import NON_FINITE, ONE_EACH, UNSERVABLE
 
 
 def _post(port, path, payload=None, raw=None):
@@ -46,6 +46,9 @@ def _get(port, path):
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+_MATCH_BODY = b'{"query": "solar led garden lights outdoor", "market": "US"}'
 
 
 @pytest.fixture
@@ -117,7 +120,9 @@ class TestEndpoints:
         status, _ = _post(httpd.server_address[1], "/match", {"market": "US"})
         assert status == 400
 
-    @pytest.mark.parametrize("length", [-1, MAX_BODY_BYTES + 1])
+    # int() takes "+5" and "1_0", which are not a Content-Length (RFC 9112
+    # section 6.3)
+    @pytest.mark.parametrize("length", [-1, MAX_BODY_BYTES + 1, "+5", "1_0"])
     def test_bad_content_length_is_400_before_reading(self, server, length):
         # no body follows and the socket stays open, so a server that reads
         # before checking the length waits here until the timeout
@@ -132,6 +137,25 @@ class TestEndpoints:
             while chunk := sock.recv(4096):
                 response += chunk
         assert response.split(b" ", 2)[1] == b"400"
+        assert _get(port, "/healthz")[0] == 200
+
+    @pytest.mark.parametrize("lengths, status", [
+        ((len(_MATCH_BODY), 0), 400),
+        ((len(_MATCH_BODY), len(_MATCH_BODY)), 200),
+    ])
+    def test_repeated_content_length_must_agree(self, server, lengths, status):
+        """Content-Length headers that differ are refused before a body byte
+        is read (none follows then); equal ones give the length."""
+        httpd, _, _ = server
+        port = httpd.server_address[1]
+        headers = "".join(f"Content-Length: {n}\r\n" for n in lengths)
+        request = f"POST /match HTTP/1.1\r\nHost: localhost\r\n{headers}\r\n".encode("ascii")
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request + (_MATCH_BODY if status == 200 else b""))
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert response.split(b" ", 2)[1] == str(status).encode("ascii")
         assert _get(port, "/healthz")[0] == 200
 
     def test_expand_known_keyword(self, server):
@@ -223,7 +247,8 @@ class TestRefresh:
     @pytest.mark.parametrize("name, damage, named", [
         *UNSERVABLE,
         # the file, its damage and what the error names, without the loader
-        *(pytest.param(case.values[0], *case.values[2:], id=case.id) for case in NON_FINITE),
+        *(pytest.param(case.values[0], *case.values[2:], id=case.id)
+          for case in [*NON_FINITE, *ONE_EACH]),
     ])
     def test_refresh_to_unservable_snapshot_is_500_and_keeps_serving(
         self, server, name, damage, named
@@ -330,7 +355,6 @@ STDLIB_ERRORS = {
 
 
 _HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-_MATCH_BODY = b'{"query": "solar led garden lights outdoor", "market": "US"}'
 _MATCH = (b"POST /match HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
           % (len(_MATCH_BODY), _MATCH_BODY))
 

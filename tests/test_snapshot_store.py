@@ -368,6 +368,46 @@ NON_FINITE = [
 BAD_FILES += NON_FINITE
 
 
+def _append_row(lineno):
+    """Append a copy of line ``lineno``, a row, with another cutoff."""
+    def edit(path):
+        with open(path, encoding="utf-8") as fh:
+            row = json.loads(fh.readlines()[lineno - 1])
+        row.update(tau_distance=0.0, tau_similarity=1.0)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
+    return edit
+
+
+def _assignments(edit):
+    """``edit(assignments, n)`` applied to a clustering that assigns n keywords."""
+    return lambda path: _edit_json(path, lambda d: edit(d["assignments"], len(d["assignments"])))
+
+
+# A threshold table holds one market and one row per cluster, and a
+# clustering assigns each keyword of its market once; each is refused at
+# load, not left to a later lookup or a last-row-wins read.
+# (file, loader, how the file is broken, what the error must name)
+ONE_EACH = [
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(market="UK")),
+                 "a row of market 'US' after rows of 'UK'", id="thresholds-two-markets"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table, _append_row(3),
+                 "cluster 1 has two rows", id="thresholds-cluster-twice"),
+    pytest.param("clustering_US.json", load_clustering,
+                 _assignments(lambda a, n: a.update({"01": 0})),
+                 "'assignments' must name", id="clustering-row-twice"),
+    pytest.param("clustering_US.json", load_clustering,
+                 _assignments(lambda a, n: a.update({str(n): a.pop(str(n - 1))})),
+                 "'assignments' must name", id="clustering-row-n"),
+]
+BAD_FILES += ONE_EACH
+# a clustering that parses on its own, but leaves out a keyword of its market
+CLUSTERING_ROW_MISSING = pytest.param(
+    "clustering_US.json", _assignments(lambda a, n: a.pop(str(n - 1))),
+    "keywords, market 'US' has", id="clustering-row-missing")
+
+
 class TestBadArtifactFiles:
     """A missing key, a wrong type or an empty file is a ParseError naming
     the file, never a bare KeyError or IndexError."""
@@ -421,6 +461,7 @@ UNSERVABLE = [
     pytest.param("model.json", lambda p: _edit_json(p, lambda d: d["base"].update(n_features=7)),
                  "'n_features' must be 6, the features a match is scored on, got 7",
                  id="model-n-features-7"),
+    CLUSTERING_ROW_MISSING,
 ]
 
 
@@ -443,3 +484,40 @@ class TestUnservableSnapshot:
             "--query", "solar garden lights", "--market", "US",
         ]) == 2
         assert name in capsys.readouterr().err
+
+
+# ONE_EACH without the loader, and CLUSTERING_ROW_MISSING: (file, damage, named)
+ONE_EACH_FILES = [
+    *(pytest.param(case.values[0], *case.values[2:], id=case.id) for case in ONE_EACH),
+    CLUSTERING_ROW_MISSING,
+]
+
+
+class TestOneMarketOneRowEach:
+    """The offline commands that read a clustering or a threshold table
+    refuse one that breaks ONE_EACH's rules, naming it."""
+
+    @staticmethod
+    def _paths(snapshot_dir):
+        return ["--embeddings", os.path.join(snapshot_dir, EMBEDDINGS_FILE), "--market", "US",
+                "--clustering", os.path.join(snapshot_dir, "clustering_US.json")]
+
+    @pytest.mark.parametrize("name, damage, named", ONE_EACH_FILES)
+    def test_expand_exits_2(self, snapshot_copy, name, damage, named, capsys):
+        damage(os.path.join(snapshot_copy, name))
+        assert cli_dispatch(["expand", *self._paths(snapshot_copy),
+                             "--thresholds", os.path.join(snapshot_copy, "thresholds_US.jsonl"),
+                             "--keyword", "garden lights"]) == 2
+        err = capsys.readouterr().err
+        assert name in err and named in err
+
+    @pytest.mark.parametrize("name, damage, named",
+                             [case for case in ONE_EACH_FILES if "clustering" in case.id])
+    def test_thresholds_exits_2(self, snapshot_copy, tmp_path, name, damage, named, capsys):
+        damage(os.path.join(snapshot_copy, name))
+        out = tmp_path / "thresholds.jsonl"
+        assert cli_dispatch(["thresholds", *self._paths(snapshot_copy),
+                             "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and named in err
+        assert not out.exists()

@@ -72,7 +72,7 @@ def _single_cluster_fixture():
         market="US",
         cluster_count=1,
         centroids=np.array([[1.0, 0.0]]),
-        assignments={0: 0, 1: 0},
+        labels=np.array([0, 0]),
     )
     return emb, model
 
@@ -81,7 +81,7 @@ class TestIntraClusterDistances:
     def test_singleton_on_centroid_direction(self):
         emb = EmbeddingSet.from_pairs("US", [("a", [2.0, 0.0])])
         model = Clustering(
-            market="US", cluster_count=1, centroids=np.array([[0.5, 0.0]]), assignments={0: 0}
+            market="US", cluster_count=1, centroids=np.array([[0.5, 0.0]]), labels=np.array([0])
         )
         distances = intra_cluster_distances(model, emb)
         assert distances[0] == pytest.approx([0.0], abs=1e-7)
@@ -94,7 +94,7 @@ class TestIntraClusterDistances:
             market="US",
             cluster_count=1,
             centroids=np.array([[0.0, 1.0]]),
-            assignments={0: 0, 1: 0, 2: 0},
+            labels=np.array([0, 0, 0]),
         )
         np.testing.assert_allclose(intra_cluster_distances(model, emb)[0], 0.0, atol=1e-7)
 
@@ -106,11 +106,10 @@ class TestIntraClusterDistances:
         model = kmeans(emb, 4, seed=9)
         distances = intra_cluster_distances(model, emb)
         for m in range(4):
-            member_refs = [r for r in sorted(emb.refs, key=lambda r: r.id)
-                           if model.assignments[r.id] == m]
+            member_rows = [row for row in range(len(emb)) if model.labels[row] == m]
             direction = model.centroids[m] / np.linalg.norm(model.centroids[m])
-            naive = [1.0 - float(emb.vector(r).astype(np.float64) @ direction)
-                     for r in member_refs]
+            naive = [1.0 - float(emb.matrix[row].astype(np.float64) @ direction)
+                     for row in member_rows]
             np.testing.assert_allclose(distances[m], naive, atol=1e-6)
 
 
@@ -194,6 +193,18 @@ class TestThresholdSizeCorrelation:
     def test_perfectly_linear(self):
         table = self._table([(10, 0.1), (20, 0.2), (30, 0.3)])
         assert threshold_size_correlation(table) == pytest.approx(1.0, abs=1e-12)
+
+    # two rows lie on a line, so r is exactly 1 or -1, also for cutoffs a
+    # few ulps apart or so small that their centred squares underflow
+    @pytest.mark.parametrize("low, high", [
+        (0.42, math.nextafter(0.42, 1)),
+        (1e-200, 3e-200),
+        (1e-300, 2e-300),
+        (0.0, 5e-324),
+    ])
+    def test_two_rows_give_exactly_one(self, low, high):
+        assert threshold_size_correlation(self._table([(3, low), (4, high)])) == 1.0
+        assert threshold_size_correlation(self._table([(3, high), (4, low)])) == -1.0
 
     def test_constant_threshold_degenerate(self):
         table = self._table([(10, 0.2), (20, 0.2), (30, 0.2)])

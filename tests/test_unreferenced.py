@@ -1,9 +1,9 @@
 """Every function, class and method in src/adexpand/ has a caller outside its
 own definition in src/, perfbench/ or scripts/, every parameter with a
-default is passed by some call there, and every flag of every CLI
-subcommand is passed by an argv in perfbench/ or scripts/ or by an
-``adexpand`` command in README.md: code and options that only tests use
-belong in the tests."""
+default is passed by some call there, every name a module of src/adexpand/
+imports is used in that module, and every flag of every CLI subcommand is
+passed by an argv in perfbench/ or scripts/ or by an ``adexpand`` command in
+README.md: code and options that only tests use belong in the tests."""
 
 import argparse
 import ast
@@ -105,6 +105,29 @@ def test_every_definition_has_a_caller():
 def test_allow_list_is_current():
     """An allowed name that gains a caller, or is deleted, leaves the list."""
     assert {f.split()[-1] for f in unreferenced_definitions()} >= set(ALLOWED)
+
+
+def unused_imports():
+    """Each name a module of the package imports but never looks up, as
+    "path:line name"; ``from __future__`` imports aside."""
+    found = []
+    for path in _py_files([PACKAGE_DIR]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{os.path.relpath(path, _ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
 
 
 def _defaulted(func):
