@@ -128,8 +128,9 @@ def _check_flags(args) -> None:
         args.k_list = k_list
     if args.command == "sweep-tpr":
         p_list = _flag_list(args, "p_list", float)
-        if not all(0.0 < p <= 100.0 for p in p_list):
-            raise ParseError(f"--p-list percents must be in (0, 100], got {args.p_list!r}")
+        if not all(0.0 < p / 100.0 <= 1.0 for p in p_list):  # no fraction may round to 0
+            raise ParseError(f"--p-list percents must be in (0, 100] and above 0 as fractions,"
+                             f" got {args.p_list!r}")
         args.p_list = p_list
 
 

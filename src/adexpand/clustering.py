@@ -26,6 +26,7 @@ from .errors import (
     TooManyClustersError,
     ZeroVectorError,
     parse_json,
+    typed,
 )
 from .rng import SplitMix64
 
@@ -318,17 +319,21 @@ def load_clustering(path: str, fh: TextIO | None = None) -> Clustering:
 
 
 def _clustering_from_doc(doc: dict) -> Clustering:
-    centroids = np.array(doc["centroids"], dtype=np.float64)
-    if not np.all(np.isfinite(centroids)):  # argmin would pick a NaN distance
-        raise ValueError("'centroids' must be finite")
-    rows = [int(k) for k in doc["assignments"]]
+    shape = (typed(doc, "M", int), typed(doc, "dim", int))
+    centroids = np.array(typed(doc, "centroids", list[list[float]]), dtype=np.float64)
+    if centroids.shape != shape:  # np.array refuses ragged rows
+        raise ValueError(f"'centroids' must be 'M' by 'dim', {shape}, got {centroids.shape}")
+    assignments = typed(doc, "assignments", dict)
+    rows = [int(k) for k in assignments]
     if sorted(rows) != list(range(len(rows))):  # "1" and "01" are one row
         raise ValueError("'assignments' must name the rows 0, 1, 2, ... once each")
     labels = np.empty(len(rows), dtype=np.int64)
-    labels[rows] = [int(v) for v in doc["assignments"].values()]
+    labels[rows] = [typed(assignments, k, int) for k in assignments]
+    if not np.all((labels >= 0) & (labels < shape[0])):
+        raise ValueError(f"'assignments' must be in 0..M-1, got {labels.min()}..{labels.max()}")
     return Clustering(
-        market=doc["market"],
-        cluster_count=int(doc["M"]),
+        market=typed(doc, "market", str),
+        cluster_count=shape[0],
         centroids=centroids,
         labels=labels,
     )

@@ -6,7 +6,7 @@ a caller set over a config file's values (or the defaults) and validates the
 result once, so a value meets the same check whether it came from a flag or
 from the file, and a flag overrides a bad file value. load_config checks only
 the file's shape: unknown keys are rejected and each parameter must have its
-default's JSON type.
+default's JSON kind (see errors.typed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .embeddings import MAX_DIM, MIN_DIM
-from .errors import ParseError, parse_json
+from .errors import ParseError, parse_json, typed
 
 
 @dataclass
@@ -38,8 +38,8 @@ class PipelineConfig:
             raise ParseError("clusters must be at least 1")
         if self.seed < 0:
             raise ParseError("seed must be non-negative")
-        if not 0.0 < self.quantile_pct <= 100.0:
-            raise ParseError("quantile_pct must be in (0, 100]")
+        if not 0.0 < self.quantile_pct / 100.0 <= 1.0:  # the fraction must not round to 0
+            raise ParseError("quantile_pct must be in (0, 100] and above 0 as a fraction")
         if self.min_cluster_size < 0:
             raise ParseError("min_cluster_size must be non-negative")
         if self.k_neighbors < 1:
@@ -56,29 +56,20 @@ class PipelineConfig:
             raise ParseError("precision_target must be in (0, 1]")
 
 
-def _check_type(path: str, name: str, value, default) -> None:
-    """A parameter must have its default's JSON type; an int stands for a float."""
-    number = isinstance(default, float)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-        expected = "a number" if number else "int"
-        raise ParseError(f"{path}: parameter {name!r} must be {expected}, got {value!r}")
-
-
 def load_config(path: str) -> PipelineConfig:
     """The file's parameters over the defaults, not yet validated."""
-    doc = parse_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a config must be a JSON object")
+    return parse_json(path, "config", _config_from_doc)
+
+
+def _config_from_doc(doc: dict) -> PipelineConfig:
     unknown_sections = set(doc) - {"parameters"}
     if unknown_sections:
-        raise ParseError(f"{path}: unknown sections {sorted(unknown_sections)}")
-    parameters = doc.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ParseError(f"{path}: section 'parameters' must be an object")
+        raise ValueError(f"unknown sections {sorted(unknown_sections)}")
+    parameters = typed(doc, "parameters", dict, {})
     unknown_params = set(parameters) - {f.name for f in fields(PipelineConfig)}
     if unknown_params:
-        raise ParseError(f"{path}: unknown parameter keys {sorted(unknown_params)}")
+        raise ValueError(f"unknown parameter keys {sorted(unknown_params)}")
+    # each parameter has its default's kind; an int stands for a float
     defaults = PipelineConfig()
-    for name, value in parameters.items():
-        _check_type(path, name, value, getattr(defaults, name))
-    return PipelineConfig(**parameters)
+    return PipelineConfig(**{name: typed(parameters, name, type(getattr(defaults, name)))
+                             for name in parameters})

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
+import sys
+from math import inf, isfinite
+from types import GenericAlias
 from typing import Callable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
@@ -35,9 +37,9 @@ class ParseError(AdexpandError):
     """A data file is malformed; message carries the line number."""
 
 
-# What reading a parsed document raises on a missing key, a wrong type, a
-# value that does not convert (1e999 or a 400-digit number meets int() or
-# float() as OverflowError), a document nested too deep for the parser
+# What reading a parsed document raises on a missing key, a value of the
+# wrong kind (see typed), a number that does not convert (a 400-digit label
+# meets numpy as OverflowError), a document nested too deep for the parser
 # (RecursionError) or a failed check of the loader's own; each loader turns
 # these into a ParseError that names the file.
 MALFORMED = (
@@ -80,14 +82,35 @@ def parse_json(
         raise malformed(path, what, exc) from exc
 
 
-def finite(doc: dict, key: str) -> float:
-    """doc[key] as a float, which must be finite: JSON parses NaN, Infinity
-    and 1e999 to floats, and a NaN passes every check that refuses by a
-    comparison (``nan < 0`` is false)."""
-    value = float(doc[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key!r} must be finite, got {value!r}")
-    return value
+# The name of each JSON kind, by the Python type json.loads makes of it
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list",
+          dict: "an object"}
+
+
+def typed(doc, key, kind, default=...):
+    """doc[key] read as exactly one JSON kind: int (not a boolean), float (a
+    finite int or float, returned as a float), str, bool, list, dict or
+    list[kind]; ``default``, if given, for a missing key or one that holds
+    that object (null, for None). Else TypeError or ValueError names the key."""
+    value = doc[key] if default is ... else doc.get(key, default)
+    if type(value) is kind and kind is not float or value is default:
+        return value
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else inf
+    if kind is float and type(value) is float and isfinite(value):
+        return value
+    name = f"[{key}]" if type(key) is int else repr(key)
+    if type(value) is kind:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if type(kind) is not GenericAlias or type(value) is not list:
+        raise TypeError(f"{name} must be {_KINDS.get(kind, 'a list')}, got {value!r}")
+    entries, entry = [], kind.__args__[0]
+    try:
+        for i in range(len(value)):
+            entries.append(typed(value, i, entry))
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}{exc}") from None
+    return entries
 
 
 def check_market(where: str, found: str, expected: str) -> None:
@@ -111,10 +134,6 @@ class TooManyClustersError(AdexpandError):
 
 class EmptyInputError(AdexpandError):
     """A numeric computation received no values."""
-
-
-class InvalidQuantileError(AdexpandError):
-    """Quantile fraction outside (0, 1]."""
 
 
 class DegenerateInputError(AdexpandError):

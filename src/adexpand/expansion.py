@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import Clustering, assign_cluster
 from .embeddings import EmbeddingSet, fallback_embed
-from .errors import MALFORMED, finite, malformed, reading
+from .errors import MALFORMED, malformed, reading, typed
 from .flat_index import FlatIndex, knn_search
 from .thresholds import ThresholdTable
 
@@ -158,7 +158,8 @@ def expand_keyword(
     then apply gender and numeric filters (first failing filter wins)."""
     texts = context.embedding_set.texts
     cluster, _ = assign_cluster(context.clustering, vector)
-    tau = context.table.tau_for(cluster)
+    # a row per cluster: build_threshold_table makes one, load_expansion_files checks
+    tau = context.table.rows[cluster].tau_distance
     # an unseen origin has id -1, for which knn_search excludes no row
     neighbors = knn_search(context.index, vector, k=k_neighbors, exclude_id=origin_id)
     # the origin's side of both filters, derived once for all neighbors
@@ -249,10 +250,10 @@ ExpansionRow = tuple[str, str, list[tuple[str, float]]]
 def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
     """The rows of an expansions.jsonl file, one per record in file order.
 
-    Every field save_expansions writes is checked on every variant, accepted
-    or rejected, before the variant is kept or dropped: market and text are
-    strings, id is an int, distance and similarity are floats and a
-    filtered_reason is a FilterReason. A failed check raises ParseError
+    Every field save_expansions writes is read with its kind (errors.typed)
+    on every variant, accepted or rejected, before the variant is kept or
+    dropped; similarity must be 1 - distance, as expand_keyword computes it,
+    and a filtered_reason a FilterReason. A failed check raises ParseError
     naming ``path:line``.
 
     json.loads makes a new str for every value it parses; the rows hold one
@@ -270,28 +271,28 @@ def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
     return rows
 
 
-def _ref_text(d: dict) -> tuple[str, str]:
-    """A checked keyword reference's market and text."""
-    market, text = d["market"], d["text"]
-    if type(market) is not str or type(text) is not str:
-        raise TypeError(f"keyword market and text must be strings, got {market!r}, {text!r}")
-    int(d["id"])
-    return market, text
-
-
 def _row_from_doc(doc: dict, shared: Callable[[str, str], str]) -> ExpansionRow:
     """The row of one parsed line; ``shared(text, text)`` maps each market
     and text to the one str object of the load."""
     accepted = []
-    for v in doc["variants"]:
-        _, text = _ref_text(v["keyword"])
-        float(v["distance"])
+    # list, not list[dict], saves a call per variant: v's first read refuses a non-object
+    for v in typed(doc, "variants", list):
+        keyword = typed(v, "keyword", dict)
+        typed(keyword, "market", str)
+        typed(keyword, "id", int)
+        text = typed(keyword, "text", str)
+        similarity = typed(v, "similarity", float)
+        # the similarity is a scored feature of every match on the variant
+        if similarity != 1.0 - typed(v, "distance", float):
+            raise ValueError(f"'similarity' must be 1 - 'distance', got {similarity!r}")
         if "filtered_reason" in v:
-            FilterReason(v["filtered_reason"])
-            float(v["similarity"])
-        else:  # the similarity is a scored feature of every match on the variant
-            accepted.append((shared(text, text), finite(v, "similarity")))
-    market, origin = _ref_text(doc["origin"])
-    int(doc["cluster"])
-    float(doc["tau_used"])
-    return shared(market, market), shared(origin, origin), accepted
+            FilterReason(typed(v, "filtered_reason", str))
+        else:
+            accepted.append((shared(text, text), similarity))
+    origin = typed(doc, "origin", dict)
+    market = typed(origin, "market", str)
+    typed(origin, "id", int)
+    text = typed(origin, "text", str)
+    typed(doc, "cluster", int)
+    typed(doc, "tau_used", float)
+    return shared(market, market), shared(text, text), accepted

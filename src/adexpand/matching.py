@@ -21,8 +21,8 @@ from .errors import (
     DanglingReferenceError,
     ParseError,
     UnknownMarketError,
-    finite,
     parse_json,
+    typed,
 )
 from .expansion import ExpansionRow, tokenize
 from .features import FeatureExtractor
@@ -58,19 +58,18 @@ def _campaigns_from_doc(doc: dict) -> list[Campaign]:
     campaigns: list[Campaign] = []
     seen_campaigns: set[str] = set()
     items_by_market: dict[tuple[str, int], tuple[str, float]] = {}
-    for c in doc.get("campaigns", []):
-        cid = str(c["id"])
+    # a list key left out stands for an empty list
+    for c in typed(doc, "campaigns", list[dict], []):
+        cid = typed(c, "id", str)
         if cid in seen_campaigns:
             raise ParseError(f"duplicate campaign id {cid!r}")
         seen_campaigns.add(cid)
-        market = c["market"]
-        if type(market) is not str:
-            raise ParseError(f"campaign {cid!r}: market {market!r} is not a string")
+        market = typed(c, "market", str)
         groups = []
-        for g in c.get("ad_groups", []):
+        for g in typed(c, "ad_groups", list[dict], []):
             items = []
-            for it in g.get("items", []):
-                item = Item(id=int(it["id"]), title=str(it["title"]), price=finite(it, "price"))
+            for it in typed(g, "items", list[dict], []):
+                item = Item(typed(it, "id", int), typed(it, "title", str), typed(it, "price", float))
                 if not item.title.strip():
                     raise ParseError(f"item {item.id} in campaign {cid!r} has an empty title")
                 if item.price < 0:
@@ -83,7 +82,7 @@ def _campaigns_from_doc(doc: dict) -> list[Campaign]:
                     )
                 items_by_market[key] = (item.title, item.price)
                 items.append(item)
-            keywords = tuple(str(k) for k in g.get("keywords", []))
+            keywords = tuple(typed(g, "keywords", list[str], []))
             groups.append(AdGroup(keywords=keywords, items=tuple(items)))
         campaigns.append(Campaign(id=cid, market=market, ad_groups=tuple(groups)))
     return campaigns

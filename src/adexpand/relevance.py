@@ -23,9 +23,9 @@ from .errors import (
     NonFiniteError,
     ParseError,
     SchemaMismatchError,
-    finite,
     parse_json,
     reading,
+    typed,
 )
 from .trees import PackedTrees, RegressionTree, TreeNode, accumulate, pack_trees
 
@@ -410,12 +410,16 @@ def _tree_to_doc(tree: RegressionTree) -> dict:
     }
 
 
+# A node as _tree_to_doc writes it: a list of these fields, in this order
+_NODE_KINDS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+
+
 def _tree_from_doc(doc: dict) -> RegressionTree:
-    nodes = [
-        TreeNode(feature=int(f), threshold=float(t), left=int(l), right=int(r), value=float(v))
-        for f, t, l, r, v in doc["nodes"]
-    ]
-    return RegressionTree(nodes=nodes, max_depth=int(doc["max_depth"]))
+    nodes = [dict(zip(_NODE_KINDS, node, strict=True)) for node in typed(doc, "nodes", list[list])]
+    return RegressionTree(
+        nodes=[TreeNode(**{k: typed(n, k, t) for k, t in _NODE_KINDS.items()}) for n in nodes],
+        max_depth=typed(doc, "max_depth", int),
+    )
 
 
 def gbdt_to_doc(model: GbdtModel) -> dict:
@@ -431,13 +435,15 @@ def gbdt_to_doc(model: GbdtModel) -> dict:
 
 
 def gbdt_from_doc(doc: dict) -> GbdtModel:
+    if typed(doc, "kind", str, "gbdt") != "gbdt":  # a base model, whole or inside a stacked one
+        raise ValueError(f"'kind' of a base model must be 'gbdt', got {doc['kind']!r}")
     return GbdtModel(
-        base_score=finite(doc, "base_score"),
-        learning_rate=finite(doc, "learning_rate"),
-        n_features=int(doc["n_features"]),
-        feature_names=doc.get("feature_names"),
-        train_rmse=[float(x) for x in doc.get("train_rmse", [])],
-        trees=[_tree_from_doc(t) for t in doc["trees"]],
+        base_score=typed(doc, "base_score", float),
+        learning_rate=typed(doc, "learning_rate", float),
+        n_features=typed(doc, "n_features", int),
+        feature_names=typed(doc, "feature_names", list[str], None),
+        train_rmse=typed(doc, "train_rmse", list[float], []),
+        trees=[_tree_from_doc(t) for t in typed(doc, "trees", list[dict])],
     )
 
 
@@ -452,9 +458,9 @@ def stacked_to_doc(model: StackedModel) -> dict:
 
 def stacked_from_doc(doc: dict) -> StackedModel:
     return StackedModel(
-        base=gbdt_from_doc(doc["base"]),
-        adjustment_rate=finite(doc, "adjustment_rate"),
-        adjustment=[_tree_from_doc(t) for t in doc["adjustment"]],
+        base=gbdt_from_doc(typed(doc, "base", dict)),
+        adjustment_rate=typed(doc, "adjustment_rate", float),
+        adjustment=[_tree_from_doc(t) for t in typed(doc, "adjustment", list[dict])],
     )
 
 
@@ -474,4 +480,5 @@ def load_model(path: str) -> GbdtModel | StackedModel:
 
 
 def _model_from_doc(doc: dict) -> GbdtModel | StackedModel:
-    return stacked_from_doc(doc) if doc.get("kind") == "stacked" else gbdt_from_doc(doc)
+    kind = typed(doc, "kind", str, "gbdt")
+    return stacked_from_doc(doc) if kind == "stacked" else gbdt_from_doc(doc)

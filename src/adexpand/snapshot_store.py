@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -54,6 +53,7 @@ from .errors import (
     VersionRegressionError,
     check_market,
     parse_json,
+    typed,
 )
 from .expansion import ExpansionContext, load_expansions
 from .features import FEATURE_NAMES, FeatureExtractor
@@ -90,11 +90,13 @@ def load_market_thresholds(path: str) -> dict[str, float]:
 
 
 def _market_thresholds_from_doc(doc: dict) -> dict[str, float]:
+    thresholds = {}
     for market, value in doc.items():
-        # type(), not isinstance(): a JSON true is not a threshold
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"market {market!r}: {value!r} is not a finite number")
-    return {market: float(value) for market, value in doc.items()}
+        try:
+            thresholds[market] = typed(doc, market, float)
+        except (TypeError, ValueError):
+            raise ValueError(f"market {market!r}: {value!r} is not a finite number") from None
+    return thresholds
 
 
 def save_market_thresholds(thresholds: dict[str, float], path: str) -> None:
@@ -157,31 +159,13 @@ def write_snapshot_dir(
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _meta_value(meta_path: str, meta: dict, key: str, expected: str):
-    """meta[key]; ParseError when it is missing or is not ``expected``: "an
-    integer", "true" or "a non-empty list of strings"."""
-    if key not in meta:
-        raise ParseError(f"{meta_path}: missing {key!r}")
-    value = meta[key]
-    ok = {
-        "an integer": isinstance(value, int) and not isinstance(value, bool),
-        "true": value is True,
-        "a non-empty list of strings": (
-            isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
-        ),
-    }[expected]
-    if not ok:
-        raise ParseError(f"{meta_path}: {key!r} must be {expected}, got {value!r}")
-    return value
-
-
 def load_clustering_for(
     embedding_set: EmbeddingSet, path: str, fh: TextIO | None = None
 ) -> Clustering:
     """The clustering at ``path``, checked against ``embedding_set``: it
-    belongs to the set's market, has one centroid of the set's dim per
-    cluster, and assigns each keyword of the set, once, to one of those
-    clusters. ParseError names the file."""
+    belongs to the set's market, its centroids have the set's dim, and it
+    assigns each keyword of the set once (load_clustering checks that each
+    is assigned one of its clusters). ParseError names the file."""
     clustering = load_clustering(path, fh)
     check_market(path, clustering.market, embedding_set.market)
     expected_shape = (clustering.cluster_count, embedding_set.dim)
@@ -193,10 +177,6 @@ def load_clustering_for(
     if len(clustering.labels) != len(embedding_set):
         raise ParseError(f"{path}: assigns {len(clustering.labels)} keywords, market"
                          f" {embedding_set.market!r} has {len(embedding_set)}")
-    for label in clustering.labels.tolist():
-        if not 0 <= label < clustering.cluster_count:
-            raise ParseError(f"{path}: assignment to cluster {label}, not one of the"
-                             f" {clustering.cluster_count} clusters")
     return clustering
 
 
@@ -248,21 +228,27 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")
     meta = parse_json(meta_path, "meta")
-    if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path}: expected a JSON object")
-    version = _meta_value(meta_path, meta, "version", "an integer")
-    if previous is not None and version <= previous.version:
-        raise VersionRegressionError(f"version {version} does not exceed {previous.version}")
-    dim = _meta_value(meta_path, meta, "dim", "an integer")
+    try:
+        version = typed(meta, "version", int)
+        if previous is not None and version <= previous.version:
+            raise VersionRegressionError(f"version {version} does not exceed {previous.version}")
+        dim = typed(meta, "dim", int)
+        k_neighbors = typed(meta, "k_neighbors", int)
+        # a snapshot that asked for unfiltered expansion is refused, not
+        # served filtered
+        if not typed(meta, "filters_enabled", bool):
+            raise ValueError("'filters_enabled' must be true, got false")
+        markets = typed(meta, "markets", list[str])
+        if not markets:
+            raise ValueError("'markets' must be a non-empty list of strings, got []")
+    except KeyError as exc:
+        raise ParseError(f"{meta_path}: missing {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{meta_path}: {exc}") from exc
     if dim < MIN_DIM:
         raise ParseError(f"{meta_path}: 'dim' must be at least {MIN_DIM}, got {dim}")
-    k_neighbors = _meta_value(meta_path, meta, "k_neighbors", "an integer")
     if k_neighbors < 1:
         raise ParseError(f"{meta_path}: 'k_neighbors' must be at least 1, got {k_neighbors}")
-    # a snapshot that asked for unfiltered expansion is refused, not served
-    # filtered
-    _meta_value(meta_path, meta, "filters_enabled", "true")
-    markets = _meta_value(meta_path, meta, "markets", "a non-empty list of strings")
 
     old_parts = previous.parts if previous is not None else {}
     parts: dict[tuple, object] = {}

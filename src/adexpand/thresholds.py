@@ -20,11 +20,10 @@ from .errors import (
     MALFORMED,
     DegenerateInputError,
     EmptyInputError,
-    InvalidQuantileError,
     ParseError,
-    finite,
     malformed,
     reading,
+    typed,
 )
 
 
@@ -33,15 +32,11 @@ def quantile(values, p: float) -> float:
 
     With sorted v[0..n-1] and h = p*(n-1), returns
     v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]);
-    p=1 returns the maximum.
+    p=1 returns the maximum. The CLI checks that p is in (0, 1].
     """
-    if not 0.0 < p <= 1.0:
-        raise InvalidQuantileError(f"quantile fraction must be in (0, 1], got {p}")
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise EmptyInputError("quantile of empty input")
-    if not np.all(np.isfinite(v)):
-        raise EmptyInputError("quantile input contains non-finite values")
     v = np.sort(v)
     h = p * (v.size - 1)
     lo = int(np.floor(h))
@@ -79,12 +74,6 @@ class ThresholdTable:
     fallback_tau: float
     rows: dict[int, ThresholdRow]
 
-    def tau_for(self, cluster: int) -> float:
-        row = self.rows.get(cluster)
-        if row is None:
-            raise ValueError(f"no threshold row for cluster {cluster}")
-        return row.tau_distance
-
 
 def build_threshold_table(
     clustering: Clustering,
@@ -93,8 +82,6 @@ def build_threshold_table(
     min_cluster_size: int,
 ) -> ThresholdTable:
     """Quantile cutoff per cluster; small clusters take the pooled quantile."""
-    if not 0.0 < p <= 1.0:
-        raise InvalidQuantileError(f"quantile fraction must be in (0, 1], got {p}")
     distances = intra_cluster_distances(clustering, embedding_set)
     pooled: list[float] = []
     for m in range(clustering.cluster_count):
@@ -181,23 +168,26 @@ def load_threshold_table(path: str, fh: TextIO | None = None) -> ThresholdTable:
         market = ""
         for line in lines[1:]:
             doc = json.loads(line)
-            if rows and doc["market"] != market:
-                raise ValueError(f"a row of market {doc['market']!r} after rows of {market!r}")
-            market = doc["market"]
-            cluster = int(doc["cluster_id"])
+            first, market = market, typed(doc, "market", str)
+            if rows and market != first:
+                raise ValueError(f"a row of market {market!r} after rows of {first!r}")
+            cluster = typed(doc, "cluster_id", int)
             if cluster in rows:
                 raise ValueError(f"cluster {cluster} has two rows")
-            rows[cluster] = ThresholdRow(
-                size=int(doc["size"]),
-                tau_distance=finite(doc, "tau_distance"),
-                tau_similarity=finite(doc, "tau_similarity"),
-                fallback=bool(doc["fallback"]),
+            row = ThresholdRow(
+                size=typed(doc, "size", int),
+                tau_distance=typed(doc, "tau_distance", float),
+                tau_similarity=typed(doc, "tau_similarity", float),
+                fallback=typed(doc, "fallback", bool),
             )
+            if row.tau_similarity != 1.0 - row.tau_distance:  # as build_threshold_table sets it
+                raise ValueError(f"'tau_similarity' must be 1 - 'tau_distance', got {row}")
+            rows[cluster] = row
         return ThresholdTable(
             market=market,
-            p=finite(header, "p"),
-            min_cluster_size=int(header["min_cluster_size"]),
-            fallback_tau=finite(header, "fallback_tau"),
+            p=typed(header, "p", float),
+            min_cluster_size=typed(header, "min_cluster_size", int),
+            fallback_tau=typed(header, "fallback_tau", float),
             rows=rows,
         )
     except MALFORMED as exc:

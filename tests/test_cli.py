@@ -159,6 +159,8 @@ OUT_OF_RANGE = {
     "k_neighbors": ([0], ["expand", *US_FILES, "--thresholds", "{chain}/thresholds_US.jsonl"]),
     "seed": ([-1], ["cluster", "--embeddings", "{chain}/embeddings.tsv", "--market", "US"]),
     "min_cluster_size": ([-1], ["thresholds", *US_FILES]),
+    # 5e-324 is above 0, but its fraction 5e-324 / 100 rounds to 0
+    "quantile_pct": ([0, 150, 5e-324], ["thresholds", *US_FILES]),
     "precision_target": ([1.5, 0], ["tune-threshold", "--model", "{chain}/stacked_model.json",
                                     "--holdout", "{fixtures}/relevance_holdout.csv",
                                     "--market", "US"]),
@@ -193,6 +195,10 @@ BAD_FLAGS = {
         ["sweep-tpr", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
          "--clustering", "{chain}/clustering_US.json", "--labels", "{fixtures}/labels.tsv",
          "--p-list", ",", "--out", "{out}"], "--p-list"),
+    "sweep-tpr-p-list-fraction-rounds-to-0": (
+        ["sweep-tpr", "--embeddings", "{chain}/embeddings.tsv", "--market", "US",
+         "--clustering", "{chain}/clustering_US.json", "--labels", "{fixtures}/labels.tsv",
+         "--p-list", "99,5e-324", "--out", "{out}"], "--p-list"),
     "build-snapshot-version-negative": (
         [*BUILD_SNAPSHOT, "--version", "-5", "--out", "{out}"], "--version"),
 }
@@ -363,7 +369,10 @@ class TestInputErrorsAreTyped:
         assert capsys.readouterr().err == f"error: {emb}:1: vector norm overflows\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("sims", [[0.42, float(np.nextafter(0.42, 1))], [0.42, 0.42 + 1e-15]])
+    # each similarity is 1 - tau for a float tau, as build_threshold_table
+    # writes it, so that 1 - (1 - sim) is sim
+    @pytest.mark.parametrize("sims", [[1 - 0.58, 1 - float(np.nextafter(0.58, 0))],
+                                      [1 - 0.58, 1 - (0.58 - 1e-15)]])
     def test_threshold_report_on_near_equal_cutoffs(self, tmp_path, capsys, sims):
         """np.histogram cannot part cutoffs a few ulps apart into 20 bins;
         they are binned over the unit-wide range it gives equal ones."""
@@ -384,10 +393,30 @@ class TestInputErrorsAreTyped:
             f"error: {table}: cutoffs from -1e+308 to 1e+308 do not part into 20 finite bins\n")
         assert not out.exists()
 
+    def test_threshold_report_on_a_similarity_that_is_not_1_minus_the_distance(
+            self, tmp_path, capsys):
+        """Distance cutoffs past the float range beside similarity cutoffs
+        that bin normally gave a Pearson r of NaN, with exit 0."""
+        table = tmp_path / "thresholds_US.jsonl"
+        header = {"p": 0.9, "min_cluster_size": 1, "fallback_tau": 0.5}
+        rows = [{"market": "US", "cluster_id": i, "size": 3 + i, "tau_distance": tau,
+                 "tau_similarity": sim, "fallback": False}
+                for i, (tau, sim) in enumerate([(1e308, 0.4), (-1e308, 0.5)])]
+        table.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *rows]),
+                         encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert cli_dispatch(["threshold-report", "--thresholds", str(table),
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: malformed threshold table: ValueError: 'tau_similarity' must be"
+            " 1 - 'tau_distance', got ThresholdRow(size=3, tau_distance=1e+308,"
+            " tau_similarity=0.4, fallback=False)\n")
+        assert not out.exists()
+
     def test_assignment_to_no_cluster(self, chain_dir, tmp_path, capsys):
         """A clustering that assigns a keyword to a cluster it does not have
-        is refused when it is checked against the embeddings, not met as an
-        IndexError while the cutoffs are computed."""
+        is refused when it is loaded, not met as an IndexError while the
+        cutoffs are computed."""
         with open(os.path.join(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["assignments"]["0"] = 5
@@ -399,7 +428,8 @@ class TestInputErrorsAreTyped:
                              "--market", "US", "--clustering", str(clustering),
                              "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {clustering}: assignment to cluster 5, not one of the 2 clusters\n")
+            f"error: {clustering}: malformed clustering: ValueError: 'assignments' must be in"
+            " 0..M-1, got 0..5\n")
         assert not out.exists()
 
     def test_infinite_cutoff_in_table(self, chain_dir, tmp_path, capsys):

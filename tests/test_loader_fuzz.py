@@ -8,6 +8,8 @@ at their limits (NaN, 1e999, a 400-digit number, a byte that is not UTF-8),
 so that most examples get past the first line.
 """
 
+import copy
+import json
 import os
 import tempfile
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from adexpand.clustering import load_clustering
 from adexpand.config import load_config
 from adexpand.embeddings import load_embedding_sets, read_tsv
-from adexpand.errors import AdexpandError
+from adexpand.errors import AdexpandError, ParseError
 from adexpand.expansion import load_expansions
 from adexpand.matching import load_campaigns
 from adexpand.relevance import load_dataset, load_model
@@ -104,3 +106,64 @@ def test_sample_loads(name):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(sample)
         loader(path)
+
+
+# The loaders whose sample is a JSON document, or JSON lines
+JSON_LOADERS = ["load_config", "load_campaigns", "load_expansions", "load_model",
+                "load_clustering", "load_threshold_table", "load_market_thresholds"]
+# one value of each JSON kind but a number
+_OTHER_KINDS = [None, True, "x", [], {}]
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _paths(doc, keys=()):
+    """The keys of every value in the document, the document itself first."""
+    yield keys
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, keys + (key,))
+
+
+def _type_swaps(sample: str):
+    """(line, keys, value, text) for each copy of the sample with one value,
+    at any depth of any line, replaced by a value of another JSON kind."""
+    lines = sample.splitlines()
+    for n, line in enumerate(lines):
+        doc = json.loads(line)
+        for keys in _paths(doc):
+            for value in _OTHER_KINDS:
+                swapped = copy.deepcopy(doc)
+                if not keys:
+                    old, swapped = swapped, value
+                else:
+                    node = swapped
+                    for key in keys[:-1]:
+                        node = node[key]
+                    old, node[keys[-1]] = node[keys[-1]], value
+                if _kind(old) != _kind(value):
+                    text = lines[:n] + [json.dumps(swapped)] + lines[n + 1:]
+                    yield n + 1, keys, value, "\n".join(text) + "\n"
+
+
+@pytest.mark.parametrize("name", JSON_LOADERS)
+def test_value_of_another_kind_is_refused(name):
+    """Every key is read with its JSON kind: any value in a valid sample
+    replaced by one of another kind (a string for a number, a list for an
+    object, null for anything) is a ParseError naming the file, never a
+    wrong value loaded."""
+    loader, sample = LOADERS[name]
+    loaded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        for line, keys, value, text in _type_swaps(sample):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                loader(path)
+                loaded.append((line, keys, value))
+            except ParseError as exc:
+                assert path in str(exc)
+    assert loaded == []

@@ -115,6 +115,7 @@ class TestExpandChecksItsFiles:
         with open(_chain(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["centroids"] = [row[:32] for row in doc["centroids"]]
+        doc["dim"] = 32
         clustering.write_text(json.dumps(doc), encoding="utf-8")
         thresholds = _chain(chain_dir, "thresholds_US.jsonl")
         assert self._expand(chain_dir, str(clustering), thresholds) == 2
@@ -122,12 +123,14 @@ class TestExpandChecksItsFiles:
         assert str(clustering) in err and "shape" in err
 
 
-# Clustering files that parse but do not fit the market's embeddings:
-# (how the file is broken, the shape the error reports)
+# Clustering files that do not fit themselves or the market's embeddings:
+# (how the file is broken, what the error says)
 BAD_CLUSTERINGS = [
-    pytest.param(lambda d: d.update(M=5), "got (2, 64)", id="M-5-over-2-centroids"),
-    pytest.param(lambda d: d.update(centroids=[row[:32] for row in d["centroids"]]),
-                 "got (2, 32)", id="centroids-32-of-64"),
+    pytest.param(lambda d: d.update(M=5), "'centroids' must be 'M' by 'dim', (5, 64), got (2, 64)",
+                 id="M-5-over-2-centroids"),
+    pytest.param(lambda d: d.update(centroids=[row[:32] for row in d["centroids"]], dim=32),
+                 "centroids must have shape (2, 64) (clusters, embedding dim), got (2, 32)",
+                 id="centroids-32-of-64"),
 ]
 
 
@@ -136,8 +139,8 @@ class TestClusteringCheckedAgainstEmbeddings:
     market's embeddings, as a snapshot load does."""
 
     @pytest.mark.parametrize("command", ["thresholds", "expand", "sweep-tpr"])
-    @pytest.mark.parametrize("edit, shape", BAD_CLUSTERINGS)
-    def test_exits_2_naming_the_file(self, chain_dir, tmp_path, command, edit, shape, capsys):
+    @pytest.mark.parametrize("edit, message", BAD_CLUSTERINGS)
+    def test_exits_2_naming_the_file(self, chain_dir, tmp_path, command, edit, message, capsys):
         clustering = tmp_path / "clustering_US.json"
         with open(_chain(chain_dir, "clustering_US.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -145,5 +148,5 @@ class TestClusteringCheckedAgainstEmbeddings:
         clustering.write_text(json.dumps(doc), encoding="utf-8")
         assert cli_dispatch(_argv(chain_dir, tmp_path, command, str(clustering))) == 2
         err = capsys.readouterr().err
-        assert str(clustering) in err and "centroids must have shape" in err and shape in err
+        assert str(clustering) in err and message in err
         assert sorted(os.listdir(tmp_path)) == ["clustering_US.json"]

@@ -90,6 +90,7 @@ def _tighten_rows(lines):
     rows = [json.loads(line) for line in lines[1:]]
     for row in rows:
         row["tau_distance"] = 0.3
+        row["tau_similarity"] = 1.0 - 0.3
     return lines[:1] + [json.dumps(row) + "\n" for row in rows]
 
 

@@ -388,12 +388,15 @@ class TestModelValidation:
         ({"right": 3}, "children"),
         ({"left": -1}, "children"),
         ({"feature": 2}, "feature 2"),
-        ({"value": math.inf}, "not finite"),
-        ({"value": math.nan}, "not finite"),
+        ({"value": math.inf}, "finite, got inf"),
+        ({"value": math.nan}, "finite, got nan"),
     ])
-    def test_bad_node_is_parse_error(self, node0, message):
-        with pytest.raises(ParseError, match=message):
-            gbdt_from_doc(_one_split_doc(**node0))
+    def test_bad_node_is_parse_error(self, tmp_path, node0, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_one_split_doc(**node0)), encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as info:
+            load_model(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_bad_adjustment_tree_is_parse_error(self):
         good = gbdt_from_doc(_one_split_doc())

@@ -24,7 +24,7 @@ from adexpand.service import (
     make_server,
 )
 
-from test_snapshot_store import NON_FINITE, ONE_EACH, UNSERVABLE
+from test_snapshot_store import MISTYPED, NON_FINITE, ONE_EACH, UNSERVABLE
 
 
 def _post(port, path, payload=None, raw=None):
@@ -248,7 +248,7 @@ class TestRefresh:
         *UNSERVABLE,
         # the file, its damage and what the error names, without the loader
         *(pytest.param(case.values[0], *case.values[2:], id=case.id)
-          for case in [*NON_FINITE, *ONE_EACH]),
+          for case in [*NON_FINITE, *ONE_EACH, *MISTYPED]),
     ])
     def test_refresh_to_unservable_snapshot_is_500_and_keeps_serving(
         self, server, name, damage, named

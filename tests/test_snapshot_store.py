@@ -249,10 +249,10 @@ BAD_FILES = [
     # tokenising as an internal error
     pytest.param("campaigns.json", load_campaigns,
                  lambda p: _edit_json(p, lambda d: d["campaigns"][0].update(market=5)),
-                 "market 5 is not a string", id="campaigns-numeric-market"),
+                 "'market' must be a string, got 5", id="campaigns-numeric-market"),
     pytest.param("expansions.jsonl", load_expansions,
                  lambda p: _edit_jsonl(p, 1, lambda d: d["variants"][0]["keyword"].update(text=5)),
-                 "must be strings", id="expansions-numeric-text"),
+                 "'text' must be a string, got 5", id="expansions-numeric-text"),
     pytest.param("model.json", load_model, lambda p: _edit_json(p, _child_not_after_parent),
                  "tree 0 node 0", id="model-child-not-after-parent"),
     pytest.param("expansions.jsonl", load_expansions,
@@ -271,7 +271,7 @@ BAD_FILES = [
     pytest.param("expansions.jsonl", load_expansions,
                  _break_rejected(lambda v: v["keyword"].update(text=5)),
                  "expansions.jsonl:3: malformed expansion record:"
-                 " TypeError: keyword market and text must be strings, got 'US', 5",
+                 " TypeError: 'text' must be a string, got 5",
                  id="expansions-rejected-numeric-text"),
     pytest.param("expansions.jsonl", load_expansions, _break_rejected(lambda v: v.pop("distance")),
                  "expansions.jsonl:3: malformed expansion record: missing key 'distance'",
@@ -355,7 +355,7 @@ NON_FINITE = [
                  "'adjustment_rate' must be finite, got -inf", id="model-adjustment-rate-infinity"),
     pytest.param("model.json", load_model,
                  lambda p: _edit_json(p, _set(["base", "trees", 0, "nodes", 0, 1], float("nan"))),
-                 "tree 0 node 0: value or threshold is not finite", id="model-split-threshold-nan"),
+                 "'threshold' must be finite, got nan", id="model-split-threshold-nan"),
     pytest.param("expansions.jsonl", load_expansions,
                  lambda p: _edit_jsonl(p, 1, _accepted_similarity_nan),
                  "expansions.jsonl:1: malformed expansion record:"
@@ -363,7 +363,7 @@ NON_FINITE = [
                  id="expansions-accepted-similarity-nan"),
     pytest.param("clustering_US.json", load_clustering,
                  lambda p: _edit_json(p, _set(["centroids", 1, 0], float("nan"))),
-                 "'centroids' must be finite", id="clustering-centroid-nan"),
+                 "'centroids'[1][0] must be finite, got nan", id="clustering-centroid-nan"),
 ]
 BAD_FILES += NON_FINITE
 
@@ -402,6 +402,111 @@ ONE_EACH = [
                  "'assignments' must name", id="clustering-row-n"),
 ]
 BAD_FILES += ONE_EACH
+
+
+def _item(key, value):
+    return lambda p: _edit_json(p, _set(["campaigns", 0, "ad_groups", 0, "items", 0, key], value))
+
+
+def _variant(edit, lineno=1):
+    """Apply ``edit`` to line ``lineno``'s first variant."""
+    return lambda p: _edit_jsonl(p, lineno, lambda d: edit(d["variants"][0]))
+
+
+def _add_to_similarity(variant):
+    variant["similarity"] += 0.125
+
+
+# Values of another JSON kind than the one a key holds, a fractional integer
+# and a derived value that disagrees with its source: each loaded, as a
+# wrong value, before every key was read with its kind. Each is refused at
+# load, naming the file and the key.
+# (file, loader, how the file is broken, what the error must name)
+MISTYPED = [
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, _set(["campaigns", 0, "ad_groups", 0, "keywords"], "abc")),
+                 "'keywords' must be a list, got 'abc'", id="campaigns-keywords-string"),
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, _set(["campaigns", 0, "ad_groups", 0, "keywords"],
+                                              [None, 5])),
+                 "'keywords'[0] must be a string, got None", id="campaigns-keywords-null-and-5"),
+    pytest.param("campaigns.json", load_campaigns, _item("id", 5.7),
+                 "'id' must be an integer, got 5.7", id="campaigns-item-id-fraction"),
+    pytest.param("campaigns.json", load_campaigns, _item("title", 123),
+                 "'title' must be a string, got 123", id="campaigns-title-number"),
+    pytest.param("campaigns.json", load_campaigns, _item("price", True),
+                 "'price' must be a number, got True", id="campaigns-price-true"),
+    pytest.param("campaigns.json", load_campaigns,
+                 lambda p: _edit_json(p, _set(["campaigns", 0, "id"], 7)),
+                 "'id' must be a string, got 7", id="campaigns-id-number"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(fallback="false")),
+                 "'fallback' must be a boolean, got 'false'", id="thresholds-fallback-string"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(cluster_id="0")),
+                 "'cluster_id' must be an integer, got '0'", id="thresholds-cluster-id-string"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(tau_distance="0.5")),
+                 "'tau_distance' must be a number, got '0.5'", id="thresholds-tau-string"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(size=6.5)),
+                 "'size' must be an integer, got 6.5", id="thresholds-size-fraction"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d.update(min_cluster_size=True)),
+                 "'min_cluster_size' must be an integer, got True",
+                 id="thresholds-min-cluster-size-true"),
+    pytest.param("thresholds_US.jsonl", load_threshold_table,
+                 lambda p: _edit_jsonl(p, 2, lambda d: d.update(tau_distance=1e308)),
+                 "'tau_similarity' must be 1 - 'tau_distance'", id="thresholds-similarity-disagrees"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, lambda d: d.update(M=1.9)),
+                 "'M' must be an integer, got 1.9", id="clustering-M-fraction"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, lambda d: d.update(M=3)),
+                 "'centroids' must be 'M' by 'dim', (3, 64), got (2, 64)", id="clustering-M-3-of-2"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, lambda d: d.update(dim=999)),
+                 "'centroids' must be 'M' by 'dim', (2, 999), got (2, 64)", id="clustering-dim-999"),
+    pytest.param("clustering_US.json", load_clustering,
+                 _assignments(lambda a, n: a.update({"0": "0"})),
+                 "'0' must be an integer, got '0'", id="clustering-label-string"),
+    pytest.param("clustering_US.json", load_clustering,
+                 _assignments(lambda a, n: a.update({"0": True})),
+                 "'0' must be an integer, got True", id="clustering-label-true"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 _variant(lambda v: v["keyword"].update(id=2.5)),
+                 "expansions.jsonl:1: malformed expansion record:"
+                 " TypeError: 'id' must be an integer, got 2.5", id="expansions-variant-id-fraction"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 _variant(lambda v: v.update(distance="0.4")),
+                 "'distance' must be a number, got '0.4'", id="expansions-distance-string"),
+    pytest.param("expansions.jsonl", load_expansions,
+                 lambda p: _edit_jsonl(p, 1, lambda d: d.update(tau_used=True)),
+                 "'tau_used' must be a number, got True", id="expansions-tau-used-true"),
+    pytest.param("expansions.jsonl", load_expansions, _variant(_add_to_similarity),
+                 "expansions.jsonl:1: malformed expansion record:"
+                 " ValueError: 'similarity' must be 1 - 'distance'",
+                 id="expansions-similarity-disagrees"),
+    pytest.param("expansions.jsonl", load_expansions, _variant(_add_to_similarity, lineno=3),
+                 "expansions.jsonl:3: malformed expansion record:"
+                 " ValueError: 'similarity' must be 1 - 'distance'",
+                 id="expansions-rejected-similarity-disagrees"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "kind"], "gbdt!")),
+                 "'kind' of a base model must be 'gbdt', got 'gbdt!'",
+                 id="model-base-kind-typo"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, lambda d: d["base"]["trees"][0].update(
+                     nodes=[[str(x) for x in node] for node in d["base"]["trees"][0]["nodes"]])),
+                 "'feature' must be an integer, got '0'", id="model-node-strings"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "base_score"], True)),
+                 "'base_score' must be a number, got True", id="model-base-score-true"),
+    pytest.param("model.json", load_model,
+                 lambda p: _edit_json(p, _set(["base", "n_features"], 6.5)),
+                 "'n_features' must be an integer, got 6.5", id="model-n-features-fraction"),
+]
+BAD_FILES += MISTYPED
 # a clustering that parses on its own, but leaves out a keyword of its market
 CLUSTERING_ROW_MISSING = pytest.param(
     "clustering_US.json", _assignments(lambda a, n: a.pop(str(n - 1))),

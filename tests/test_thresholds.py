@@ -7,11 +7,7 @@ import pytest
 
 from adexpand.clustering import Clustering, kmeans
 from adexpand.embeddings import EmbeddingSet
-from adexpand.errors import (
-    DegenerateInputError,
-    EmptyInputError,
-    InvalidQuantileError,
-)
+from adexpand.errors import DegenerateInputError, EmptyInputError
 from adexpand.thresholds import (
     ThresholdRow,
     ThresholdTable,
@@ -58,10 +54,6 @@ class TestQuantile:
     def test_errors(self):
         with pytest.raises(EmptyInputError):
             quantile([], 0.5)
-        with pytest.raises(InvalidQuantileError):
-            quantile([1.0], 0.0)
-        with pytest.raises(InvalidQuantileError):
-            quantile([1.0], 1.5)
 
 
 def _single_cluster_fixture():

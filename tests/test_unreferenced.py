@@ -3,7 +3,9 @@ own definition in src/, perfbench/ or scripts/, every parameter with a
 default is passed by some call there, every name a module of src/adexpand/
 imports is used in that module, and every flag of every CLI subcommand is
 passed by an argv in perfbench/ or scripts/ or by an ``adexpand`` command in
-README.md: code and options that only tests use belong in the tests."""
+README.md: code and options that only tests use belong in the tests. No
+module of src/adexpand/ coerces a value read from a document with int(),
+float(), str() or bool()."""
 
 import argparse
 import ast
@@ -128,6 +130,30 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def coerced_document_values():
+    """Each int(), float(), str() or bool() call in the package whose
+    argument is a string-keyed subscript, such as ``int(doc["id"])``, as
+    "file:line call". Such a call turns a value of the wrong JSON kind into
+    a wrong value (``int(5.7)`` is 5, ``bool("false")`` is True), where
+    errors.typed refuses it."""
+    found = []
+    for path in _py_files([PACKAGE_DIR]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("int", "float", "str", "bool") and node.args
+                    and isinstance(node.args[0], ast.Subscript)
+                    and isinstance(node.args[0].slice, ast.Constant)
+                    and isinstance(node.args[0].slice.value, str)):
+                found.append(f"{os.path.basename(path)}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_document_value_is_coerced():
+    assert coerced_document_values() == []
 
 
 def _defaulted(func):
