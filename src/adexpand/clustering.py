@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .embeddings import EmbeddingSet
 from .errors import (
     EmptySetError,
+    NonFiniteError,
     TooManyClustersError,
     ZeroVectorError,
     parse_json,
@@ -38,21 +38,23 @@ TOL = 1e-6
 
 @dataclass
 class Clustering:
-    """Trained partition: mean centroids plus each keyword's cluster, by row."""
+    """Trained partition: mean centroids plus each keyword's cluster, by row.
+
+    ``directions`` holds the unit centroid directions, computed when the
+    clustering is made and shared read-only by every assign_cluster call on
+    it; a centroid with no direction raises ZeroVectorError or
+    NonFiniteError there (see _normalized_rows)."""
 
     market: str
     cluster_count: int
     centroids: np.ndarray
     labels: np.ndarray
     wcss_history: list[float] = field(default_factory=list)
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def directions(self) -> np.ndarray:
-        """Unit centroid directions, computed on first use and shared
-        read-only by every later assign_cluster call on this clustering."""
-        directions = _normalized_rows(np.asarray(self.centroids, dtype=np.float64))
-        directions.setflags(write=False)
-        return directions
+    def __post_init__(self) -> None:
+        self.directions = _normalized_rows(np.asarray(self.centroids, dtype=np.float64))
+        self.directions.setflags(write=False)
 
 
 @dataclass
@@ -63,9 +65,12 @@ class StabilityReport:
 
 
 def _normalized_rows(centroids: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(centroids, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(centroids, axis=1)
     if np.any(norms <= 1e-12):
         raise ZeroVectorError("centroid has zero norm")
+    if np.any(norms == np.inf):  # it would scale the centroid to zero
+        raise NonFiniteError("vector norm overflows")
     return centroids / norms[:, None]
 
 
@@ -184,19 +189,19 @@ def kmeans(embedding_set: EmbeddingSet, cluster_count: int, seed: int) -> Cluste
             if prev <= 1e-300 or (prev - cur) / prev < TOL:
                 break
 
-    # One more assignment pass so stored labels agree with assign_cluster on
-    # the final centroids; kept only if it leaves no cluster empty.
-    final_labels, _ = _assign_all(X, _normalized_rows(centroids))
-    if np.all(np.bincount(final_labels, minlength=cluster_count) > 0):
-        labels = final_labels
-
-    return Clustering(
+    clustering = Clustering(
         market=embedding_set.market,
         cluster_count=cluster_count,
         centroids=centroids,
         labels=labels,
         wcss_history=history,
     )
+    # One more assignment pass so stored labels agree with assign_cluster on
+    # the final centroids; kept only if it leaves no cluster empty.
+    final_labels, _ = _assign_all(X, clustering.directions)
+    if np.all(np.bincount(final_labels, minlength=cluster_count) > 0):
+        clustering.labels = final_labels
+    return clustering
 
 
 def wcss(clustering: Clustering, embedding_set: EmbeddingSet) -> float:
@@ -324,16 +329,18 @@ def _clustering_from_doc(doc: dict) -> Clustering:
     if centroids.shape != shape:  # np.array refuses ragged rows
         raise ValueError(f"'centroids' must be 'M' by 'dim', {shape}, got {centroids.shape}")
     assignments = typed(doc, "assignments", dict)
-    rows = [int(k) for k in assignments]
+    # a row is ASCII digits: int() would also take " +0", "0_1" or "٢"
+    rows = [int(k) if k.isascii() and k.isdigit() else -1 for k in assignments]
     if sorted(rows) != list(range(len(rows))):  # "1" and "01" are one row
-        raise ValueError("'assignments' must name the rows 0, 1, 2, ... once each")
+        raise ValueError("'assignments' must name the rows 0, 1, 2, ... once each,"
+                         " in ASCII digits")
     labels = np.empty(len(rows), dtype=np.int64)
     labels[rows] = [typed(assignments, k, int) for k in assignments]
     if not np.all((labels >= 0) & (labels < shape[0])):
         raise ValueError(f"'assignments' must be in 0..M-1, got {labels.min()}..{labels.max()}")
-    return Clustering(
-        market=typed(doc, "market", str),
-        cluster_count=shape[0],
-        centroids=centroids,
-        labels=labels,
-    )
+    market = typed(doc, "market", str)
+    try:  # the directions are computed here, at load
+        return Clustering(market=market, cluster_count=shape[0], centroids=centroids,
+                          labels=labels)
+    except (ZeroVectorError, NonFiniteError) as exc:
+        raise ValueError(f"'centroids': {exc}") from None

@@ -17,6 +17,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import isfinite
 from types import MappingProxyType
 from typing import TextIO
 
@@ -250,11 +251,11 @@ ExpansionRow = tuple[str, str, list[tuple[str, float]]]
 def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
     """The rows of an expansions.jsonl file, one per record in file order.
 
-    Every field save_expansions writes is read with its kind (errors.typed)
-    on every variant, accepted or rejected, before the variant is kept or
-    dropped; similarity must be 1 - distance, as expand_keyword computes it,
-    and a filtered_reason a FilterReason. A failed check raises ParseError
-    naming ``path:line``.
+    Every field save_expansions writes is read with its kind on every
+    variant, accepted or rejected, before the variant is kept or dropped;
+    similarity must be 1 - distance, as expand_keyword computes it, and a
+    filtered_reason a FilterReason. A failed check raises ParseError naming
+    ``path:line``.
 
     json.loads makes a new str for every value it parses; the rows hold one
     str object per distinct market or text of the file.
@@ -271,23 +272,39 @@ def load_expansions(path: str, fh: TextIO | None = None) -> list[ExpansionRow]:
     return rows
 
 
+# A variant's filtered_reason when the key is absent: the variant is accepted
+_ACCEPTED = object()
+_REASONS = frozenset(reason.value for reason in FilterReason)
+
+
 def _row_from_doc(doc: dict, shared: Callable[[str, str], str]) -> ExpansionRow:
     """The row of one parsed line; ``shared(text, text)`` maps each market
-    and text to the one str object of the load."""
+    and text to the one str object of the load.
+
+    A variant whose keys hold exactly the kinds save_expansions writes passes
+    one test; any other is read key by key with errors.typed, which converts
+    an int to a number or raises naming the key, as if every variant were.
+    """
     accepted = []
     # list, not list[dict], saves a call per variant: v's first read refuses a non-object
     for v in typed(doc, "variants", list):
-        keyword = typed(v, "keyword", dict)
-        typed(keyword, "market", str)
-        typed(keyword, "id", int)
-        text = typed(keyword, "text", str)
-        similarity = typed(v, "similarity", float)
-        # the similarity is a scored feature of every match on the variant
-        if similarity != 1.0 - typed(v, "distance", float):
-            raise ValueError(f"'similarity' must be 1 - 'distance', got {similarity!r}")
-        if "filtered_reason" in v:
-            FilterReason(typed(v, "filtered_reason", str))
-        else:
+        if not (
+            type(v) is dict
+            and type(keyword := v.get("keyword")) is dict
+            and type(keyword.get("market")) is str
+            and type(keyword.get("id")) is int
+            and type(text := keyword.get("text")) is str
+            and type(similarity := v.get("similarity")) is float
+            and isfinite(similarity)
+            and type(distance := v.get("distance")) is float
+            # the similarity is a scored feature of every match on the variant
+            and similarity == 1.0 - distance
+            # a non-str reason is never hashed: a list would raise TypeError
+            and ((reason := v.get("filtered_reason", _ACCEPTED)) is _ACCEPTED
+                 or type(reason) is str and reason in _REASONS)
+        ):
+            text, similarity, reason = _variant_by_key(v)
+        if reason is _ACCEPTED:
             accepted.append((shared(text, text), similarity))
     origin = typed(doc, "origin", dict)
     market = typed(origin, "market", str)
@@ -296,3 +313,18 @@ def _row_from_doc(doc: dict, shared: Callable[[str, str], str]) -> ExpansionRow:
     typed(doc, "cluster", int)
     typed(doc, "tau_used", float)
     return shared(market, market), shared(text, text), accepted
+
+
+def _variant_by_key(v) -> tuple[str, float, object]:
+    """A variant's text, similarity and filtered_reason (_ACCEPTED if absent),
+    each key read with errors.typed."""
+    keyword = typed(v, "keyword", dict)
+    typed(keyword, "market", str)
+    typed(keyword, "id", int)
+    text = typed(keyword, "text", str)
+    similarity = typed(v, "similarity", float)
+    if similarity != 1.0 - typed(v, "distance", float):
+        raise ValueError(f"'similarity' must be 1 - 'distance', got {similarity!r}")
+    if "filtered_reason" not in v:
+        return text, similarity, _ACCEPTED
+    return text, similarity, FilterReason(typed(v, "filtered_reason", str))

@@ -8,6 +8,7 @@ own, reused across connections (see _ReusingHTTPServer).
 
 from __future__ import annotations
 
+import gc
 import json
 import queue
 import sys
@@ -37,12 +38,20 @@ _STOP = None
 
 class MatchService:
     """The live snapshot of one directory, loaded when the service is made,
-    plus the expand/match operations the API exposes."""
+    plus the expand/match operations the API exposes.
+
+    Once a bundle is live, every object the process tracks is frozen
+    (gc.freeze): cyclic collections no longer walk the bundle, which was
+    loaded with the collector paused (see load_runtime). Reference counting
+    still frees a replaced bundle; a cycle inside one would never be
+    collected.
+    """
 
     def __init__(self, snapshot_dir: str) -> None:
         self.snapshot_dir = snapshot_dir
         self._refresh_lock = threading.Lock()
         self._bundle = load_runtime(snapshot_dir)
+        gc.freeze()
 
     def current(self) -> RuntimeBundle:
         return self._bundle
@@ -54,11 +63,12 @@ class MatchService:
         The load shares every part of the live bundle whose files have the
         same bytes, and refuses a version that does not exceed the live one
         (see snapshot_store). A failed or refused load leaves the live bundle
-        serving.
+        serving, and freezes nothing.
         """
         with self._refresh_lock:
             old = self._bundle
             self._bundle = load_runtime(self.snapshot_dir, previous=old)
+            gc.freeze()
             return old.version, self._bundle.version
 
     def match(self, query: str, market: str) -> tuple[list[MatchRecord], int]:

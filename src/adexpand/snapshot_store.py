@@ -37,6 +37,7 @@ before any other file is opened.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -223,7 +224,26 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     shared, and every other part is built (see the module docstring). A file
     a part is built from is opened once: digested, rewound and, unless the
     part is reused, parsed from the same handle.
+
+    Cyclic garbage collection is paused for the whole load and left as it
+    was found on every exit. A load files well over a hundred thousand
+    objects and makes no cycles, so each collection it would trigger walks
+    the growing bundle and frees nothing. An enabled collector first runs
+    once, so that what is already garbage is freed before the load, not
+    held through it (or, once frozen, for good).
     """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.collect()
+        gc.disable()
+    try:
+        return _load_runtime(snapshot_dir, previous)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_runtime(snapshot_dir: str, previous: RuntimeBundle | None) -> RuntimeBundle:
     meta_path = os.path.join(snapshot_dir, META_FILE)
     if not os.path.exists(meta_path):
         raise ParseError(f"{snapshot_dir}: missing {META_FILE}")

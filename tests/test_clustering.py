@@ -157,15 +157,17 @@ class TestWcss:
         assert wcss(model, emb) == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_two_points(self):
-        # Antipodal unit vectors, centroid at the midpoint (origin): 1 + 1.
-        emb = EmbeddingSet.from_pairs("US", [("a", [1.0, 0.0]), ("b", [-1.0, 0.0])])
+        # Orthogonal unit vectors, centroid at their midpoint: 0.5 + 0.5.
+        # (The midpoint of antipodal vectors, the origin, has no direction,
+        # and a clustering refuses it.)
+        emb = EmbeddingSet.from_pairs("US", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         model = Clustering(
             market="US",
             cluster_count=1,
-            centroids=np.zeros((1, 2)),
+            centroids=np.array([[0.5, 0.5]]),
             labels=np.array([0, 0]),
         )
-        assert wcss(model, emb) == pytest.approx(2.0, abs=1e-9)
+        assert wcss(model, emb) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_naive_recomputation(self):
         rng = np.random.default_rng(8)

@@ -2,16 +2,20 @@
 
 Each kernel was rewritten for speed with the promise that no output bit
 moves: k-means casts its matrix once and sums with ``bincount``,
-``assign_cluster`` reads cached centroid directions, the expansion filters
-memoise per text, the embeddings file is parsed by one ``np.loadtxt``
-call, ``fallback_embed`` hashes an ASCII text's n-grams in whole-array
-passes, ``_best_split`` scores each feature's split positions as one
-vector, and ``cosine_similarity`` clamps a Python float instead of calling
-``np.clip``. Each property below runs the earlier code path as the oracle and
-asks for equal results: ``array_equal`` or equal bytes on arrays and model
-files, the same exception type and message on failure.
+``assign_cluster`` reads centroid directions computed once per clustering,
+the expansion filters memoise per text, the embeddings file is parsed by
+one ``np.loadtxt`` call, ``fallback_embed`` hashes an ASCII text's n-grams
+in whole-array passes, ``_best_split`` scores each feature's split
+positions as one vector, ``cosine_similarity`` clamps a Python float
+instead of calling ``np.clip``, and an expansion variant written as
+``save_expansions`` writes it passes one kind test instead of a ``typed``
+call per key. Each property below runs the earlier code path as the oracle
+and asks for equal results: ``array_equal`` or equal bytes on arrays and
+model files, the same exception type and message on failure.
 """
 
+import copy
+import math
 import os
 import struct
 import tempfile
@@ -43,13 +47,17 @@ from adexpand.errors import (
     DimensionMismatchError,
     DuplicateKeywordError,
     EmptySetError,
+    NonFiniteError,
     ParseError,
     ZeroVectorError,
+    typed,
 )
 from adexpand.expansion import (
     FEMININE_TOKENS,
     MASCULINE_TOKENS,
+    FilterReason,
     GenderClass,
+    _row_from_doc,
     _units_agree,
     _values_by_unit,
     gender_class,
@@ -262,10 +270,19 @@ class TestAssignClusterCachedDirections:
             model.directions[0, 0] = 1.0
 
     def test_zero_centroid_still_raises(self):
-        model = Clustering(market="US", cluster_count=1, centroids=np.zeros((1, 2)),
-                           labels=np.zeros(0, dtype=np.int64))
+        # the directions are computed when the clustering is made, so a
+        # centroid with none is refused there, before any assign_cluster call
         with pytest.raises(ZeroVectorError):
-            assign_cluster(model, np.array([1.0, 0.0], dtype=np.float32))
+            Clustering(market="US", cluster_count=1, centroids=np.zeros((1, 2)),
+                       labels=np.zeros(0, dtype=np.int64))
+
+    def test_overflowing_centroid_norm_raises(self):
+        # np.linalg.norm overflows to inf, and dividing by it would give a
+        # zero direction that draws no keyword
+        with pytest.raises(NonFiniteError, match="vector norm overflows"):
+            Clustering(market="US", cluster_count=2,
+                       centroids=np.array([[1e200, 1e200], [0.0, 1.0]]),
+                       labels=np.zeros(0, dtype=np.int64))
 
 
 # -------------------------------------------------------- expansion filters
@@ -717,3 +734,166 @@ class TestTrainBaseBytes:
         with mock.patch.object(relevance, "_best_split", _old_best_split):
             want = serialize_model(train_base(X, y, trees, rate))
         assert got == want
+
+
+# ------------------------------------------------------------ expansion rows
+
+
+def _old_row_from_doc(doc, shared):
+    """_row_from_doc reading every key of every variant with typed."""
+    accepted = []
+    for v in typed(doc, "variants", list):
+        keyword = typed(v, "keyword", dict)
+        typed(keyword, "market", str)
+        typed(keyword, "id", int)
+        text = typed(keyword, "text", str)
+        similarity = typed(v, "similarity", float)
+        if similarity != 1.0 - typed(v, "distance", float):
+            raise ValueError(f"'similarity' must be 1 - 'distance', got {similarity!r}")
+        if "filtered_reason" in v:
+            FilterReason(typed(v, "filtered_reason", str))
+        else:
+            accepted.append((shared(text, text), similarity))
+    origin = typed(doc, "origin", dict)
+    market = typed(origin, "market", str)
+    typed(origin, "id", int)
+    text = typed(origin, "text", str)
+    typed(doc, "cluster", int)
+    typed(doc, "tau_used", float)
+    return shared(market, market), shared(text, text), accepted
+
+
+def _row_outcome(read, doc):
+    # repr tells -0.0 from 0.0 and an int from a float
+    return repr(_outcome(read, copy.deepcopy(doc), {}.setdefault))
+
+
+def _variant_doc(distance, **edits):
+    """A record of one variant at ``distance``, its similarity 1 - distance
+    unless ``edits`` set it; ``edits`` set or replace the variant's keys."""
+    variant = {"keyword": {"market": "US", "text": "garden lights", "id": 3},
+               "distance": distance}
+    if "similarity" not in edits:
+        variant["similarity"] = 1.0 - distance
+    variant.update(edits)
+    return {"origin": {"market": "US", "text": "led lights", "id": 0}, "cluster": 1,
+            "tau_used": 0.5, "variants": [variant]}
+
+
+# A value of each JSON kind, and of each kind some that a number or a
+# FilterReason read gets wrong: a big int, non-finite floats, near-miss
+# strings
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.just(2**1100),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "US", "x", "GENDER", "NUMERIC", "COLOUR", "gender", "GENDER "]),
+    st.sampled_from([[], ["GENDER"], [1.0], {}, {"GENDER": 1},
+                     {"market": "US", "text": "x", "id": 1}]),
+)
+# what each key of a variant holds, and values of that kind
+_SAME_KIND = {
+    "market": st.sampled_from(["US", "", "UK"]),
+    "text": st.sampled_from(["garden lights", "", "x"]),
+    "id": st.integers(-3, 2**70),
+    "distance": st.floats(allow_nan=True, allow_infinity=True),
+    "similarity": st.floats(allow_nan=True, allow_infinity=True),
+    "filtered_reason": st.sampled_from([*FilterReason.__members__, "COLOUR", ""]),
+}
+_VARIANT_KEYS = [(), ("keyword",), ("keyword", "market"), ("keyword", "text"),
+                 ("keyword", "id"), ("similarity",), ("distance",), ("filtered_reason",)]
+
+
+@st.composite
+def _expansion_doc(draw):
+    """A record of up to four variants as save_expansions writes them, some
+    then edited: a key dropped, or set to a value of its own kind or of any
+    kind; and sometimes the similarity set back to 1 - the distance."""
+    variants = []
+    for _ in range(draw(st.integers(0, 4))):
+        distance = draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                  st.integers(-2, 2)))
+        variant = _variant_doc(distance)["variants"][0]
+        variant["keyword"]["id"] = draw(st.integers(0, 9))
+        reason = draw(st.sampled_from([None, *FilterReason.__members__]))
+        if reason is not None:
+            variant["filtered_reason"] = reason
+        variants.append(variant)
+    for _ in range(draw(st.integers(0, 3)) if variants else 0):
+        i = draw(st.integers(0, len(variants) - 1))
+        path = draw(st.sampled_from(_VARIANT_KEYS))
+        same_kind = _SAME_KIND.get(path[-1], st.nothing()) if path else st.nothing()
+        value = copy.deepcopy(draw(st.one_of(same_kind, _JSON_VALUES)))
+        if not path:
+            variants[i] = value
+            continue
+        parent = variants[i]
+        for key in path[:-1]:
+            parent = parent.get(key) if type(parent) is dict else None
+        if type(parent) is not dict:
+            continue
+        if draw(st.booleans()):
+            parent[path[-1]] = value
+        else:
+            parent.pop(path[-1], None)
+        v = variants[i]
+        if type(v) is dict and draw(st.booleans()):
+            try:
+                v["similarity"] = 1.0 - v["distance"]
+            except (KeyError, OverflowError, TypeError):
+                pass
+    doc = _variant_doc(0.25)
+    doc["variants"] = variants
+    return doc
+
+
+class TestExpansionRowOneKindTest:
+    @settings(max_examples=2000, deadline=None)
+    @given(_expansion_doc())
+    def test_same_row_or_message(self, doc):
+        assert _row_outcome(_row_from_doc, doc) == _row_outcome(_old_row_from_doc, doc)
+
+    @pytest.mark.parametrize("doc", [
+        _variant_doc(0.25),
+        _variant_doc(0.25, filtered_reason="GENDER"),
+        _variant_doc(0.25, filtered_reason="NUMERIC"),
+        # ints stand for numbers; typed converts them
+        _variant_doc(0, similarity=1),
+        _variant_doc(1, similarity=0.0),
+        _variant_doc(2**1100, similarity=1.0),
+        _variant_doc(1.0),
+        _variant_doc(1.0, similarity=-0.0),
+        _variant_doc(-0.0),
+        _variant_doc(math.inf),
+        _variant_doc(-math.inf),  # similarity inf is 1 - distance, but not finite
+        _variant_doc(math.nan),
+        _variant_doc(0.25, similarity=True),
+        _variant_doc(None, similarity=0.75),
+        _variant_doc(0.25, filtered_reason="COLOUR"),
+        _variant_doc(0.25, filtered_reason=None),
+        _variant_doc(0.25, filtered_reason=["GENDER"]),
+        _variant_doc(0.25, filtered_reason={"GENDER": 1}),
+        _variant_doc(0.25, keyword={"market": "US", "text": ["x"], "id": 3}),
+        _variant_doc(0.25, keyword={"market": {}, "text": "x", "id": 3}),
+        _variant_doc(0.25, keyword={"market": "US", "text": "x", "id": True}),
+        _variant_doc(0.25, keyword={"market": "US", "text": "x", "id": 3.0}),
+        _variant_doc(0.25, keyword={"market": "US", "text": "x"}),
+        _variant_doc(0.25, keyword=["US", "x", 3]),
+    ], ids=lambda doc: repr(doc["variants"][0]))
+    def test_edge_variants(self, doc):
+        assert _row_outcome(_row_from_doc, doc) == _row_outcome(_old_row_from_doc, doc)
+
+    def test_missing_keys(self):
+        for key in ["keyword", "similarity", "distance"]:
+            doc = _variant_doc(0.25)
+            del doc["variants"][0][key]
+            assert _row_outcome(_row_from_doc, doc) == _row_outcome(_old_row_from_doc, doc)
+        for key in ["market", "text", "id"]:
+            doc = _variant_doc(0.25)
+            del doc["variants"][0]["keyword"][key]
+            assert _row_outcome(_row_from_doc, doc) == _row_outcome(_old_row_from_doc, doc)
+
+    def test_variant_of_another_kind(self):
+        for variant in [None, 5, "x", [], ["keyword"]]:
+            doc = _variant_doc(0.25)
+            doc["variants"] = [variant]
+            assert _row_outcome(_row_from_doc, doc) == _row_outcome(_old_row_from_doc, doc)

@@ -4,13 +4,17 @@ import builtins
 import json
 import os
 import shutil
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adexpand.cli import cli_dispatch
 from adexpand.clustering import load_clustering
 from adexpand.errors import DanglingReferenceError, EmptySetError, ParseError
-from adexpand.expansion import load_expansions
+from adexpand.expansion import expand_text, load_expansions
 from adexpand.matching import load_campaigns
 from adexpand.relevance import load_model
 from adexpand.snapshot_store import (
@@ -404,6 +408,32 @@ ONE_EACH = [
 BAD_FILES += ONE_EACH
 
 
+def _rename_row(old, new):
+    """Name the assignment of row ``old`` ``new`` instead."""
+    return _assignments(lambda a, n: a.update({new: a.pop(old)}))
+
+
+# A clustering that loads can answer: each centroid has a direction (a zero
+# one has none, and one whose norm overflows would be scaled to zero), and
+# each assignment key is a row in ASCII digits, as a Content-Length is read.
+# (file, loader, how the file is broken, what the error must name)
+NO_ANSWER = [
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, _set(["centroids", 1], [0.0] * 64)),
+                 "'centroids': centroid has zero norm", id="clustering-centroid-zero"),
+    pytest.param("clustering_US.json", load_clustering,
+                 lambda p: _edit_json(p, _set(["centroids", 0], [1e200] * 64)),
+                 "'centroids': vector norm overflows", id="clustering-centroid-norm-overflows"),
+    pytest.param("clustering_US.json", load_clustering, _rename_row("0", " +0"),
+                 "'assignments' must name", id="clustering-row-signed"),
+    pytest.param("clustering_US.json", load_clustering, _rename_row("1", "0_1"),
+                 "'assignments' must name", id="clustering-row-underscore"),
+    pytest.param("clustering_US.json", load_clustering, _rename_row("2", "\u0662"),
+                 "'assignments' must name", id="clustering-row-arabic-indic-digit"),
+]
+BAD_FILES += NO_ANSWER
+
+
 def _item(key, value):
     return lambda p: _edit_json(p, _set(["campaigns", 0, "ad_groups", 0, "items", 0, key], value))
 
@@ -511,6 +541,60 @@ BAD_FILES += MISTYPED
 CLUSTERING_ROW_MISSING = pytest.param(
     "clustering_US.json", _assignments(lambda a, n: a.pop(str(n - 1))),
     "keywords, market 'US' has", id="clustering-row-missing")
+
+
+class TestAssignmentRows:
+    def test_leading_zero_names_the_row(self, snapshot_copy):
+        path = os.path.join(snapshot_copy, "clustering_US.json")
+        labels = load_clustering(path).labels
+        _rename_row("1", "01")(path)
+        assert load_clustering(path).labels.tolist() == labels.tolist()
+
+
+# Centroid entries at the edges of the float range: each row's norm can
+# underflow to zero, overflow to inf or land anywhere between
+_CENTROID_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e-170, 1e-160, 1e-10, 0.5, -1.0, 1e154,
+                                    1.5e154, 1e200, -1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def _centroid_edits(draw):
+    """(row, columns or None for the whole row, value) edits of a 2 x 64
+    centroid matrix."""
+    return draw(st.lists(st.tuples(
+        st.integers(0, 1),
+        st.none() | st.lists(st.integers(0, 63), min_size=1, max_size=4),
+        _CENTROID_VALUES,
+    ), min_size=1, max_size=4))
+
+
+class TestLoadedClusteringAnswers:
+    """A snapshot whose centroids were edited either fails to load, naming
+    the clustering file, or answers /expand for every keyword of the
+    market, from a unit direction for every cluster."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=_centroid_edits())
+    def test_refused_or_answers(self, chain_dir, edits):
+        def edit(doc):
+            for row, columns, value in edits:
+                for c in range(len(doc["centroids"][row])) if columns is None else columns:
+                    doc["centroids"][row][c] = value
+
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot_dir = os.path.join(tmp, "snapshot")
+            shutil.copytree(os.path.join(chain_dir, "snapshot"), snapshot_dir)
+            _edit_json(os.path.join(snapshot_dir, "clustering_US.json"), edit)
+            try:
+                bundle = load_runtime(snapshot_dir)
+            except ParseError as exc:
+                assert "clustering_US.json" in str(exc)
+                return
+        context = bundle.contexts["US"]
+        norms = np.linalg.norm(context.clustering.directions, axis=1)
+        assert np.all(np.abs(norms - 1.0) < 1e-12)
+        for text in context.embedding_set.texts:
+            expand_text(context, text, bundle.k_neighbors)  # what /expand answers
 
 
 class TestBadArtifactFiles:

@@ -5,7 +5,8 @@ imports is used in that module, and every flag of every CLI subcommand is
 passed by an argv in perfbench/ or scripts/ or by an ``adexpand`` command in
 README.md: code and options that only tests use belong in the tests. No
 module of src/adexpand/ coerces a value read from a document with int(),
-float(), str() or bool()."""
+float(), str() or bool(), and only snapshot_store.py and service.py call
+into gc."""
 
 import argparse
 import ast
@@ -154,6 +155,34 @@ def coerced_document_values():
 
 def test_no_document_value_is_coerced():
     assert coerced_document_values() == []
+
+
+# the modules that keep the one collector policy: load_runtime pauses
+# collection for a load, and MatchService freezes each live bundle
+COLLECTOR_MODULES = {"snapshot_store.py", "service.py"}
+
+
+def collector_imports():
+    """Each module of the package that imports gc, with ``import gc``,
+    ``from gc import ...`` or a call naming the module "gc" (``__import__``,
+    ``importlib.import_module``), as "file:line"."""
+    found = []
+    for path in _py_files([PACKAGE_DIR]):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                    or isinstance(node, ast.Call)
+                    and any(isinstance(a, ast.Constant) and a.value == "gc" for a in node.args)):
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    return found
+
+
+def test_only_the_collector_modules_call_into_gc():
+    found = collector_imports()
+    assert [f for f in found if f.split(":")[0] not in COLLECTOR_MODULES] == []
+    assert {f.split(":")[0] for f in found} == COLLECTOR_MODULES
 
 
 def _defaulted(func):
