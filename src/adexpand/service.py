@@ -2,30 +2,38 @@
 
 Endpoints: POST /expand, POST /match, POST /refresh, GET /healthz. A request
 reads the live snapshot reference once; /refresh is the only writer and
-replaces it under one lock. Each connection is answered on a thread of its
-own, reused across connections (see _ReusingHTTPServer).
+replaces it under one lock. A repeated /match is answered from the live
+snapshot's answer cache, which is replaced with the snapshot (see
+_AnswerCache). Each connection is answered on a thread of its own, reused
+across connections (see _ReusingHTTPServer).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import queue
 import sys
 import threading
 import traceback
+from collections import OrderedDict
+from datetime import datetime, timezone
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import NamedTuple
 
 from .errors import AdexpandError, UnknownMarketError, VersionRegressionError
 from .expansion import ExpansionRecord, expand_text, record_to_doc
-from .matching import MatchRecord, match_query, match_record_to_doc
+from .matching import match_query, match_record_to_doc
 from .snapshot_store import RuntimeBundle, load_runtime
 
 
 # Largest request body read; a request carries one keyword or query, so
 # anything near this size is not a real request.
 MAX_BODY_BYTES = 1 << 20
+# Most bytes the /match answer cache of one snapshot holds, and most bytes of
+# one entry (its key and body): a larger answer is computed on every request.
+ANSWER_CACHE_BYTES = 4 << 20
+MAX_CACHED_ANSWER_BYTES = 64 << 10
 # Longest wait, in seconds, on one read from or write to a client: a request
 # that stalls this long ends its exchange instead of holding a thread.
 REQUEST_TIMEOUT_S = 10.0
@@ -36,44 +44,120 @@ MAX_IDLE_THREADS = 8
 _STOP = None
 
 
+class _AnswerCache:
+    """The /match bodies of one snapshot, keyed by (market, query), least
+    recently used first and bounded in bytes.
+
+    An entry's size is that of its market, query and body objects
+    (sys.getsizeof). An entry over MAX_CACHED_ANSWER_BYTES is never kept, and
+    the least recently used entries are dropped while the total exceeds
+    ANSWER_CACHE_BYTES. Two threads that miss on one key both compute it;
+    the first to put it keeps its bytes, counted once. ``misses`` counts
+    every lookup that found nothing, errors included.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._bodies: OrderedDict[tuple[str, str], bytes] = OrderedDict()
+        self._bytes = 0
+        self._hits = 0
+        self._misses = 0
+
+    def get(self, key: tuple[str, str]) -> bytes | None:
+        with self._lock:
+            body = self._bodies.get(key)
+            if body is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+                self._bodies.move_to_end(key)
+            return body
+
+    def put(self, key: tuple[str, str], body: bytes) -> None:
+        size = _entry_size(key, body)
+        if size > MAX_CACHED_ANSWER_BYTES:
+            return
+        with self._lock:
+            if key in self._bodies:
+                return
+            self._bodies[key] = body
+            self._bytes += size
+            while self._bytes > ANSWER_CACHE_BYTES:
+                self._bytes -= _entry_size(*self._bodies.popitem(last=False))
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._bodies), "bytes": self._bytes,
+                    "hits": self._hits, "misses": self._misses}
+
+
+def _entry_size(key: tuple[str, str], body: bytes) -> int:
+    return sys.getsizeof(key[0]) + sys.getsizeof(key[1]) + sys.getsizeof(body)
+
+
+class _Live(NamedTuple):
+    """What a request reads, in one reference: the live bundle, its answer
+    cache and when it went live (ISO 8601, UTC, to the millisecond)."""
+
+    bundle: RuntimeBundle
+    answers: _AnswerCache
+    loaded_at: str
+
+
+def _go_live(bundle: RuntimeBundle) -> _Live:
+    loaded_at = datetime.now(timezone.utc).isoformat(timespec="milliseconds")
+    return _Live(bundle, _AnswerCache(), loaded_at)
+
+
 class MatchService:
     """The live snapshot of one directory, loaded when the service is made,
     plus the expand/match operations the API exposes.
 
-    Once a bundle is live, every object the process tracks is frozen
-    (gc.freeze): cyclic collections no longer walk the bundle, which was
-    loaded with the collector paused (see load_runtime). Reference counting
-    still frees a replaced bundle; a cycle inside one would never be
-    collected.
+    A bundle and its answer cache go live together and are replaced
+    together, so no answer of a replaced version is served once refresh
+    returns, and reference counting frees the replaced cache with its bundle.
+    load_runtime freezes (gc.freeze) each bundle it loads, so a cycle inside
+    one would never be collected.
     """
 
     def __init__(self, snapshot_dir: str) -> None:
         self.snapshot_dir = snapshot_dir
         self._refresh_lock = threading.Lock()
-        self._bundle = load_runtime(snapshot_dir)
-        gc.freeze()
+        self._live = _go_live(load_runtime(snapshot_dir))
 
     def current(self) -> RuntimeBundle:
-        return self._bundle
+        return self._live.bundle
 
     def refresh(self) -> tuple[int, int]:
-        """Reload the snapshot directory and swap it in atomically; returns
-        the old and new versions.
+        """Reload the snapshot directory and swap it in atomically, with an
+        empty answer cache; returns the old and new versions.
 
         The load shares every part of the live bundle whose files have the
         same bytes, and refuses a version that does not exceed the live one
         (see snapshot_store). A failed or refused load leaves the live bundle
-        serving, and freezes nothing.
+        and its cache serving.
         """
         with self._refresh_lock:
-            old = self._bundle
-            self._bundle = load_runtime(self.snapshot_dir, previous=old)
-            gc.freeze()
-            return old.version, self._bundle.version
+            old = self._live.bundle
+            self._live = _go_live(load_runtime(self.snapshot_dir, previous=old))
+            return old.version, self._live.bundle.version
 
-    def match(self, query: str, market: str) -> tuple[list[MatchRecord], int]:
-        bundle = self.current()
-        return match_query(query, market, bundle.snapshot), bundle.version
+    def match(self, query: str, market: str) -> bytes:
+        """The /match body for ``query`` in ``market`` under the live
+        snapshot: the cached bytes of a repeated request, or else json.dumps
+        of match_query's records, offered to the cache. An error is raised,
+        never cached."""
+        bundle, answers, _ = self._live
+        key = (market, query)
+        body = answers.get(key)
+        if body is None:
+            records = match_query(query, market, bundle.snapshot)
+            body = json.dumps({
+                "snapshot_version": bundle.version,
+                "matches": [match_record_to_doc(r) for r in records],
+            }).encode("utf-8")
+            answers.put(key, body)
+        return body
 
     def expand(self, keyword: str, market: str) -> ExpansionRecord:
         """Expand a possibly unseen keyword using the current snapshot.
@@ -87,6 +171,18 @@ class MatchService:
             raise UnknownMarketError(f"unknown market {market!r}")
         return expand_text(context, keyword, bundle.k_neighbors)
 
+    def health(self) -> dict:
+        """The /healthz body: the live version, its markets, when it went
+        live and its answer cache's counters."""
+        bundle, answers, loaded_at = self._live
+        return {
+            "status": "ok",
+            "snapshot_version": bundle.version,
+            "markets": list(bundle.contexts),
+            "loaded_at": loaded_at,
+            "answer_cache": answers.stats(),
+        }
+
 
 class _Handler(BaseHTTPRequestHandler):
     service: MatchService  # set by make_server
@@ -96,7 +192,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # request logging is the caller's concern, not the test suite's
 
     def _send(self, status: int, payload) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"))
+
+    def _send_body(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -163,7 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/healthz":
             self._send(404, {"error": "not found"})
             return
-        self._send(200, {"status": "ok", "snapshot_version": self.service.current().version})
+        self._send(200, self.service.health())
 
     def _post(self) -> None:
         if self.path == "/refresh":
@@ -200,14 +298,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if not isinstance(query, str):
                     self._send(400, {"error": "missing or invalid 'query'"})
                     return
-                records, version = self.service.match(query, market)
-                self._send(
-                    200,
-                    {
-                        "snapshot_version": version,
-                        "matches": [match_record_to_doc(r) for r in records],
-                    },
-                )
+                self._send_body(200, self.service.match(query, market))
         except UnknownMarketError as exc:
             self._send(404, {"error": str(exc)})
         except AdexpandError as exc:

@@ -231,13 +231,22 @@ def load_runtime(snapshot_dir: str, previous: RuntimeBundle | None = None) -> Ru
     the growing bundle and frees nothing. An enabled collector first runs
     once, so that what is already garbage is freed before the load, not
     held through it (or, once frozen, for good).
+
+    A load that returns freezes every object the process tracks
+    (gc.freeze), before the collector is switched back on: later
+    collections never walk the bundle, which would otherwise sit in the
+    youngest generation. Reference counting still frees a replaced bundle;
+    a cycle inside one would never be collected. A load that raises
+    freezes nothing.
     """
     enabled = gc.isenabled()
     if enabled:
         gc.collect()
         gc.disable()
     try:
-        return _load_runtime(snapshot_dir, previous)
+        bundle = _load_runtime(snapshot_dir, previous)
+        gc.freeze()
+        return bundle
     finally:
         if enabled:
             gc.enable()

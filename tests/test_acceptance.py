@@ -425,8 +425,10 @@ def test_criterion_10_snapshot_isolation(chain_dir, tmp_path):
                 if total[0] >= target and swaps_done.is_set():
                     return
                 total[0] += 1
-            records, version = service.match("solar led garden lights outdoor", "US")
-            tags = {int(r.score_base // 100) for r in records} | {-r.threshold for r in records}
+            doc = json.loads(service.match("solar led garden lights outdoor", "US"))
+            records, version = doc["matches"], doc["snapshot_version"]
+            tags = ({int(r["score_base"] // 100) for r in records}
+                    | {-r["threshold"] for r in records})
             if not records:
                 errors.append(f"no matches under version {version}")
             elif tags != {version}:

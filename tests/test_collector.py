@@ -1,10 +1,11 @@
 """The collector policy.
 
 load_runtime pauses cyclic garbage collection for the whole load, after one
-collection of what is already garbage, and leaves the collector as it found
-it; MatchService freezes (gc.freeze) each bundle it makes live. A frozen
-object is never collected as a cycle, so serving must make no cyclic
-garbage: after one warm-up call of each path, a collection finds nothing.
+collection of what is already garbage, leaves the collector as it found it
+and freezes (gc.freeze) each bundle it returns. A frozen object is never
+collected as a cycle, so serving must make no cyclic garbage: after one
+warm-up call of each path, a collection finds nothing. The /match answer
+cache is freed with the bundle it belongs to, by reference counting alone.
 """
 
 import contextlib
@@ -19,11 +20,14 @@ import weakref
 
 import pytest
 
-from adexpand import service as service_module
+from adexpand import cli as cli_module
 from adexpand import snapshot_store
+from adexpand.cli import cli_dispatch
 from adexpand.errors import ParseError, VersionRegressionError
-from adexpand.service import MatchService, make_server
+from adexpand.service import ANSWER_CACHE_BYTES, MAX_CACHED_ANSWER_BYTES, MatchService, make_server
 from adexpand.snapshot_store import load_runtime
+
+from conftest import FIXTURES_DIR
 
 
 @pytest.fixture
@@ -188,12 +192,12 @@ class TestLoadPausesCollector:
 class TestServiceFreezesLiveBundle:
     def test_freezes_after_each_load_that_goes_live(self, snapshot_copy, monkeypatch):
         events = []
-        real_load = service_module.load_runtime
+        real_load = snapshot_store._load_runtime
 
         def load(*args, **kwargs):
             events.append("load")
             return real_load(*args, **kwargs)
-        monkeypatch.setattr(service_module, "load_runtime", load)
+        monkeypatch.setattr(snapshot_store, "_load_runtime", load)
         monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
 
         service = MatchService(snapshot_copy)
@@ -216,6 +220,39 @@ class TestServiceFreezesLiveBundle:
             dead = _cycle()
             MatchService(snapshot_copy)
         assert dead() is None
+
+
+class TestCliMatchRunsNoCollection:
+    def test_no_collection_after_the_load(self, chain_dir, tmp_path, monkeypatch):
+        """The bundle ``adexpand match`` loads is frozen, so matching starts
+        with an empty youngest generation; the output is the pinned one."""
+        loaded = []
+        real_load = cli_module.load_runtime
+
+        def load(*args, **kwargs):
+            bundle = real_load(*args, **kwargs)
+            loaded.append(bundle)
+            return bundle
+        monkeypatch.setattr(cli_module, "load_runtime", load)
+        after_load = []
+
+        def callback(phase, info):
+            if loaded and phase == "start":
+                after_load.append(info["generation"])
+        out = tmp_path / "matches.jsonl"
+        gc.callbacks.append(callback)
+        try:
+            with _collector(True):
+                assert cli_dispatch([
+                    "match", "--snapshot", os.path.join(chain_dir, "snapshot"),
+                    "--queries", os.path.join(FIXTURES_DIR, "queries.tsv"), "--out", str(out),
+                ]) == 0
+        finally:
+            gc.callbacks.remove(callback)
+        assert len(loaded) == 1
+        assert after_load == []
+        with open(os.path.join(chain_dir, "matches.jsonl"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 def _garbage_after(action):
@@ -302,3 +339,60 @@ class TestServingMakesNoGarbage:
         found = []
         assert _garbage_after(lambda: found.append(_exchange(port, refresh))) == 0
         assert found == [500]
+
+
+def _no_match(i):
+    """A query that matches nothing, whose entry is just under the cap."""
+    return f"n{i} " + "v" * (MAX_CACHED_ANSWER_BYTES - 2_000)
+
+
+class TestAnswerCacheMakesNoGarbage:
+    """A hit, a miss, an eviction and a refresh that replaces a full answer
+    cache leave nothing for a collection to find, and the replaced cache is
+    freed at the swap with the collector off."""
+
+    @pytest.fixture
+    def service(self, snapshot_copy, collector_off):
+        return MatchService(snapshot_copy)
+
+    @staticmethod
+    def _fill(service):
+        """Entries until the cache has evicted some; the next query's number."""
+        i = 0
+        while i * (MAX_CACHED_ANSWER_BYTES - 2_000) <= ANSWER_CACHE_BYTES:
+            service.match(_no_match(i), "US")
+            i += 1
+        return i
+
+    def test_hit(self, service):
+        for _ in range(2):  # a miss, then a hit, as warm-up
+            service.match("solar led garden lights", "US")
+        assert _garbage_after(lambda: service.match("solar led garden lights", "US")) == 0
+        assert service.health()["answer_cache"]["hits"] == 2
+
+    def test_miss(self, service):
+        service.match("garden lights", "US")  # warm-up
+        assert _garbage_after(lambda: service.match("solar led garden lights", "US")) == 0
+        stats = service.health()["answer_cache"]
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (2, 0, 2)
+
+    def test_eviction(self, service):
+        i = self._fill(service)
+        oldest = next(iter(service._live.answers._bodies))
+        assert _garbage_after(lambda: service.match(_no_match(i), "US")) == 0
+        assert oldest not in service._live.answers._bodies
+        assert service.health()["answer_cache"]["bytes"] <= ANSWER_CACHE_BYTES
+
+    def test_refresh_replaces_a_full_cache(self, service, snapshot_copy):
+        self._fill(service)
+        replaced = weakref.ref(service._live.answers)
+        _set_version(snapshot_copy, 2)
+        freed = []
+
+        def refresh():
+            assert service.refresh() == (1, 2)
+            freed.append(replaced() is None)
+        assert _garbage_after(refresh) == 0
+        assert freed == [True]
+        assert service.health()["answer_cache"] == {
+            "entries": 0, "bytes": 0, "hits": 0, "misses": 0}

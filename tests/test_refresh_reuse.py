@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from adexpand import snapshot_store
 from adexpand.errors import AdexpandError, VersionRegressionError
 from adexpand.expansion import record_to_doc
-from adexpand.matching import Item, Snapshot, match_record_to_doc
-from adexpand.service import MatchService, make_server
+from adexpand.matching import Item, Snapshot, match_query, match_record_to_doc
+from adexpand.service import MatchService, _go_live, make_server
 from adexpand.snapshot_store import load_runtime
 
 from conftest import FIXTURES_DIR, GOLDEN_KEYWORDS
@@ -193,14 +193,15 @@ def _answers(bundle):
     """Each probe's /match or /expand body, or its error, as the service
     gives it for this bundle."""
     service = MatchService.__new__(MatchService)  # serves ``bundle``, loads nothing
-    service._bundle = bundle
+    service._live = _go_live(bundle)
     out = []
     for path, text, market in PROBES:
         try:
             if path == "/match":
-                records, version = service.match(text, market)
-                doc = {"snapshot_version": version,
-                       "matches": [match_record_to_doc(r) for r in records]}
+                snapshot = service.current().snapshot
+                doc = {"snapshot_version": snapshot.version,
+                       "matches": [match_record_to_doc(r)
+                                   for r in match_query(text, market, snapshot)]}
             else:
                 doc = record_to_doc(service.expand(text, market))
         except AdexpandError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import socket
 import sys
@@ -49,6 +50,16 @@ def _get(port, path):
 
 
 _MATCH_BODY = b'{"query": "solar led garden lights outdoor", "market": "US"}'
+# a load time as /healthz gives it
+_LOADED_AT = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}\+00:00")
+
+
+def _live(port):
+    """/healthz's status and body without the answer cache's counters: what
+    a refused or failed refresh leaves as it was."""
+    status, doc = _get(port, "/healthz")
+    doc.pop("answer_cache")
+    return status, doc
 
 
 @pytest.fixture
@@ -95,9 +106,24 @@ def _bump_snapshot(snapshot_dir, version, threshold):
 class TestEndpoints:
     def test_healthz_reports_version(self, server):
         httpd, _, _ = server
-        status, doc = _get(httpd.server_address[1], "/healthz")
+        port = httpd.server_address[1]
+        status, doc = _get(port, "/healthz")
         assert status == 200
-        assert doc == {"status": "ok", "snapshot_version": 1}
+        assert _LOADED_AT.fullmatch(doc["loaded_at"])
+        assert doc == {"status": "ok", "snapshot_version": 1, "markets": ["UK", "US"],
+                       "loaded_at": doc["loaded_at"],
+                       "answer_cache": {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}}
+
+    def test_healthz_counts_answer_cache(self, server):
+        httpd, service, _ = server
+        port = httpd.server_address[1]
+        query = {"query": "apple iphone 13 case red", "market": "US"}
+        assert _post(port, "/match", query) == _post(port, "/match", query)
+        _post(port, "/match", {"query": "iphone case", "market": "AU"})  # 404
+        body = service.match(query["query"], "US")  # a third hit
+        size = sys.getsizeof("US") + sys.getsizeof(query["query"]) + sys.getsizeof(body)
+        assert _get(port, "/healthz")[1]["answer_cache"] == {
+            "entries": 1, "bytes": size, "hits": 2, "misses": 2}
 
     def test_match_known_market(self, server):
         httpd, _, _ = server
@@ -194,12 +220,20 @@ _META_V2 = {"version": 2, "dim": 64, "k_neighbors": 11, "filters_enabled": True,
 class TestRefresh:
     def test_refresh_swaps_versions(self, server):
         httpd, _, snapshot_dir = server
+        port = httpd.server_address[1]
+        query = {"query": "solar led garden lights outdoor", "market": "US"}
+        assert _post(port, "/match", query)[1]["snapshot_version"] == 1
+        _, before = _get(port, "/healthz")
         _bump_snapshot(snapshot_dir, 2, -100.0)
-        status, doc = _post(httpd.server_address[1], "/refresh")
+        status, doc = _post(port, "/refresh")
         assert status == 200
         assert doc == {"old_version": 1, "new_version": 2}
-        status, doc = _get(httpd.server_address[1], "/healthz")
+        status, doc = _get(port, "/healthz")
         assert doc["snapshot_version"] == 2
+        # the new version goes live later, with an empty answer cache
+        assert doc["loaded_at"] > before["loaded_at"]
+        assert doc["answer_cache"] == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+        assert _post(port, "/match", query)[1]["snapshot_version"] == 2
 
     @pytest.mark.parametrize("meta", [
         {"dim": 8}, {"version": "2", "dim": 8},
@@ -213,12 +247,13 @@ class TestRefresh:
     def test_refresh_with_bad_meta_is_500_and_keeps_serving(self, server, meta):
         httpd, _, snapshot_dir = server
         port = httpd.server_address[1]
+        live = _live(port)
         with open(os.path.join(snapshot_dir, "meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
         status, doc = _post(port, "/refresh")
         assert status == 500
         assert "meta.json" in doc["error"]
-        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        assert _live(port) == live
         status, doc = _post(port, "/match",
                             {"query": "solar led garden lights outdoor", "market": "US"})
         assert status == 200
@@ -227,6 +262,7 @@ class TestRefresh:
     def test_refresh_with_bad_campaigns_is_500_and_keeps_serving(self, server):
         httpd, _, snapshot_dir = server
         port = httpd.server_address[1]
+        live = _live(port)
         _bump_snapshot(snapshot_dir, 2, -100.0)
         path = os.path.join(snapshot_dir, "campaigns.json")
         with open(path, encoding="utf-8") as fh:
@@ -238,7 +274,7 @@ class TestRefresh:
         assert status == 500
         assert "campaigns.json" in doc["error"] and "'price'" in doc["error"]
         assert not doc["error"].startswith("internal error")
-        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        assert _live(port) == live
         status, doc = _post(port, "/match",
                             {"query": "solar led garden lights outdoor", "market": "US"})
         assert status == 200
@@ -255,12 +291,13 @@ class TestRefresh:
     ):
         httpd, _, snapshot_dir = server
         port = httpd.server_address[1]
+        live = _live(port)
         _bump_snapshot(snapshot_dir, 2, -100.0)
         damage(os.path.join(snapshot_dir, name))
         status, doc = _post(port, "/refresh")
         assert status == 500
         assert name in doc["error"] and named in doc["error"]
-        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        assert _live(port) == live
         status, doc = _post(port, "/expand", {"keyword": "garden lights", "market": "US"})
         assert status == 200
         status, doc = _post(port, "/match",
@@ -276,13 +313,16 @@ class TestRefresh:
         port = httpd.server_address[1]
         query = {"query": "apple iphone 13 case red", "market": "US"}
         served = _post(port, "/match", query)
-        for version in (1, 0):
+        live = _live(port)
+        for hits, version in enumerate((1, 0), start=1):
             _bump_snapshot(snapshot_dir, version, -100.0)
             status, doc = _post(port, "/refresh")
             assert status == 409
             assert doc == {"error": f"version {version} does not exceed 1"}
-            assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+            assert _live(port) == live
             assert _post(port, "/match", query) == served
+            # the live version keeps its answer cache
+            assert _get(port, "/healthz")[1]["answer_cache"]["hits"] == hits
 
     def test_refresh_during_match_stream_no_mixed_batches(self, server):
         # Every version writes its own sentinel threshold, so a mixed batch
@@ -563,7 +603,8 @@ class TestUnexpectedErrors:
         status, doc = _post(port, "/match", {"query": "garden lights", "market": "US"})
         assert status == 500
         assert "RuntimeError" in doc["error"]
-        assert _get(port, "/healthz") == (200, {"status": "ok", "snapshot_version": 1})
+        status, doc = _get(port, "/healthz")
+        assert (status, doc["snapshot_version"]) == (200, 1)
         assert "RuntimeError: scoring blew up" in capsys.readouterr().err
 
 

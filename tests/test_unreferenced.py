@@ -5,8 +5,7 @@ imports is used in that module, and every flag of every CLI subcommand is
 passed by an argv in perfbench/ or scripts/ or by an ``adexpand`` command in
 README.md: code and options that only tests use belong in the tests. No
 module of src/adexpand/ coerces a value read from a document with int(),
-float(), str() or bool(), and only snapshot_store.py and service.py call
-into gc."""
+float(), str() or bool(), and only snapshot_store.py calls into gc."""
 
 import argparse
 import ast
@@ -157,9 +156,9 @@ def test_no_document_value_is_coerced():
     assert coerced_document_values() == []
 
 
-# the modules that keep the one collector policy: load_runtime pauses
-# collection for a load, and MatchService freezes each live bundle
-COLLECTOR_MODULES = {"snapshot_store.py", "service.py"}
+# the module that keeps the one collector policy: load_runtime pauses
+# collection for a load and freezes the bundle it returns
+COLLECTOR_MODULES = {"snapshot_store.py"}
 
 
 def collector_imports():
