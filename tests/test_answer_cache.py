@@ -1,6 +1,7 @@
-"""The /match answer cache: a repeated /match is answered with the bytes the
-live snapshot's first answer gave, the cache is replaced with its snapshot,
-errors are never kept, and its bytes never exceed ANSWER_CACHE_BYTES."""
+"""The /match answer cache: from its third ask on, a /match is answered with
+the bytes the live snapshot gave it, a query asked once takes no room, the
+cache is replaced with its snapshot, errors are never kept, and its bytes
+never exceed ANSWER_CACHE_BYTES."""
 
 import json
 import os
@@ -20,9 +21,11 @@ from adexpand import service as service_module
 from adexpand.matching import match_query, match_record_to_doc
 from adexpand.service import (
     ANSWER_CACHE_BYTES,
+    ANSWER_CACHE_SEEN,
     MAX_BODY_BYTES,
     MAX_CACHED_ANSWER_BYTES,
     MatchService,
+    _ENTRY_OVERHEAD,
     _AnswerCache,
     make_server,
 )
@@ -61,17 +64,32 @@ def _cache(service):
     return service._live.answers
 
 
+def _size(key, body):
+    """What an entry counts: its key tuple, market, query and body objects
+    and the OrderedDict's own bytes per entry."""
+    market, query = key
+    return (sys.getsizeof(key) + sys.getsizeof(market) + sys.getsizeof(query)
+            + sys.getsizeof(body) + _ENTRY_OVERHEAD)
+
+
 def _check_bytes(service):
     """The cache's byte count is the sum of its entries' sizes, within the
-    budget, and each entry is within the per-entry cap."""
+    budget, each entry is within the per-entry cap, and the keys asked once
+    are within their bound."""
     cache = _cache(service)
-    sizes = [sys.getsizeof(m) + sys.getsizeof(q) + sys.getsizeof(body)
-             for (m, q), body in cache._bodies.items()]
+    sizes = [_size(key, body) for key, body in cache._bodies.items()]
     stats = cache.stats()
     assert stats["bytes"] == sum(sizes) <= ANSWER_CACHE_BYTES
     assert all(size <= MAX_CACHED_ANSWER_BYTES for size in sizes)
     assert stats["entries"] == len(sizes)
+    assert len(cache._seen) <= ANSWER_CACHE_SEEN
     return stats
+
+
+def _put_twice(cache, key, body):
+    """Offer an answer as its second ask does, so that it is kept."""
+    for _ in range(2):
+        cache.put(key, body)
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +180,18 @@ class TestServedEqualsLiveBundle:
 
 
 class TestRepeatsAreHits:
-    def test_second_request_is_a_hit_with_the_same_bytes(self, service, port):
+    def test_third_request_is_a_hit_with_the_same_bytes(self, service, port):
+        """The first ask is remembered by its key's hash, the second keeps
+        its answer, and the third is a hit."""
         market, query = QUERIES[0]
-        first = _match(port, market, query)
-        assert first == _match(port, market, query) == (200, _expected(service.current(),
-                                                                      query, market))
-        stats = _cache(service).stats()
-        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        expected = (200, _expected(service.current(), query, market))
+        counts = []
+        for _ in range(3):
+            assert _match(port, market, query) == expected
+            stats = _cache(service).stats()
+            counts.append((stats["entries"], stats["hits"], stats["misses"]))
+        assert counts == [(0, 0, 1), (1, 0, 2), (1, 1, 2)]
+        assert not _cache(service)._seen  # the kept key is forgotten there
 
     def test_key_is_the_exact_query(self, service):
         # every record echoes the query, so texts that tokenize alike still
@@ -176,10 +199,11 @@ class TestRepeatsAreHits:
         market, query = QUERIES[0]
         for text in (query, f" {query}", query.upper(), query, f" {query}"):
             assert service.match(text, market) == _expected(service.current(), text, market)
-        assert _check_bytes(service)["entries"] == 3
+        assert _check_bytes(service)["entries"] == 2  # the upper-case text was asked once
 
     def test_hit_runs_no_match(self, service, monkeypatch):
         market, query = QUERIES[0]
+        service.match(query, market)
         body = service.match(query, market)
 
         def no_match(*args):
@@ -195,21 +219,23 @@ class TestErrorsAreNotCached:
         (b'{"market": "US"}', 400),
         (b"{not json", 400),
     ], ids=["unknown-market", "market-not-a-string", "no-query", "bad-json"])
-    def test_error_twice_leaves_cache_empty(self, service, port, body, status):
-        for _ in range(2):
+    def test_error_thrice_leaves_cache_empty(self, service, port, body, status):
+        for _ in range(3):
             assert _post_raw(port, "/match", body)[0] == status
         stats = _cache(service).stats()
         assert (stats["entries"], stats["bytes"], stats["hits"]) == (0, 0, 0)
+        assert not _cache(service)._seen  # not even remembered as asked
 
 
 class TestBounds:
     def test_entry_at_the_cap_is_kept_and_one_byte_over_is_not(self):
         cache = _AnswerCache()
         key = ("US", "q")
-        fill = MAX_CACHED_ANSWER_BYTES - sys.getsizeof("US") - sys.getsizeof("q") - sys.getsizeof(b"")
-        cache.put(key, b"x" * (fill + 1))
+        fill = MAX_CACHED_ANSWER_BYTES - _size(key, b"")
+        _put_twice(cache, key, b"x" * (fill + 1))
         assert cache.get(key) is None
-        cache.put(key, b"x" * fill)
+        assert not cache._seen  # an over-cap answer is not remembered either
+        _put_twice(cache, key, b"x" * fill)
         assert cache.get(key) == b"x" * fill
         assert cache.stats()["bytes"] == MAX_CACHED_ANSWER_BYTES
 
@@ -224,10 +250,11 @@ class TestBounds:
         query = " ".join(tokens) + " " + padding
         expected = _expected(bundle, query, "US")
         assert len(expected) > MAX_CACHED_ANSWER_BYTES
-        for _ in range(2):
+        for _ in range(3):
             assert service.match(query, "US") == expected
-        assert _cache(service).stats() == {"entries": 0, "bytes": 0, "hits": 0, "misses": 2}
-        assert service.match(padding, "US") == _expected(bundle, padding, "US")
+        assert _cache(service).stats() == {"entries": 0, "bytes": 0, "hits": 0, "misses": 3}
+        for _ in range(2):
+            assert service.match(padding, "US") == _expected(bundle, padding, "US")
         assert _check_bytes(service)["entries"] == 1
 
     def test_budget_holds_under_large_queries(self, service):
@@ -248,9 +275,10 @@ class TestBounds:
             requests.append(f"n{i} " + "v" * near_cap)  # no match, just under the cap
         cached, over = [], 0
         for query in requests:
-            body = service.match(query, "US")
-            assert body == _expected(bundle, query, "US")
-            stats = _check_bytes(service)
+            expected = _expected(bundle, query, "US")
+            for _ in range(2):  # the second ask keeps what is under the cap
+                assert service.match(query, "US") == expected
+                stats = _check_bytes(service)
             if ("US", query) in _cache(service)._bodies:
                 cached.append(query)
             else:
@@ -266,15 +294,45 @@ class TestBounds:
     def test_hit_moves_an_entry_to_most_recent(self):
         cache = _AnswerCache()
         body = b"x" * (MAX_CACHED_ANSWER_BYTES // 2)
-        count = ANSWER_CACHE_BYTES // (MAX_CACHED_ANSWER_BYTES // 2)
+        count = ANSWER_CACHE_BYTES // _size(("US", "000"), body)
         for i in range(count - 1):
-            cache.put(("US", str(i)), body)
+            _put_twice(cache, ("US", str(i)), body)
         assert cache.get(("US", "0")) == body
-        cache.put(("US", "new"), body)
-        cache.put(("US", "newer"), body)
+        _put_twice(cache, ("US", "new"), body)
+        _put_twice(cache, ("US", "newer"), body)
         assert cache.get(("US", "0")) == body  # used recently: kept
         assert cache.get(("US", "1")) is None  # least recently used: evicted
         assert cache.stats()["bytes"] <= ANSWER_CACHE_BYTES
+
+
+class TestAskedOnce:
+    def test_keys_asked_once_evict_nothing(self):
+        """A scan of distinct keys, each offered once with answers that
+        would fill the budget many times, leaves the kept answer and the
+        byte count as they were."""
+        cache = _AnswerCache()
+        head = ("US", "head")
+        _put_twice(cache, head, b"h" * 100)
+        before = cache.stats()
+        body = b"x" * (MAX_CACHED_ANSWER_BYTES // 2)
+        for i in range(4 * ANSWER_CACHE_BYTES // len(body)):
+            cache.put(("US", f"tail {i}"), body)
+        assert cache.get(head) == b"h" * 100
+        assert cache.stats() == {**before, "hits": 1}
+
+    def test_seen_keys_are_bounded(self):
+        """Past ANSWER_CACHE_SEEN keys asked once, the remembered hashes are
+        dropped: a key asked before the drop needs two asks again."""
+        cache = _AnswerCache()
+        cache.put(("US", "first"), b"a")
+        for i in range(ANSWER_CACHE_SEEN):
+            cache.put(("US", f"once {i}"), b"b")
+            assert len(cache._seen) <= ANSWER_CACHE_SEEN
+        assert cache.stats()["entries"] == 0
+        cache.put(("US", "first"), b"a")
+        assert cache.get(("US", "first")) is None
+        cache.put(("US", "first"), b"a")
+        assert cache.get(("US", "first")) == b"a"
 
 
 class TestConcurrency:

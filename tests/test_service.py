@@ -22,6 +22,7 @@ from adexpand.service import (
     MAX_IDLE_THREADS,
     REQUEST_TIMEOUT_S,
     MatchService,
+    _ENTRY_OVERHEAD,
     make_server,
 )
 
@@ -118,12 +119,15 @@ class TestEndpoints:
         httpd, service, _ = server
         port = httpd.server_address[1]
         query = {"query": "apple iphone 13 case red", "market": "US"}
-        assert _post(port, "/match", query) == _post(port, "/match", query)
+        # two misses, the second of which keeps the answer, then a hit
+        answers = [_post(port, "/match", query) for _ in range(3)]
+        assert answers[0] == answers[1] == answers[2]
         _post(port, "/match", {"query": "iphone case", "market": "AU"})  # 404
-        body = service.match(query["query"], "US")  # a third hit
-        size = sys.getsizeof("US") + sys.getsizeof(query["query"]) + sys.getsizeof(body)
+        body = service.match(query["query"], "US")  # a second hit
+        size = (sys.getsizeof(("US", query["query"])) + sys.getsizeof("US")
+                + sys.getsizeof(query["query"]) + sys.getsizeof(body) + _ENTRY_OVERHEAD)
         assert _get(port, "/healthz")[1]["answer_cache"] == {
-            "entries": 1, "bytes": size, "hits": 2, "misses": 2}
+            "entries": 1, "bytes": size, "hits": 2, "misses": 3}
 
     def test_match_known_market(self, server):
         httpd, _, _ = server
@@ -313,6 +317,7 @@ class TestRefresh:
         port = httpd.server_address[1]
         query = {"query": "apple iphone 13 case red", "market": "US"}
         served = _post(port, "/match", query)
+        assert _post(port, "/match", query) == served  # kept from the second ask
         live = _live(port)
         for hits, version in enumerate((1, 0), start=1):
             _bump_snapshot(snapshot_dir, version, -100.0)
